@@ -23,7 +23,7 @@ func (b *testBackend) Fetch(lineAddr, pc uint64, prefetch bool, sink FillSink) b
 		return false
 	}
 	b.fetches = append(b.fetches, lineAddr)
-	b.eng.After(b.delay, func() { sink.FillLine(lineAddr, b.eng.Now()) })
+	b.eng.AfterFunc(b.delay, deliverFill, sink, nil, lineAddr, 0)
 	return true
 }
 

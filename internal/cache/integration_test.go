@@ -22,7 +22,7 @@ func (b *flakyBackend) Fetch(lineAddr, pc uint64, prefetch bool, sink FillSink) 
 		return false
 	}
 	b.fetches++
-	b.eng.After(b.completeDelay, func() { sink.FillLine(lineAddr, b.eng.Now()) })
+	b.eng.AfterFunc(b.completeDelay, deliverFill, sink, nil, lineAddr, 0)
 	return true
 }
 
@@ -138,7 +138,7 @@ func (b *prefetchRefusingBackend) Fetch(lineAddr, pc uint64, prefetch bool, sink
 		return false
 	}
 	b.demandFetches++
-	b.eng.After(5, func() { sink.FillLine(lineAddr, b.eng.Now()) })
+	b.eng.AfterFunc(5, deliverFill, sink, nil, lineAddr, 0)
 	return true
 }
 func (b *prefetchRefusingBackend) WriteBack(lineAddr uint64) bool { return true }

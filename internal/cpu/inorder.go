@@ -36,18 +36,8 @@ type InOrder struct {
 	// heap allocation per Run invocation).
 	instScratch trace.Inst
 
-	// stepRetries forces the pre-refusal-hint behavior: refused
-	// accesses retry cycle by cycle instead of jumping to the hinted
-	// RetryAt. Bench-only reference knob (mlbench prices the hint
-	// against it); results are bit-identical either way.
-	stepRetries bool
-
 	res Result
 }
-
-// SetStepRetries selects cycle-stepping retries over hint-driven
-// jumps. Bench-only; both modes produce identical results.
-func (c *InOrder) SetStepRetries(v bool) { c.stepRetries = v }
 
 // submit retries a refused L1D access until it is accepted, advancing
 // the clock between attempts. The cache's structured refusal says
@@ -64,11 +54,7 @@ func (c *InOrder) submit(a *cache.Access, cycle uint64) uint64 {
 			return cycle
 		}
 		c.res.noteRetry(r.Reason)
-		if c.stepRetries {
-			cycle++
-		} else {
-			cycle = c.eng.RetryTarget(cycle, r.RetryAt)
-		}
+		cycle = c.eng.RetryTarget(cycle, r.RetryAt)
 		c.eng.AdvanceTo(cycle)
 	}
 }

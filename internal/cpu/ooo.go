@@ -53,8 +53,8 @@ type OoO struct {
 	// fetchRefuse is per-cycle scratch: the structured reason the
 	// I-cache refused fetch this cycle (zero when fetch ran clean).
 	// fetch() rewrites it every cycle before stallTarget reads it.
-	fetchRefuse cache.Refusal
-	haltOnBranch  bool   // a mispredicted branch is unresolved
+	fetchRefuse   cache.Refusal
+	haltOnBranch  bool // a mispredicted branch is unresolved
 	haltBranchSeq uint64
 	curFetchLine  uint64
 	staged        trace.Inst // one-instruction fetch stage
@@ -94,18 +94,8 @@ type OoO struct {
 	// attempt before stallTarget reads it.
 	headRefuse cache.Refusal
 
-	// stepRetries forces the pre-refusal-hint behavior: a blocked-head
-	// or refused-fetch cycle never idle-skips on the refusal reason.
-	// Bench-only reference knob; results are bit-identical either way.
-	stepRetries bool
-
 	res Result
 }
-
-// SetStepRetries disables refusal-reason idle-skips, restoring the
-// cycle-stepping retry behavior. Bench-only; both modes produce
-// identical results.
-func (o *OoO) SetStepRetries(v bool) { o.stepRetries = v }
 
 // SetWarmup arranges for fn to be called once, with the cycle count
 // so far, when insts instructions have committed. Statistics
@@ -255,7 +245,7 @@ func (o *OoO) stallTarget(cycle uint64) (uint64, bool) {
 		// instead — skippable only when the recorded reason proves
 		// the refusal is timer- or event-bound.
 		if e := o.slot(o.head); e.state == stDone {
-			if o.stepRetries || !e.isStore {
+			if !e.isStore {
 				return 0, false
 			}
 			switch o.headRefuse.Reason {
@@ -273,9 +263,6 @@ func (o *OoO) stallTarget(cycle uint64) (uint64, bool) {
 		// justifies a jump. A stall- or MSHR-refused I-cache access
 		// qualifies; anything else (including a clean fetch that
 		// placed nothing) does not.
-		if o.stepRetries {
-			return 0, false
-		}
 		switch o.fetchRefuse.Reason {
 		case cache.RefuseStall:
 			capAt = o.fetchRefuse.RetryAt
@@ -552,11 +539,7 @@ func (o *OoO) fetch(cycle uint64) (placed int) {
 func (o *OoO) noteFetchRefusal(r cache.Refusal) {
 	o.fetchRefuse = r
 	o.res.noteRetry(r.Reason)
-	switch {
-	case o.stepRetries:
-		o.fetchRetry = true
-	case r.Reason == cache.RefuseStall || r.Reason == cache.RefuseMSHR:
-	default:
+	if r.Reason != cache.RefuseStall && r.Reason != cache.RefuseMSHR {
 		o.fetchRetry = true
 	}
 }

@@ -4,29 +4,16 @@ import (
 	"testing"
 
 	"microlib/internal/cache"
+	"microlib/internal/mech/mechtest"
 	"microlib/internal/sim"
 )
-
-type fakeBackend struct{ eng *sim.Engine }
-
-func (f *fakeBackend) Fetch(lineAddr, pc uint64, prefetch bool, sink cache.FillSink) bool {
-	f.eng.After(10, func() { sink.FillLine(lineAddr, f.eng.Now()) })
-	return true
-}
-func (f *fakeBackend) WriteBack(lineAddr uint64) bool { return true }
-func (f *fakeBackend) FreeAtHint() uint64             { return f.eng.Now() + 1 }
 
 // TestDBCPLearnsRepeatingTour drives a repeating conflict tour with a
 // stable PC per line and checks that dead-block correlation
 // eventually predicts and prefetches.
 func TestDBCPLearnsRepeatingTour(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := cache.Config{
-		Name: "L1D", Size: 1 << 10, LineSize: 32, Assoc: 1,
-		HitLatency: 1, Ports: 4, MSHRs: 8, ReadsPerMSHR: 4,
-		WriteBack: true, AllocOnWrite: true, PrefetchQueueCap: 128,
-	}
-	l1 := cache.New(eng, cfg, &fakeBackend{eng: eng})
+	l1 := cache.New(eng, mechtest.L1Config(), &mechtest.Backend{Eng: eng, Delay: 10})
 	d := New(l1, Config{})
 	l1.Attach(d)
 

@@ -4,26 +4,14 @@ import (
 	"testing"
 
 	"microlib/internal/cache"
+	"microlib/internal/mech/mechtest"
 	"microlib/internal/sim"
 )
 
-// fakeBackend accepts everything instantly.
-type fakeBackend struct{ eng *sim.Engine }
-
-func (f *fakeBackend) Fetch(lineAddr, pc uint64, prefetch bool, sink cache.FillSink) bool {
-	f.eng.After(10, func() { sink.FillLine(lineAddr, f.eng.Now()) })
-	return true
-}
-func (f *fakeBackend) WriteBack(lineAddr uint64) bool { return true }
-func (f *fakeBackend) FreeAtHint() uint64             { return f.eng.Now() + 1 }
-
 func newL1(eng *sim.Engine) *cache.Cache {
-	cfg := cache.Config{
-		Name: "L1D", Size: 1 << 10, LineSize: 32, Assoc: 1,
-		HitLatency: 1, Ports: 4, MSHRs: 8, ReadsPerMSHR: 4,
-		WriteBack: true, AllocOnWrite: true, PrefetchQueueCap: 16,
-	}
-	return cache.New(eng, cfg, &fakeBackend{eng: eng})
+	cfg := mechtest.L1Config()
+	cfg.PrefetchQueueCap = 16
+	return cache.New(eng, cfg, &mechtest.Backend{Eng: eng, Delay: 10})
 }
 
 // TestMarkovLearnsRepeatingTour drives a repeating miss sequence and

@@ -44,9 +44,8 @@ var snapshotCoverage = []struct {
 		typ:        sim.Engine{},
 		serialized: []string{"now", "seq", "base", "ring", "occ", "ringCount", "overflow", "scheduled", "executed"},
 		exempt: map[string]string{
-			"promote":        "batch-promotion scratch, empty between advances",
-			"free":           "event-node freelist: an allocation pool, not simulated state",
-			"popwisePromote": "benchmark pricing knob: both promotion strategies produce identical event order",
+			"promote": "batch-promotion scratch, empty between advances",
+			"free":    "event-node freelist: an allocation pool, not simulated state",
 		},
 	},
 	{
@@ -115,7 +114,6 @@ var snapshotCoverage = []struct {
 			"storeAcc":     "commit-stage scratch: Addr/PC rebuilt from the head window entry at every attempt, Write re-bound at construction",
 			"headRefuse":   "per-cycle scratch: rewritten by commit() before stallTarget reads it",
 			"fetchRefuse":  "per-cycle scratch: rewritten by fetch() before stallTarget reads it",
-			"stepRetries":  "bench-only reference knob, never set on a checkpointed run",
 		},
 	},
 	{
@@ -128,7 +126,6 @@ var snapshotCoverage = []struct {
 			"mispredictPenalty": "configuration, reproduced by reconstruction",
 			"warmInsts":         "runner warm-up hook, re-armed per run",
 			"onWarm":            "runner warm-up hook, re-armed per run",
-			"stepRetries":       "bench-only reference knob, never set on a checkpointed run",
 			"instScratch":       "Run-loop scratch, dead between Run calls",
 		},
 	},

@@ -1,8 +1,9 @@
 // Package sim implements the discrete-event simulation kernel that
 // drives every MicroLib model. The kernel is a cycle counter and an
-// event calendar. Components schedule callbacks at absolute or
-// relative cycles; the host CPU model advances the clock and lets the
-// kernel drain the events due at each cycle boundary.
+// event calendar. Components schedule static callbacks at absolute or
+// relative cycles (AtFunc/AfterFunc); the host CPU model advances the
+// clock and lets the kernel drain the events due at each cycle
+// boundary.
 //
 // The calendar is a bucketed calendar queue tuned for the near-future
 // skew of micro-architecture simulation: a ring of per-cycle FIFO
@@ -10,10 +11,11 @@
 // beats, SDRAM bursts all land here), and a small overflow min-heap
 // absorbs the rare far-future events (refresh timers, deeply queued
 // bus reservations). Events are intrusive singly-linked nodes drawn
-// from a per-engine freelist, so steady-state scheduling performs no
-// heap allocations; the AtFunc/AfterFunc entry points additionally
-// avoid the per-event closure by packing a static function pointer
-// with receiver and argument words into the pooled node.
+// from a per-engine freelist, and each node packs a static function
+// pointer with receiver and argument words, so steady-state scheduling
+// performs no heap allocations. Because every pending event is a
+// (Func, operands) pair and never a closure, any calendar can be
+// serialized by Snapshot as long as its Funcs are registered.
 //
 // Determinism: events scheduled for the same cycle run in FIFO order
 // of scheduling, so a simulation is a pure function of its inputs.
@@ -50,8 +52,6 @@ type event struct {
 	seq  uint64 // global schedule order; orders overflow ties
 	next *event // bucket FIFO / freelist link
 
-	// Exactly one of fn (legacy closure path) or call is set.
-	fn     func()
 	call   Func
 	o1, o2 any
 	a0, a1 uint64
@@ -81,12 +81,6 @@ type Engine struct {
 
 	overflow []*event // min-heap ordered by (when, seq)
 	promote  []*event // batch-promotion scratch (empty between advances)
-	// popwisePromote pins promotion to one-at-a-time heap pops — the
-	// pre-batching algorithm — so benchmarks and equivalence tests can
-	// price the batch path against it. Both paths promote in identical
-	// (when, seq) order; only the cost differs. Set solely by
-	// RunSlabPromotion.
-	popwisePromote bool
 
 	free *event // node freelist
 
@@ -117,29 +111,12 @@ func (e *Engine) put(ev *event) {
 	e.free = ev
 }
 
-// At schedules fn to run when the clock reaches cycle. Scheduling in
-// the past (cycle < Now) is a programming error and panics: silently
-// reordering time would destroy determinism.
-//
-//ml:hotpath
-func (e *Engine) At(cycle uint64, fn func()) {
-	ev := e.get()
-	ev.fn = fn
-	e.schedule(cycle, ev)
-}
-
-// After schedules fn to run delay cycles from now.
-//
-//ml:hotpath
-func (e *Engine) After(delay uint64, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
 // AtFunc schedules the static callback fn(now, o1, o2, a0, a1) at
-// cycle. Unlike At it allocates nothing in steady state: receivers
-// travel in the interface words (pointer-shaped values only — no
-// boxing) and scalar arguments in a0/a1, all packed into a pooled
-// event node.
+// cycle. It allocates nothing in steady state: receivers travel in
+// the interface words (pointer-shaped values only — no boxing) and
+// scalar arguments in a0/a1, all packed into a pooled event node.
+// Scheduling in the past (cycle < Now) is a programming error and
+// panics: silently reordering time would destroy determinism.
 //
 //ml:hotpath
 func (e *Engine) AtFunc(cycle uint64, fn Func, o1, o2 any, a0, a1 uint64) {
@@ -209,7 +186,7 @@ func (e *Engine) advanceBase(t uint64) {
 	for len(e.overflow) > 0 && e.overflow[0].when < top {
 		e.ringPush(e.heapPop())
 		pops++
-		if pops >= promotePopLimit && len(e.overflow) >= promoteBatchMin && !e.popwisePromote {
+		if pops >= promotePopLimit && len(e.overflow) >= promoteBatchMin {
 			e.batchPromote(top)
 			return
 		}
@@ -351,14 +328,9 @@ func (e *Engine) runCycle(t uint64) uint64 {
 		n++
 		// Copy out and recycle before the call: the handler may
 		// schedule immediately and reuse this node.
-		fn, call := ev.fn, ev.call
-		o1, o2, a0, a1 := ev.o1, ev.o2, ev.a0, ev.a1
+		call, o1, o2, a0, a1 := ev.call, ev.o1, ev.o2, ev.a0, ev.a1
 		e.put(ev)
-		if call != nil {
-			call(t, o1, o2, a0, a1)
-		} else {
-			fn()
-		}
+		call(t, o1, o2, a0, a1)
 	}
 	e.occ[idx>>6] &^= 1 << (idx & 63)
 	return n

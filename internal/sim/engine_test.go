@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,7 @@ func TestEventOrdering(t *testing.T) {
 	var got []uint64
 	for _, d := range []uint64{5, 1, 3, 2, 4} {
 		d := d
-		eng.After(d, func() { got = append(got, d) })
+		after(eng, d, func() { got = append(got, d) })
 	}
 	eng.AdvanceTo(10)
 	for i := 1; i < len(got); i++ {
@@ -29,7 +30,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.At(7, func() { got = append(got, i) })
+		at(eng, 7, func() { got = append(got, i) })
 	}
 	eng.AdvanceTo(7)
 	if !sort.IntsAreSorted(got) {
@@ -45,7 +46,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	eng.At(5, func() {})
+	at(eng, 5, func() {})
 }
 
 func TestAdvanceSetsNow(t *testing.T) {
@@ -59,9 +60,9 @@ func TestAdvanceSetsNow(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	eng := NewEngine()
 	var fired []uint64
-	eng.At(5, func() {
+	at(eng, 5, func() {
 		fired = append(fired, eng.Now())
-		eng.After(3, func() { fired = append(fired, eng.Now()) })
+		after(eng, 3, func() { fired = append(fired, eng.Now()) })
 	})
 	eng.AdvanceTo(20)
 	if len(fired) != 2 || fired[0] != 5 || fired[1] != 8 {
@@ -73,7 +74,7 @@ func TestDrainLimit(t *testing.T) {
 	eng := NewEngine()
 	ran := 0
 	for i := uint64(1); i <= 10; i++ {
-		eng.At(i, func() { ran++ })
+		at(eng, i, func() { ran++ })
 	}
 	n := eng.Drain(5)
 	if n != 5 || ran != 5 {
@@ -86,8 +87,8 @@ func TestDrainLimit(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	eng := NewEngine()
-	eng.After(1, func() {})
-	eng.After(2, func() {})
+	after(eng, 1, func() {})
+	after(eng, 2, func() {})
 	eng.AdvanceTo(3)
 	sched, exec := eng.Stats()
 	if sched != 2 || exec != 2 {
@@ -103,7 +104,7 @@ func TestPropertyTimestampMonotonic(t *testing.T) {
 		last := uint64(0)
 		ok := true
 		for _, d := range delays {
-			eng.After(uint64(d%32), func() {
+			after(eng, uint64(d%32), func() {
 				if eng.Now() < last {
 					ok = false
 				}
@@ -115,5 +116,20 @@ func TestPropertyTimestampMonotonic(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotUnregisteredFunc checks that a pending event whose Func
+// was never registered makes Snapshot fail, naming the event's cycle:
+// such an event could not be rebuilt on restore.
+func TestSnapshotUnregisteredFunc(t *testing.T) {
+	eng := NewEngine()
+	eng.AtFunc(1234, func(uint64, any, any, uint64, uint64) {}, nil, nil, 0, 0)
+	_, err := eng.Snapshot(func(any) (OpRef, bool) { return OpRef{}, false })
+	if err == nil {
+		t.Fatal("Snapshot accepted a pending event with an unregistered Func")
+	}
+	if !strings.Contains(err.Error(), "unregistered") || !strings.Contains(err.Error(), "1234") {
+		t.Fatalf("Snapshot error %q does not name the unregistered Func's cycle 1234", err)
 	}
 }
