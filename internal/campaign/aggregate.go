@@ -189,9 +189,8 @@ func (s *Summary) Text() string {
 	fmt.Fprintf(&sb, "campaign %q  plan=%s\n", s.Name, s.PlanFingerprint)
 	fmt.Fprintf(&sb, "cells: total=%d completed=%d cache-hits=%d simulated=%d errors=%d\n",
 		s.Sched.Total, s.Sched.Completed, s.Sched.CacheHits, s.Sched.Simulated, s.Sched.Errors)
-	if s.Sched.CheckpointHits > 0 || s.Sched.PrefixRuns > 0 {
-		fmt.Fprintf(&sb, "warm:  prefix-runs=%d checkpoint-hits=%d checkpoint-misses=%d\n",
-			s.Sched.PrefixRuns, s.Sched.CheckpointHits, s.Sched.CheckpointMisses)
+	if w := s.Sched.warmText(); w != "" {
+		fmt.Fprintf(&sb, "warm:  %s\n", w)
 	}
 	for _, sc := range s.Scenarios {
 		fmt.Fprintf(&sb, "\n== scenario %s (seeds=%d) ==\n", sc.Label, sc.Seeds)

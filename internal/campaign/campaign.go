@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -69,12 +68,9 @@ type RunConfig struct {
 	// StallMin floors its threshold. See Scheduler.StallFactor.
 	StallFactor float64
 	StallMin    time.Duration
-	// OnRetry, OnDegrade and OnStall observe fault-handling events in
-	// addition to the journal (which records them automatically when
-	// Journal is set). All may be called concurrently.
-	OnRetry   func(RetryInfo)
-	OnDegrade func(Degradation)
-	OnStall   func(StallReport)
+	// OnStall observes the stall watchdog's flags (see
+	// Scheduler.OnStall); the journal records them either way.
+	OnStall func(StallReport)
 	// Faults, when non-nil, arms the fault-injection points across
 	// scheduler, disk cache and journal writer. Testing and the
 	// -faults flag only.
@@ -99,8 +95,6 @@ func Execute(ctx context.Context, spec Spec, cfg RunConfig) (*Summary, error) {
 		KnownFailures: cfg.KnownFailures,
 		StallFactor:   cfg.StallFactor,
 		StallMin:      cfg.StallMin,
-		OnRetry:       cfg.OnRetry,
-		OnDegrade:     cfg.OnDegrade,
 		OnStall:       cfg.OnStall,
 		Faults:        cfg.Faults,
 	}
@@ -147,52 +141,9 @@ func Execute(ctx context.Context, spec Spec, cfg RunConfig) (*Summary, error) {
 		RegisterCampaignMetrics(cfg.Metrics, sched.Live, disk)
 	}
 
-	var jw *JournalWriter
 	if cfg.Journal != nil {
-		jw = NewJournalWriter(cfg.Journal)
-		jw.Faults = cfg.Faults
-		// Mirror the scheduler's worker clamp so the journal header
-		// records the pool size actually used.
-		workers := cfg.Workers
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(plan.Cells) && len(plan.Cells) > 0 {
-			workers = len(plan.Cells)
-		}
-		jw.Begin(plan, workers, cfg.CacheDir)
-		prevStart, prevProg := sched.OnStart, sched.OnProgress
-		sched.OnStart = func(c Cell) {
-			jw.CellStart(c)
-			if prevStart != nil {
-				prevStart(c)
-			}
-		}
-		sched.OnProgress = func(p Progress) {
-			jw.CellDone(p)
-			if prevProg != nil {
-				prevProg(p)
-			}
-		}
-		prevRetry, prevDegrade, prevStall := sched.OnRetry, sched.OnDegrade, sched.OnStall
-		sched.OnRetry = func(r RetryInfo) {
-			jw.Retry(r)
-			if prevRetry != nil {
-				prevRetry(r)
-			}
-		}
-		sched.OnDegrade = func(d Degradation) {
-			jw.Degraded(d)
-			if prevDegrade != nil {
-				prevDegrade(d)
-			}
-		}
-		sched.OnStall = func(r StallReport) {
-			jw.Stall(r)
-			if prevStall != nil {
-				prevStall(r)
-			}
-		}
+		sched.journal = NewJournalWriter(cfg.Journal, plan, cfg.CacheDir)
+		sched.journal.Faults = cfg.Faults
 	}
 
 	// Per-cell interval artifacts: the sink runs on worker
@@ -218,9 +169,8 @@ func Execute(ctx context.Context, spec Spec, cfg RunConfig) (*Summary, error) {
 	}
 
 	results, sstats, err := sched.Run(ctx, plan.Cells)
-	if jw != nil {
-		jw.End(sstats, err)
-		if jerr := jw.Err(); err == nil && jerr != nil {
+	if sched.journal != nil {
+		if jerr := sched.journal.Err(); err == nil && jerr != nil {
 			err = fmt.Errorf("campaign: journal write: %w", jerr)
 		}
 	}

@@ -14,6 +14,25 @@ import (
 	"microlib/internal/fault"
 )
 
+// chaosConfig is the chaos suite's run configuration for one seed: a
+// fault schedule of cache read/write errors, corruption, cell panics
+// and stalls, with per-cell deadlines and retries to contain them.
+func chaosConfig(seed uint64) RunConfig {
+	inj := fault.New(seed).
+		Enable(fault.CachePutError, 0.4).
+		Enable(fault.CacheGetError, 0.3).
+		Enable(fault.CacheGetCorrupt, 0.3).
+		Enable(fault.CellPanic, 0.25).Limit(fault.CellPanic, 2).
+		Enable(fault.CellSlow, 0.25).Limit(fault.CellSlow, 2)
+	inj.SlowFor = 10 * time.Second
+	return RunConfig{
+		Workers:     2,
+		CellTimeout: 200 * time.Millisecond,
+		Retry:       &RetryPolicy{Max: 2, BaseDelay: time.Millisecond},
+		Faults:      inj,
+	}
+}
+
 // The chaos suite: run campaigns under randomized-but-deterministic
 // fault schedules (cache read/write errors, corruption, cell panics,
 // stalls) and assert the containment invariants hold — no goroutine
@@ -30,24 +49,11 @@ func TestChaosCampaignsConverge(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			inj := fault.New(seed).
-				Enable(fault.CachePutError, 0.4).
-				Enable(fault.CacheGetError, 0.3).
-				Enable(fault.CacheGetCorrupt, 0.3).
-				Enable(fault.CellPanic, 0.25).Limit(fault.CellPanic, 2).
-				Enable(fault.CellSlow, 0.25).Limit(fault.CellSlow, 2)
-			inj.SlowFor = 10 * time.Second
-
 			dir := filepath.Join(t.TempDir(), "cache")
 			var journal bytes.Buffer
-			sum, err := Execute(context.Background(), tinySpec(), RunConfig{
-				Workers:     2,
-				CacheDir:    dir,
-				Journal:     &journal,
-				CellTimeout: 200 * time.Millisecond,
-				Retry:       &RetryPolicy{Max: 2, BaseDelay: time.Millisecond},
-				Faults:      inj,
-			})
+			cfg := chaosConfig(seed)
+			cfg.CacheDir, cfg.Journal = dir, &journal
+			sum, err := Execute(context.Background(), tinySpec(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -123,16 +123,6 @@ type Degradation struct {
 	Err error
 }
 
-// RetryInfo describes one transient-failure retry, reported to
-// Scheduler.OnRetry before the backoff sleep.
-type RetryInfo struct {
-	Cell    Cell
-	Attempt int // 1-based retry number
-	Err     error
-	Kind    ErrKind
-	Delay   time.Duration
-}
-
 // StallReport is the scheduler watchdog's flag: no cell has finished
 // for Idle, which exceeds Threshold (StallFactor × the median
 // completed-cell wall time, floored at StallMin).

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,17 +78,13 @@ func TestJournalCarriesPanicStack(t *testing.T) {
 	}
 	victim := plan.Cells[0].Key
 	var buf bytes.Buffer
-	jw := NewJournalWriter(&buf)
 	s := &Scheduler{
-		Workers:    2,
-		OnProgress: jw.CellDone,
-		Faults:     fault.New(1).EnableKeys(fault.CellPanic, 1, victim),
+		Workers: 2,
+		Faults:  fault.New(1).EnableKeys(fault.CellPanic, 1, victim),
+		journal: NewJournalWriter(&buf, plan, ""),
 	}
-	jw.Begin(plan, 2, "")
-	_, stats, err := s.Run(context.Background(), plan.Cells)
-	jw.End(stats, err)
-	if err != nil || jw.Err() != nil {
-		t.Fatal(err, jw.Err())
+	if _, _, err := s.Run(context.Background(), plan.Cells); err != nil || s.journal.Err() != nil {
+		t.Fatal(err, s.journal.Err())
 	}
 	evs := readJournalStrict(t, buf.Bytes())
 	var found bool
@@ -162,15 +156,15 @@ func TestSchedulerCellTimeout(t *testing.T) {
 	victim := plan.Cells[1].Key
 	inj := fault.New(1).EnableKeys(fault.CellSlow, 1, victim)
 	inj.SlowFor = 10 * time.Second
-	var retries atomic.Int32
+	var journal bytes.Buffer
 	s := &Scheduler{
 		Workers: 2,
 		// Generous: healthy 2000-inst cells must never trip it, even
 		// under the race detector's slowdown.
 		CellTimeout: 500 * time.Millisecond,
 		Retry:       RetryPolicy{Max: 1, BaseDelay: time.Millisecond},
-		OnRetry:     func(RetryInfo) { retries.Add(1) },
 		Faults:      inj,
+		journal:     NewJournalWriter(&journal, plan, ""),
 	}
 	results, stats, err := s.Run(context.Background(), plan.Cells)
 	if err != nil {
@@ -179,8 +173,14 @@ func TestSchedulerCellTimeout(t *testing.T) {
 	if stats.Errors != 1 || stats.FailedKinds[string(KindTimeout)] != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if stats.Retries != 1 || retries.Load() != 1 {
-		t.Fatalf("timeout is transient and must consume its retry: %d/%d", stats.Retries, retries.Load())
+	var retries int
+	for _, e := range readJournalStrict(t, journal.Bytes()) {
+		if e.Ev == EvRetry {
+			retries++
+		}
+	}
+	if stats.Retries != 1 || retries != 1 {
+		t.Fatalf("timeout is transient and must consume its retry: %d/%d", stats.Retries, retries)
 	}
 	res := results[victim]
 	if res.ErrKind != string(KindTimeout) || !strings.Contains(res.Err, "deadline") {
@@ -247,11 +247,13 @@ func TestSchedulerCancellationDuringRetryBackoff(t *testing.T) {
 		CellTimeout: 300 * time.Millisecond,
 		// A backoff long enough that cancel lands inside it.
 		Retry: RetryPolicy{Max: 5, BaseDelay: 10 * time.Second},
-		OnRetry: func(r RetryInfo) {
-			if r.Cell.Key == victim {
+		// The journal's retry line for the victim is written just
+		// before its backoff sleep.
+		journal: NewJournalWriter(onJournalLine(t, func(e JournalEvent) {
+			if e.Ev == EvRetry && e.Key == victim {
 				cancel()
 			}
-		},
+		}), plan, ""),
 	}
 	s.Faults = inj
 	results, _, err := s.Run(ctx, plan.Cells)
@@ -284,17 +286,12 @@ func TestSchedulerCachePutDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dmu sync.Mutex
-	var degraded []Degradation
+	var journal bytes.Buffer
 	s := &Scheduler{
 		Workers: 2,
 		Cache:   cache,
 		Retry:   RetryPolicy{Max: 1, BaseDelay: time.Millisecond},
-		OnDegrade: func(d Degradation) {
-			dmu.Lock()
-			degraded = append(degraded, d)
-			dmu.Unlock()
-		},
+		journal: NewJournalWriter(&journal, plan, ""),
 	}
 	results, stats, err := s.Run(context.Background(), plan.Cells)
 	if err != nil {
@@ -303,16 +300,25 @@ func TestSchedulerCachePutDegrades(t *testing.T) {
 	if stats.Errors != 0 || stats.Simulated != 8 {
 		t.Fatalf("put failures must not fail cells: %+v", stats)
 	}
+	var degraded []JournalEvent
+	for _, e := range readJournalStrict(t, journal.Bytes()) {
+		if e.Ev == EvDegraded {
+			degraded = append(degraded, e)
+		}
+	}
 	if stats.Degraded != 8 || len(degraded) != 8 {
-		t.Fatalf("every dropped put must be counted: stats=%d hook=%d", stats.Degraded, len(degraded))
+		t.Fatalf("every dropped put must be counted: stats=%d journal=%d", stats.Degraded, len(degraded))
+	}
+	if stats.Retries != 8 {
+		t.Fatalf("every put must be retried once: %+v", stats)
 	}
 	for _, d := range degraded {
-		if d.Op != "cache.put" || d.Key == "" || d.Err == nil {
+		if d.Op != "cache.put" || d.Key == "" {
 			t.Fatalf("degradation payload: %+v", d)
 		}
-		var fe *fault.Error
-		if !errors.As(d.Err, &fe) {
-			t.Fatalf("injected error must stay typed: %v", d.Err)
+		// The injected error itself reaches the journal, unwrapped.
+		if want := (&fault.Error{Point: fault.CachePutError, Key: d.Key}).Error(); d.Err != want {
+			t.Fatalf("degradation error %q, want the injected %q", d.Err, want)
 		}
 	}
 	for _, c := range plan.Cells {
@@ -332,36 +338,36 @@ func TestSchedulerCachePutDegrades(t *testing.T) {
 // The stall watchdog: flags once per quiet episode, re-arms on
 // progress, stays silent after completion.
 func TestStallWatchCheck(t *testing.T) {
-	w := &stallWatch{factor: 8, min: 10 * time.Millisecond, last: time.Now().Add(-time.Second), total: 4, done: 1}
-	rep, ok := w.check()
+	w := &stallWatch{factor: 8, min: 10 * time.Millisecond, last: time.Now().Add(-time.Second)}
+	rep, ok := w.check(1, 4)
 	if !ok {
 		t.Fatal("idle 1s against a 10ms floor must flag")
 	}
 	if rep.Idle < time.Second || rep.Threshold != 10*time.Millisecond || rep.Done != 1 || rep.Total != 4 {
 		t.Fatalf("report: %+v", rep)
 	}
-	if _, ok := w.check(); ok {
+	if _, ok := w.check(1, 4); ok {
 		t.Fatal("a stall episode must be flagged once, not every tick")
 	}
-	w.cellFinished(5 * time.Millisecond)
+	w.apply(Event{Ev: EvCellDone, Wall: 5 * time.Millisecond})
 	w.last = time.Now().Add(-time.Second)
-	if _, ok := w.check(); !ok {
+	if _, ok := w.check(2, 4); !ok {
 		t.Fatal("progress must re-arm the watchdog")
 	}
 	// Median-scaled threshold: with 100ms cells on record, factor 8
 	// and a 10ms floor, the threshold is 800ms.
-	w2 := &stallWatch{factor: 8, min: 10 * time.Millisecond, last: time.Now().Add(-500 * time.Millisecond), total: 4, done: 2}
+	w2 := &stallWatch{factor: 8, min: 10 * time.Millisecond, last: time.Now().Add(-500 * time.Millisecond)}
 	w2.walls = []time.Duration{100 * time.Millisecond, 100 * time.Millisecond}
-	if _, ok := w2.check(); ok {
+	if _, ok := w2.check(2, 4); ok {
 		t.Fatal("500ms idle under an 800ms median-scaled threshold must not flag")
 	}
 	w2.last = time.Now().Add(-2 * time.Second)
-	if rep, ok := w2.check(); !ok || rep.Median != 100*time.Millisecond {
+	if rep, ok := w2.check(2, 4); !ok || rep.Median != 100*time.Millisecond {
 		t.Fatalf("2s idle must flag with the median recorded: %+v ok=%v", rep, ok)
 	}
 	// A finished campaign never stalls.
-	w3 := &stallWatch{factor: 8, min: time.Millisecond, last: time.Now().Add(-time.Hour), total: 2, done: 2}
-	if _, ok := w3.check(); ok {
+	w3 := &stallWatch{factor: 8, min: time.Millisecond, last: time.Now().Add(-time.Hour)}
+	if _, ok := w3.check(2, 2); ok {
 		t.Fatal("completed campaign must not flag")
 	}
 }
@@ -429,7 +435,7 @@ func TestExecuteFaultContainmentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Complete || st.Errors != 2 || st.ErrKinds[string(KindPanic)] != 1 || st.ErrKinds[string(KindTimeout)] != 1 || st.Retries != 1 {
+	if !st.Complete || st.Errors != 2 || st.FailedKinds[string(KindPanic)] != 1 || st.FailedKinds[string(KindTimeout)] != 1 || st.Retries != 1 {
 		t.Fatalf("status: %+v", st)
 	}
 	text := st.Text()

@@ -13,23 +13,6 @@ import (
 	"microlib/internal/telemetry"
 )
 
-// Journal event kinds. A run emits one "start", then interleaved
-// "cell_start"/"cell_done" (with "retry"/"degraded"/"stall" woven in
-// as they happen), then one "end". A resumed campaign appends a
-// "resume" marker and a fresh start/…/end sequence to the same file.
-// A journal whose last run has no "end" event records a campaign that
-// was killed hard (OOM, SIGKILL, power loss) mid-run.
-const (
-	EvStart     = "start"
-	EvCellStart = "cell_start"
-	EvCellDone  = "cell_done"
-	EvRetry     = "retry"
-	EvDegraded  = "degraded"
-	EvStall     = "stall"
-	EvResume    = "resume"
-	EvEnd       = "end"
-)
-
 // JournalEvent is one line of a campaign run journal. A single struct
 // covers all kinds; fields not applicable to a kind are omitted from
 // its JSON. Journals are JSONL so a crashed run still leaves every
@@ -50,7 +33,8 @@ type JournalEvent struct {
 	Spec    json.RawMessage `json:"spec,omitempty"`
 	BaseDir string          `json:"base_dir,omitempty"`
 
-	// cell_start, cell_done, retry and degraded identify the cell
+	// cell_start, cell_done and retry identify the cell; degraded and
+	// prefix carry the fingerprint they concern
 	Key   string `json:"key,omitempty"` // options fingerprint
 	Index int    `json:"index,omitempty"`
 	Bench string `json:"bench,omitempty"`
@@ -66,14 +50,15 @@ type JournalEvent struct {
 	ErrKind     string  `json:"err_kind,omitempty"` // taxonomy kind when Err is set
 	Stack       string  `json:"stack,omitempty"`    // recovered panic stack
 	Attempts    int     `json:"attempts,omitempty"` // retries consumed
+	Warm        bool    `json:"warm,omitempty"`     // measured from a warm checkpoint
 	Done        int     `json:"done,omitempty"`
 
 	// retry
 	Attempt int     `json:"attempt,omitempty"` // 1-based retry number
 	DelayMS float64 `json:"delay_ms,omitempty"`
 
-	// degraded
-	Op string `json:"op,omitempty"` // e.g. "cache.put", "cache.corrupt"
+	// retry, degraded and prefix
+	Op string `json:"op,omitempty"` // e.g. "cache.put", "cache.corrupt"; prefix: "run" or "miss"
 
 	// stall
 	IdleMS      float64 `json:"idle_ms,omitempty"`
@@ -84,27 +69,34 @@ type JournalEvent struct {
 	Remaining int `json:"remaining,omitempty"`
 
 	// end
-	Completed   int            `json:"completed,omitempty"`
-	CacheHits   int            `json:"cache_hits,omitempty"`
-	Simulated   int            `json:"simulated,omitempty"`
-	Errors      int            `json:"errors,omitempty"`
-	FailedKinds map[string]int `json:"failed_kinds,omitempty"`
-	Retries     int            `json:"retries,omitempty"`
-	Degraded    int            `json:"degraded,omitempty"`
-	Stalls      int            `json:"stalls,omitempty"`
-	Aborted     bool           `json:"aborted,omitempty"`
-	AbortReason string         `json:"abort_reason,omitempty"`
-	WallS       float64        `json:"wall_s,omitempty"`
+	Completed        int            `json:"completed,omitempty"`
+	CacheHits        int            `json:"cache_hits,omitempty"`
+	Simulated        int            `json:"simulated,omitempty"`
+	Errors           int            `json:"errors,omitempty"`
+	FailedKinds      map[string]int `json:"failed_kinds,omitempty"`
+	Retries          int            `json:"retries,omitempty"`
+	Degraded         int            `json:"degraded,omitempty"`
+	Stalls           int            `json:"stalls,omitempty"`
+	PrefixRuns       int            `json:"prefix_runs,omitempty"`
+	CheckpointHits   int            `json:"checkpoint_hits,omitempty"`
+	CheckpointMisses int            `json:"checkpoint_misses,omitempty"`
+	Aborted          bool           `json:"aborted,omitempty"`
+	AbortReason      string         `json:"abort_reason,omitempty"`
+	WallS            float64        `json:"wall_s,omitempty"`
 }
 
-// JournalWriter appends run-journal events as JSONL. Begin/CellStart/
-// CellDone/End map onto the scheduler's lifecycle; the per-cell and
-// fault events may be called concurrently (the underlying writer
-// serializes lines). Write errors are sticky — check Err once at the
-// end instead of at every event.
+// JournalWriter appends one plan's run journal as JSONL: the
+// scheduler it is attached to feeds it every lifecycle event, serially
+// under the scheduler lock. Write errors are sticky — check Err once at
+// the end instead of at every event.
 type JournalWriter struct {
-	w     *telemetry.JSONL
-	start time.Time
+	w        *telemetry.JSONL
+	plan     *Plan
+	cacheDir string
+	start    time.Time
+	// stats folds the run's events for cell_done's done count and the
+	// end footer.
+	stats SchedulerStats
 
 	// Faults, when non-nil, arms the journal.write.error injection
 	// point: a fired write poisons the writer with a sticky injected
@@ -112,10 +104,11 @@ type JournalWriter struct {
 	Faults *fault.Injector
 }
 
-// NewJournalWriter wraps w; the caller keeps ownership of w (close
-// the file yourself after End).
-func NewJournalWriter(w io.Writer) *JournalWriter {
-	return &JournalWriter{w: telemetry.NewJSONL(w)}
+// NewJournalWriter wraps w for runs of plan over the cache in cacheDir;
+// the caller keeps ownership of w (close the file yourself after the
+// run).
+func NewJournalWriter(w io.Writer, plan *Plan, cacheDir string) *JournalWriter {
+	return &JournalWriter{w: telemetry.NewJSONL(w), plan: plan, cacheDir: cacheDir}
 }
 
 func stamp() string { return time.Now().Format(time.RFC3339Nano) }
@@ -127,165 +120,97 @@ func (j *JournalWriter) write(e JournalEvent) {
 	j.w.Write(e)
 }
 
-// Begin records the run header: which campaign, which exact plan
-// (fingerprint), how many cells, how wide the pool is — and the
-// normalized spec itself, so a resume can rebuild the plan from the
-// journal alone.
-func (j *JournalWriter) Begin(plan *Plan, workers int, cacheDir string) {
-	j.start = time.Now()
-	e := JournalEvent{
-		Ev:       EvStart,
-		Time:     stamp(),
-		Campaign: plan.Spec.Name,
-		Plan:     plan.Fingerprint(),
-		Cells:    len(plan.Cells),
-		Workers:  workers,
-		CacheDir: cacheDir,
-		BaseDir:  plan.Spec.BaseDir(),
-	}
-	if spec, err := json.Marshal(plan.Spec); err == nil {
-		e.Spec = spec
-	}
-	j.write(e)
-}
-
 // Resume records that a new run is continuing this journal:
 // recovered cells were reconstructed from the journal + cache,
 // remaining still need simulation. Written before the new run's
-// Begin.
-func (j *JournalWriter) Resume(plan *Plan, recovered, remaining int) {
+// start event.
+func (j *JournalWriter) Resume(recovered, remaining int) {
 	j.write(JournalEvent{
 		Ev:        EvResume,
 		Time:      stamp(),
-		Campaign:  plan.Spec.Name,
-		Plan:      plan.Fingerprint(),
+		Campaign:  j.plan.Spec.Name,
+		Plan:      j.plan.Fingerprint(),
 		Recovered: recovered,
 		Remaining: remaining,
 	})
 }
 
-// CellStart records a worker picking up a distinct cell.
-func (j *JournalWriter) CellStart(c Cell) {
-	j.write(JournalEvent{
-		Ev:    EvCellStart,
-		Time:  stamp(),
-		Key:   c.Key,
-		Index: c.Index,
-		Bench: c.Bench(),
-		Mech:  c.Mech(),
-		Seed:  c.Seed(),
-	})
-}
-
-// CellDone records a finished cell: where the result came from, how
-// long the simulation took, how fast it ran — and, for failures, the
-// taxonomy kind plus (for panics) the recovered stack.
-func (j *JournalWriter) CellDone(p Progress) {
-	e := JournalEvent{
-		Ev:       EvCellDone,
-		Time:     stamp(),
-		Key:      p.Cell.Key,
-		Index:    p.Cell.Index,
-		Bench:    p.Cell.Bench(),
-		Mech:     p.Cell.Mech(),
-		Seed:     p.Cell.Seed(),
-		Source:   p.Source,
-		Done:     p.Done,
-		Attempts: p.Attempts,
+// apply writes one lifecycle event as its journal line. The start
+// header names the campaign, the exact plan (fingerprint), its size
+// and pool width — and embeds the normalized spec, so a resume can
+// rebuild the plan from the journal alone. A cell_done records where
+// the result came from, how long and how fast it simulated, and for a
+// failure the taxonomy kind plus (for panics) the recovered stack. The
+// end footer repeats the run's counters; a non-nil abort error marks
+// the campaign as interrupted.
+func (j *JournalWriter) apply(e Event) {
+	j.stats.apply(e)
+	je := JournalEvent{Ev: e.Ev, Time: stamp(), Key: e.Key, Op: e.Op}
+	if c := e.Cell; c.Key != "" {
+		je.Key, je.Index, je.Bench, je.Mech, je.Seed = c.Key, c.Index, c.Bench(), c.Mech(), c.Seed()
 	}
-	if e.Source == "" {
-		e.Source = "sim"
-		if p.FromCache {
-			e.Source = "cache"
+	if e.Err != nil {
+		je.Err = e.Err.Error()
+	}
+	switch e.Ev {
+	case EvStart:
+		j.start = time.Now()
+		je.Campaign, je.Plan, je.BaseDir = j.plan.Spec.Name, j.plan.Fingerprint(), j.plan.Spec.BaseDir()
+		je.Cells, je.Workers, je.CacheDir = e.Cells, e.Workers, j.cacheDir
+		if spec, err := json.Marshal(j.plan.Spec); err == nil {
+			je.Spec = spec
+		}
+	case EvCellDone:
+		je.Source, je.Done, je.Attempts, je.Warm = e.Source, j.stats.Completed, e.Attempts, e.Warm
+		if e.Err != nil {
+			je.ErrKind = string(Classify(e.Err))
+			var ce *CellError
+			if errors.As(e.Err, &ce) {
+				je.Stack = ce.Stack
+			}
+		}
+		if e.Wall > 0 {
+			je.WallMS = float64(e.Wall.Nanoseconds()) / 1e6
+			je.Insts = e.Insts
+			if sec := e.Wall.Seconds(); sec > 0 && e.Insts > 0 {
+				je.InstsPerSec = float64(e.Insts) / sec
+			}
+		}
+	case EvRetry:
+		je.Attempt, je.ErrKind = e.Attempt, string(Classify(e.Err))
+		je.DelayMS = float64(e.Delay.Nanoseconds()) / 1e6
+	case EvStall:
+		je.IdleMS = float64(e.Stall.Idle.Nanoseconds()) / 1e6
+		je.ThresholdMS = float64(e.Stall.Threshold.Nanoseconds()) / 1e6
+		je.Done, je.Cells = e.Stall.Done, e.Stall.Total
+	case EvEnd:
+		st := j.stats
+		je.Cells, je.Completed, je.CacheHits, je.Simulated = st.Total, st.Completed, st.CacheHits, st.Simulated
+		je.Errors, je.FailedKinds, je.Retries, je.Degraded = st.Errors, st.FailedKinds, st.Retries, st.Degraded
+		je.Stalls, je.PrefixRuns, je.CheckpointHits, je.CheckpointMisses = st.Stalls, st.PrefixRuns, st.CheckpointHits, st.CheckpointMisses
+		if !j.start.IsZero() {
+			je.WallS = time.Since(j.start).Seconds()
+		}
+		if e.Err != nil {
+			je.Aborted, je.AbortReason, je.Err = true, je.Err, ""
 		}
 	}
-	if p.Err != nil {
-		e.Err = p.Err.Error()
-		e.ErrKind = string(Classify(p.Err))
-		var ce *CellError
-		if errors.As(p.Err, &ce) {
-			e.Stack = ce.Stack
-		}
-	}
-	if p.Wall > 0 {
-		e.WallMS = float64(p.Wall.Nanoseconds()) / 1e6
-		e.Insts = p.Insts
-		if sec := p.Wall.Seconds(); sec > 0 && p.Insts > 0 {
-			e.InstsPerSec = float64(p.Insts) / sec
-		}
-	}
-	j.write(e)
+	j.write(je)
 }
 
-// Retry records one transient-failure retry before its backoff.
-func (j *JournalWriter) Retry(r RetryInfo) {
-	j.write(JournalEvent{
-		Ev:      EvRetry,
-		Time:    stamp(),
-		Key:     r.Cell.Key,
-		Index:   r.Cell.Index,
-		Bench:   r.Cell.Bench(),
-		Mech:    r.Cell.Mech(),
-		Seed:    r.Cell.Seed(),
-		Attempt: r.Attempt,
-		Err:     r.Err.Error(),
-		ErrKind: string(r.Kind),
-		DelayMS: float64(r.Delay.Nanoseconds()) / 1e6,
-	})
-}
-
-// Degraded records one non-fatal infrastructure failure the campaign
-// survived (unpersisted cache entry, quarantined corrupt cell, …).
-func (j *JournalWriter) Degraded(d Degradation) {
-	e := JournalEvent{
-		Ev:   EvDegraded,
-		Time: stamp(),
-		Op:   d.Op,
-		Key:  d.Key,
+// event decodes a journal line back into the lifecycle event it
+// records, for SummarizeJournal's fold.
+func (je JournalEvent) event() Event {
+	e := Event{
+		Ev: je.Ev, Cells: je.Cells, Workers: je.Workers,
+		Cell: Cell{Key: je.Key, Index: je.Index}, Key: je.Key, Op: je.Op,
+		Source: je.Source, Wall: time.Duration(je.WallMS * 1e6), Insts: je.Insts,
+		Attempts: je.Attempts, Warm: je.Warm, Attempt: je.Attempt,
 	}
-	if d.Err != nil {
-		e.Err = d.Err.Error()
+	if je.Err != "" {
+		e.Err = &CellError{Kind: ErrKind(je.ErrKind), Msg: je.Err, Stack: je.Stack}
 	}
-	j.write(e)
-}
-
-// Stall records the scheduler watchdog flagging a stalled campaign.
-func (j *JournalWriter) Stall(r StallReport) {
-	j.write(JournalEvent{
-		Ev:          EvStall,
-		Time:        stamp(),
-		IdleMS:      float64(r.Idle.Nanoseconds()) / 1e6,
-		ThresholdMS: float64(r.Threshold.Nanoseconds()) / 1e6,
-		Done:        r.Done,
-		Cells:       r.Total,
-	})
-}
-
-// End records the run footer. A non-nil abortErr marks the campaign
-// as interrupted (cancellation, deadline): the cells already in the
-// cache make a rerun resume, and status reports the journal as
-// aborted rather than complete.
-func (j *JournalWriter) End(stats SchedulerStats, abortErr error) {
-	e := JournalEvent{
-		Ev:          EvEnd,
-		Time:        stamp(),
-		Cells:       stats.Total,
-		Completed:   stats.Completed,
-		CacheHits:   stats.CacheHits,
-		Simulated:   stats.Simulated,
-		Errors:      stats.Errors,
-		FailedKinds: stats.FailedKinds,
-		Retries:     stats.Retries,
-		Degraded:    stats.Degraded,
-	}
-	if !j.start.IsZero() {
-		e.WallS = time.Since(j.start).Seconds()
-	}
-	if abortErr != nil {
-		e.Aborted = true
-		e.AbortReason = abortErr.Error()
-	}
-	j.write(e)
+	return e
 }
 
 // Err reports the first write error, if any.
@@ -324,24 +249,18 @@ func ReadJournal(r io.Reader) ([]JournalEvent, error) {
 type JournalStatus struct {
 	Campaign string `json:"campaign"`
 	Plan     string `json:"plan"`
-	Cells    int    `json:"cells"`
 	Workers  int    `json:"workers"`
 	CacheDir string `json:"cache_dir,omitempty"`
 
 	Started time.Time `json:"started"`
 	Ended   time.Time `json:"ended"` // zero when the journal has no end event
 
-	Done      int            `json:"done"`
-	CacheHits int            `json:"cache_hits"`
-	Simulated int            `json:"simulated"`
-	Errors    int            `json:"errors"`
-	ErrKinds  map[string]int `json:"err_kinds,omitempty"`
-	Retries   int            `json:"retries,omitempty"`
-	Degraded  int            `json:"degraded,omitempty"`
-	Stalls    int            `json:"stalls,omitempty"`
-	Resumes   int            `json:"resumes,omitempty"`
-	Torn      bool           `json:"torn,omitempty"` // journal ended in a torn line
-	Insts     uint64         `json:"insts"`
+	// SchedulerStats is the latest run's events folded exactly as the
+	// scheduler folded them, so it equals the run's returned stats.
+	SchedulerStats
+	Resumes int    `json:"resumes,omitempty"`
+	Torn    bool   `json:"torn,omitempty"` // journal ended in a torn line
+	Insts   uint64 `json:"insts"`
 	// SimWall is the summed per-cell simulation wall time (can exceed
 	// Elapsed: workers run in parallel).
 	SimWall time.Duration `json:"sim_wall_ns"`
@@ -364,83 +283,48 @@ type JournalStatus struct {
 // SummarizeJournal digests a parsed journal. It tolerates truncated
 // journals (no end event) — that is precisely the case status exists
 // to diagnose — but rejects an empty one. A resumed journal holds
-// several start/…/end runs; each start resets the per-run counters so
-// the digest describes the latest (usually most complete) run.
+// several start/…/end runs; each start resets the per-run digest so it
+// describes the latest (usually most complete) run.
 func SummarizeJournal(evs []JournalEvent) (JournalStatus, error) {
 	if len(evs) == 0 {
 		return JournalStatus{}, fmt.Errorf("campaign: journal is empty")
 	}
 	var st JournalStatus
-	for _, e := range evs {
-		switch e.Ev {
+	for _, je := range evs {
+		e := je.event()
+		switch je.Ev {
 		case EvStart:
-			resumes := st.Resumes
-			st = JournalStatus{Resumes: resumes}
-			st.Campaign = e.Campaign
-			st.Plan = e.Plan
-			st.Cells = e.Cells
-			st.Workers = e.Workers
-			st.CacheDir = e.CacheDir
-			st.Started, _ = time.Parse(time.RFC3339Nano, e.Time)
+			st = JournalStatus{Resumes: st.Resumes}
+			st.Campaign = je.Campaign
+			st.Plan = je.Plan
+			st.Workers = je.Workers
+			st.CacheDir = je.CacheDir
+			st.Started, _ = time.Parse(time.RFC3339Nano, je.Time)
 		case EvResume:
 			st.Resumes++
-		case EvRetry:
-			st.Retries++
-		case EvDegraded:
-			st.Degraded++
-		case EvStall:
-			st.Stalls++
 		case EvCellDone:
-			st.Done++
-			switch {
-			case e.Err != "":
-				st.Errors++
-				st.countKind(e.ErrKind)
-				st.Failures = append(st.Failures, e)
-			case e.Source == "cache":
-				st.CacheHits++
-			default:
-				st.Simulated++
-			}
 			st.Insts += e.Insts
-			st.SimWall += time.Duration(e.WallMS * 1e6)
-			if e.Source == "sim" && e.Err == "" {
-				st.Slowest = append(st.Slowest, e)
+			st.SimWall += e.Wall
+			switch {
+			case e.Err != nil:
+				st.Failures = append(st.Failures, je)
+			case e.Source == "sim":
+				st.Slowest = append(st.Slowest, je)
 			}
 		case EvEnd:
 			st.Complete = true
-			st.Aborted = e.Aborted
-			st.AbortReason = e.AbortReason
-			st.WallS = e.WallS
-			st.Ended, _ = time.Parse(time.RFC3339Nano, e.Time)
-			// The footer's authoritative totals win over per-line
-			// counting if they ever disagree (they should not).
-			st.Done = e.Completed
-			st.CacheHits = e.CacheHits
-			st.Simulated = e.Simulated
-			st.Errors = e.Errors
-			if len(e.FailedKinds) > 0 {
-				st.ErrKinds = e.FailedKinds
-			}
-			st.Retries = e.Retries
-			st.Degraded = e.Degraded
+			st.Aborted = je.Aborted
+			st.AbortReason = je.AbortReason
+			st.WallS = je.WallS
+			st.Ended, _ = time.Parse(time.RFC3339Nano, je.Time)
 		}
+		st.SchedulerStats.apply(e)
 	}
 	sort.SliceStable(st.Slowest, func(i, k int) bool { return st.Slowest[i].WallMS > st.Slowest[k].WallMS })
 	if len(st.Slowest) > 5 {
 		st.Slowest = st.Slowest[:5]
 	}
 	return st, nil
-}
-
-func (st *JournalStatus) countKind(kind string) {
-	if st.ErrKinds == nil {
-		st.ErrKinds = map[string]int{}
-	}
-	if kind == "" {
-		kind = string(KindModel)
-	}
-	st.ErrKinds[kind]++
 }
 
 // Text renders the status digest for the terminal.
@@ -451,21 +335,24 @@ func (st JournalStatus) Text() string {
 		fmt.Fprintf(&b, "resumes   %d (latest run shown)\n", st.Resumes)
 	}
 	fmt.Fprintf(&b, "cells     %d/%d done: %d simulated, %d cached, %d failed\n",
-		st.Done, st.Cells, st.Simulated, st.CacheHits, st.Errors)
-	if len(st.ErrKinds) > 0 {
-		kinds := make([]string, 0, len(st.ErrKinds))
-		for k := range st.ErrKinds {
+		st.Completed, st.Total, st.Simulated, st.CacheHits, st.Errors)
+	if len(st.FailedKinds) > 0 {
+		kinds := make([]string, 0, len(st.FailedKinds))
+		for k := range st.FailedKinds {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
 		parts := make([]string, len(kinds))
 		for i, k := range kinds {
-			parts[i] = fmt.Sprintf("%d %s", st.ErrKinds[k], k)
+			parts[i] = fmt.Sprintf("%d %s", st.FailedKinds[k], k)
 		}
 		fmt.Fprintf(&b, "failed    %s\n", strings.Join(parts, ", "))
 	}
-	if st.Done > 0 {
-		fmt.Fprintf(&b, "cache     %.1f%% hit rate\n", 100*float64(st.CacheHits)/float64(st.Done))
+	if st.Completed > 0 {
+		fmt.Fprintf(&b, "cache     %.1f%% hit rate\n", 100*float64(st.CacheHits)/float64(st.Completed))
+	}
+	if w := st.warmText(); w != "" {
+		fmt.Fprintf(&b, "warm      %s\n", w)
 	}
 	if st.Retries > 0 || st.Degraded > 0 || st.Stalls > 0 {
 		fmt.Fprintf(&b, "faults    %d retries, %d degradations, %d stall flags\n",
@@ -481,8 +368,8 @@ func (st JournalStatus) Text() string {
 	default:
 		fmt.Fprintf(&b, "state     completed in %.2fs\n", st.WallS)
 	}
-	if st.WallS > 0 && st.Done > 0 {
-		fmt.Fprintf(&b, "rate      %.2f cells/s", float64(st.Done)/st.WallS)
+	if st.WallS > 0 && st.Completed > 0 {
+		fmt.Fprintf(&b, "rate      %.2f cells/s", float64(st.Completed)/st.WallS)
 		if st.Insts > 0 {
 			fmt.Fprintf(&b, ", %.0f insts/s aggregate", float64(st.Insts)/st.WallS)
 		}

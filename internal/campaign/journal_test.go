@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,6 +34,116 @@ func readJournalStrict(t *testing.T, data []byte) []JournalEvent {
 		t.Fatal(err)
 	}
 	return evs
+}
+
+// onJournalLine returns a journal sink that hands every line, decoded,
+// to fn as it is written (the journal encoder writes a line per Write).
+func onJournalLine(t *testing.T, fn func(JournalEvent)) io.Writer {
+	return writerFunc(func(p []byte) (int, error) {
+		var e JournalEvent
+		if err := json.Unmarshal(p, &e); err != nil {
+			t.Errorf("journal line %q: %v", p, err)
+		}
+		fn(e)
+		return len(p), nil
+	})
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// Every view of a run is a fold over the same events, so the journal's
+// digest, the live snapshot and the scheduler's returned stats agree
+// field for field: on a warm run (prefix runs, checkpoint hits), one
+// whose first cache write fails once (a cache.put retry), one that
+// stalls, each chaos schedule (failures, retries, degradations), and
+// both runs of an interrupted-then-resumed journal.
+func TestJournalFoldMatchesStats(t *testing.T) {
+	ctx := context.Background()
+	agree := func(t *testing.T, journal []byte, sched SchedulerStats, live *LiveStats) {
+		t.Helper()
+		st, err := SummarizeJournal(readJournalStrict(t, journal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.SchedulerStats, sched) {
+			t.Fatalf("journal folds to\n%+v\nscheduler counted\n%+v", st.SchedulerStats, sched)
+		}
+		if got := live.Snapshot().SchedulerStats; !reflect.DeepEqual(got, sched) {
+			t.Fatalf("live view reads\n%+v\nscheduler counted\n%+v", got, sched)
+		}
+	}
+	run := func(t *testing.T, spec Spec, cfg RunConfig) SchedulerStats {
+		t.Helper()
+		var journal bytes.Buffer
+		live := &LiveStats{}
+		cfg.CacheDir = filepath.Join(t.TempDir(), "cache")
+		cfg.Journal, cfg.Live = &journal, live
+		sum, err := Execute(ctx, spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree(t, journal.Bytes(), sum.Sched, live)
+		return sum.Sched
+	}
+
+	t.Run("warm", func(t *testing.T) {
+		if st := run(t, warmSpec(), RunConfig{Workers: 2}); st.PrefixRuns != 4 || st.CheckpointHits != 12 {
+			t.Fatalf("warm run: %+v", st)
+		}
+	})
+	t.Run("cache-put-retry", func(t *testing.T) {
+		inj, err := fault.Parse("cache.put.error=1@1", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := run(t, warmSpec(), RunConfig{Workers: 2, Faults: inj, Retry: &RetryPolicy{Max: 2, BaseDelay: time.Millisecond}})
+		if st.Retries != 1 || st.Degraded != 0 {
+			t.Fatalf("one failed put retried once, nothing lost: %+v", st)
+		}
+	})
+	t.Run("stall", func(t *testing.T) {
+		inj := fault.New(1).Enable(fault.CellSlow, 1).Limit(fault.CellSlow, 1)
+		inj.SlowFor = 500 * time.Millisecond
+		st := run(t, tinySpec(), RunConfig{Workers: 1, Faults: inj, StallFactor: 1, StallMin: 20 * time.Millisecond})
+		if st.Stalls == 0 {
+			t.Fatalf("a 500ms quiet spell over a 20ms floor must flag: %+v", st)
+		}
+	})
+	for _, seed := range []uint64{1, 2, 3} {
+		t.Run(fmt.Sprintf("chaos-seed%d", seed), func(t *testing.T) {
+			run(t, tinySpec(), chaosConfig(seed))
+		})
+	}
+	t.Run("resume", func(t *testing.T) {
+		journalPath, _, first, err := runToJournal(t, t.TempDir(), 3)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run: %v", err)
+		}
+		// The aborted run's journal folds to its partial stats too.
+		data, err := os.ReadFile(journalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := SummarizeJournal(readJournalStrict(t, data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.SchedulerStats, first.Sched) {
+			t.Fatalf("interrupted run folds to %+v, scheduler counted %+v", st.SchedulerStats, first.Sched)
+		}
+
+		live := &LiveStats{}
+		sum, _, err := Resume(ctx, journalPath, RunConfig{Workers: 2, Live: live})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, err = os.ReadFile(journalPath); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, data, sum.Sched, live)
+	})
 }
 
 func TestJournalCompleteRun(t *testing.T) {
@@ -79,7 +192,7 @@ func TestJournalCompleteRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Complete || st.Aborted || st.Done != 8 || st.Simulated != 8 || st.Errors != 0 {
+	if !st.Complete || st.Aborted || st.Completed != 8 || st.Simulated != 8 || st.Errors != 0 {
 		t.Fatalf("status: %+v", st)
 	}
 	if len(st.Slowest) == 0 || len(st.Slowest) > 5 {
@@ -99,7 +212,7 @@ func TestJournalCompleteRun(t *testing.T) {
 
 	// The live stats agree with the journal.
 	s := live.Snapshot()
-	if s.Done != 8 || s.Simulated != 8 || s.Running != 0 || s.Insts == 0 || s.Utilization <= 0 {
+	if s.Completed != 8 || s.Simulated != 8 || s.Running != 0 || s.Insts == 0 || s.Utilization <= 0 {
 		t.Fatalf("live snapshot: %+v", s)
 	}
 	if sum.Sched.Simulated != 8 {
@@ -182,13 +295,9 @@ func TestJournalRecordsCellError(t *testing.T) {
 	plan.Cells[0].Opts.Bench = "nosuch"
 
 	var buf bytes.Buffer
-	jw := NewJournalWriter(&buf)
-	s := &Scheduler{Workers: 2, OnStart: jw.CellStart, OnProgress: jw.CellDone}
-	jw.Begin(plan, 2, "")
-	_, stats, err := s.Run(context.Background(), plan.Cells)
-	jw.End(stats, err)
-	if err != nil || jw.Err() != nil {
-		t.Fatal(err, jw.Err())
+	s := &Scheduler{Workers: 2, journal: NewJournalWriter(&buf, plan, "")}
+	if _, _, err := s.Run(context.Background(), plan.Cells); err != nil || s.journal.Err() != nil {
+		t.Fatal(err, s.journal.Err())
 	}
 
 	evs := readJournalStrict(t, buf.Bytes())
@@ -260,20 +369,23 @@ func TestJournalTornTailIsTyped(t *testing.T) {
 	if st.Complete {
 		t.Fatal("a torn journal has no end event")
 	}
-	if st.Done != 1 {
+	if st.Completed != 1 {
 		t.Fatalf("prefix cells must count: %+v", st)
 	}
 }
 
-// SummarizeJournal on a resumed journal: the latest run's counters
-// win, but resume markers accumulate across runs.
+// SummarizeJournal on a resumed journal: the latest run's events are
+// folded afresh, but resume markers accumulate across runs. The footer
+// is not consulted: its counters come from the same events.
 func TestSummarizeJournalResumedRun(t *testing.T) {
 	lines := strings.Join([]string{
 		`{"ev":"start","campaign":"t","cells":4,"plan":"p1"}`,
 		`{"ev":"cell_done","key":"a","err":"boom","err_kind":"panic"}`,
 		`{"ev":"resume","campaign":"t","recovered":1,"remaining":3}`,
 		`{"ev":"start","campaign":"t","cells":4,"plan":"p1"}`,
-		`{"ev":"cell_done","key":"b"}`,
+		`{"ev":"cell_done","key":"b","source":"sim"}`,
+		`{"ev":"cell_done","key":"c","source":"cache"}`,
+		`{"ev":"cell_done","key":"d","source":"sim","warm":true}`,
 		`{"ev":"cell_done","key":"a","err":"boom","err_kind":"panic","source":"journal"}`,
 		`{"ev":"end","completed":4,"errors":1,"failed_kinds":{"panic":1},"wall_s":0.5}`,
 	}, "\n") + "\n"
@@ -288,11 +400,10 @@ func TestSummarizeJournalResumedRun(t *testing.T) {
 	if st.Resumes != 1 {
 		t.Fatalf("resumes: %d", st.Resumes)
 	}
-	if !st.Complete || st.Done != 4 || st.Errors != 1 {
-		t.Fatalf("footer must be authoritative for the latest run: %+v", st)
-	}
-	if st.ErrKinds["panic"] != 1 {
-		t.Fatalf("err kinds: %+v", st.ErrKinds)
+	want := SchedulerStats{Total: 4, Completed: 4, CacheHits: 1, Simulated: 2, Errors: 1,
+		CheckpointHits: 1, FailedKinds: map[string]int{"panic": 1}}
+	if !st.Complete || !reflect.DeepEqual(st.SchedulerStats, want) {
+		t.Fatalf("latest run must fold to %+v: %+v", want, st)
 	}
 	if !strings.Contains(st.Text(), "resumes   1") {
 		t.Fatalf("status text must surface resumes:\n%s", st.Text())
@@ -303,13 +414,13 @@ func TestSummarizeJournalResumedRun(t *testing.T) {
 // the campaign alive — the injected journal.write.error path.
 func TestJournalWriterInjectedFailureSticks(t *testing.T) {
 	var buf bytes.Buffer
-	jw := NewJournalWriter(&buf)
-	jw.Faults = fault.New(1).Enable(fault.JournalWrite, 1).Limit(fault.JournalWrite, 1)
 	plan, err := NewPlan(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw.Begin(plan, 1, "")
+	jw := NewJournalWriter(&buf, plan, "")
+	jw.Faults = fault.New(1).Enable(fault.JournalWrite, 1).Limit(fault.JournalWrite, 1)
+	jw.apply(Event{Ev: EvStart, Cells: len(plan.Cells), Workers: 1})
 	err = jw.Err()
 	var fe *fault.Error
 	if !errors.As(err, &fe) || fe.Point != fault.JournalWrite {
@@ -319,7 +430,7 @@ func TestJournalWriterInjectedFailureSticks(t *testing.T) {
 		t.Fatalf("failed write must emit nothing, got %q", buf.String())
 	}
 	// Later events are dropped, not crashed on.
-	jw.CellDone(Progress{Cell: plan.Cells[0]})
+	jw.apply(Event{Ev: EvCellDone, Cell: plan.Cells[0]})
 	if jw.Err() != err && !errors.As(jw.Err(), &fe) {
 		t.Fatalf("first error must stick: %v", jw.Err())
 	}

@@ -1,46 +1,35 @@
 package campaign
 
 import (
+	"maps"
 	"sync"
 	"time"
 )
 
-// LiveStats is the mid-run view of a campaign: the scheduler updates
-// it from the worker pool, and a metrics endpoint (or the progress
-// line) snapshots it concurrently. The zero value is ready to use.
+// LiveStats is the mid-run view of a campaign: the scheduler feeds it
+// the run's events, and a metrics endpoint (or the progress line)
+// snapshots it concurrently. Its counters are the fold of the events;
+// it adds only clocks and gauges. The zero value is ready to use.
 type LiveStats struct {
-	mu        sync.Mutex
-	started   time.Time
-	total     int
-	workers   int
-	running   int
-	done      int
-	cacheHits int
-	simulated int
-	errors    int
-	retries   int
-	degraded  int
-	stalls    int
-	insts     uint64
+	mu      sync.Mutex
+	stats   SchedulerStats
+	started time.Time
+	workers int
+	running int
+	insts   uint64
 	// simWall accumulates per-cell simulation wall time across all
 	// workers; simWall / (workers * elapsed) is pool utilization.
 	simWall time.Duration
 }
 
-// LiveSnapshot is one consistent reading of a running campaign.
+// LiveSnapshot is one consistent reading of a running campaign: the
+// counters so far plus the pool's state and derived rates.
 type LiveSnapshot struct {
-	Total     int           `json:"total"`
-	Done      int           `json:"done"`
-	Running   int           `json:"running"`
-	Workers   int           `json:"workers"`
-	CacheHits int           `json:"cache_hits"`
-	Simulated int           `json:"simulated"`
-	Errors    int           `json:"errors"`
-	Retries   int           `json:"retries"`
-	Degraded  int           `json:"degraded"`
-	Stalls    int           `json:"stalls"`
-	Insts     uint64        `json:"insts"`
-	Elapsed   time.Duration `json:"elapsed_ns"`
+	SchedulerStats
+	Running int           `json:"running"`
+	Workers int           `json:"workers"`
+	Insts   uint64        `json:"insts"`
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// CellsPerSec is overall completion throughput since the
 	// scheduler started (cached and simulated cells alike).
 	CellsPerSec float64 `json:"cells_per_sec"`
@@ -55,11 +44,16 @@ type LiveSnapshot struct {
 	ETA time.Duration `json:"eta_ns"`
 }
 
-func (l *LiveStats) begin(total, workers int) {
+func (l *LiveStats) apply(e Event) {
 	l.mu.Lock()
-	l.started = time.Now()
-	l.total = total
-	l.workers = workers
+	l.stats.apply(e)
+	switch e.Ev {
+	case EvStart:
+		l.started, l.workers, l.insts, l.simWall = time.Now(), e.Workers, 0, 0
+	case EvCellDone:
+		l.insts += e.Insts
+		l.simWall += e.Wall
+	}
 	l.mu.Unlock()
 }
 
@@ -69,57 +63,18 @@ func (l *LiveStats) cellRunning(delta int) {
 	l.mu.Unlock()
 }
 
-func (l *LiveStats) cellFinished(fromCache bool, err error, wall time.Duration, insts uint64) {
-	l.mu.Lock()
-	l.done++
-	switch {
-	case err != nil:
-		l.errors++
-	case fromCache:
-		l.cacheHits++
-	default:
-		l.simulated++
-	}
-	l.insts += insts
-	l.simWall += wall
-	l.mu.Unlock()
-}
-
-func (l *LiveStats) noteRetry() {
-	l.mu.Lock()
-	l.retries++
-	l.mu.Unlock()
-}
-
-func (l *LiveStats) noteDegraded() {
-	l.mu.Lock()
-	l.degraded++
-	l.mu.Unlock()
-}
-
-func (l *LiveStats) noteStall() {
-	l.mu.Lock()
-	l.stalls++
-	l.mu.Unlock()
-}
-
 // Snapshot returns a consistent reading with the derived rates filled
 // in. Safe to call at any time from any goroutine.
 func (l *LiveStats) Snapshot() LiveSnapshot {
 	l.mu.Lock()
 	s := LiveSnapshot{
-		Total:     l.total,
-		Done:      l.done,
-		Running:   l.running,
-		Workers:   l.workers,
-		CacheHits: l.cacheHits,
-		Simulated: l.simulated,
-		Errors:    l.errors,
-		Retries:   l.retries,
-		Degraded:  l.degraded,
-		Stalls:    l.stalls,
-		Insts:     l.insts,
+		SchedulerStats: l.stats,
+		Running:        l.running,
+		Workers:        l.workers,
+		Insts:          l.insts,
 	}
+	// The fold keeps counting after the lock is released.
+	s.FailedKinds = maps.Clone(s.FailedKinds)
 	started, simWall := l.started, l.simWall
 	l.mu.Unlock()
 
@@ -129,7 +84,7 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 	s.Elapsed = time.Since(started)
 	sec := s.Elapsed.Seconds()
 	if sec > 0 {
-		s.CellsPerSec = float64(s.Done) / sec
+		s.CellsPerSec = float64(s.Completed) / sec
 		s.InstsPerSec = float64(s.Insts) / sec
 		if s.Workers > 0 {
 			s.Utilization = simWall.Seconds() / (float64(s.Workers) * sec)
@@ -138,8 +93,8 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 			}
 		}
 	}
-	if s.Done > 0 && s.Done < s.Total && s.CellsPerSec > 0 {
-		s.ETA = time.Duration(float64(s.Total-s.Done) / s.CellsPerSec * float64(time.Second))
+	if s.Completed > 0 && s.Completed < s.Total && s.CellsPerSec > 0 {
+		s.ETA = time.Duration(float64(s.Total-s.Completed) / s.CellsPerSec * float64(time.Second))
 	}
 	return s
 }

@@ -26,7 +26,7 @@ func TestExecuteRegistersMetrics(t *testing.T) {
 	if !ok {
 		t.Fatalf("campaign gauge missing or mistyped: %T", snap["campaign"])
 	}
-	if camp.Done != 8 || camp.Simulated != 8 || camp.Running != 0 {
+	if camp.Completed != 8 || camp.Simulated != 8 || camp.Running != 0 {
 		t.Fatalf("campaign gauge: %+v", camp)
 	}
 	disk, ok := snap["disk_cache"].(CacheCounters)

@@ -159,9 +159,9 @@ func Resume(ctx context.Context, journalPath string, cfg RunConfig) (*Summary, R
 		return nil, info, fmt.Errorf("campaign: resume: %w", err)
 	}
 	defer jf.Close()
-	marker := NewJournalWriter(jf)
+	marker := NewJournalWriter(jf, plan, info.CacheDir)
 	marker.Faults = cfg.Faults
-	marker.Resume(plan, info.Recovered, info.Remaining)
+	marker.Resume(info.Recovered, info.Remaining)
 	if err := marker.Err(); err != nil {
 		return nil, info, fmt.Errorf("campaign: resume: %w", err)
 	}

@@ -101,7 +101,7 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Complete || st.Resumes != 1 || st.Done != 8 || st.Errors != 0 {
+	if !st.Complete || st.Resumes != 1 || st.Completed != 8 || st.Errors != 0 {
 		t.Fatalf("status after resume: %+v", st)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"microlib/internal/core"
@@ -16,46 +15,6 @@ import (
 	"microlib/internal/runner"
 	"microlib/internal/telemetry"
 )
-
-// SchedulerStats counts what a campaign execution actually did.
-// Completed = CacheHits + Simulated + Errors; cells neither started
-// nor finished before cancellation are the remainder of Total.
-type SchedulerStats struct {
-	Total     int `json:"total"`
-	Completed int `json:"completed"`
-	CacheHits int `json:"cache_hits"`
-	Simulated int `json:"simulated"`
-	Errors    int `json:"errors"`
-	// Retries counts transient-failure retry attempts (cells retried
-	// after a timeout, cache writes retried after an I/O error).
-	Retries int `json:"retries,omitempty"`
-	// Degraded counts non-fatal infrastructure failures the campaign
-	// survived (unpersisted cache entries, quarantined corrupt cells).
-	Degraded int `json:"degraded,omitempty"`
-	// PrefixRuns counts warm-up prefixes simulated for checkpoint
-	// capture; CheckpointHits counts cells whose measurement phase ran
-	// from a restored warm snapshot (each is a skip+warm-up simulation
-	// not paid), CheckpointMisses warm-eligible cells that fell back to
-	// a cold run. All zero when warm checkpointing is off.
-	PrefixRuns       int `json:"prefix_runs,omitempty"`
-	CheckpointHits   int `json:"checkpoint_hits,omitempty"`
-	CheckpointMisses int `json:"checkpoint_misses,omitempty"`
-	// FailedKinds breaks Errors down by taxonomy kind
-	// (panic/timeout/model/io).
-	FailedKinds map[string]int `json:"failed_kinds,omitempty"`
-}
-
-func (s *SchedulerStats) countFailure(kind ErrKind) {
-	s.Errors++
-	if s.FailedKinds == nil {
-		s.FailedKinds = map[string]int{}
-	}
-	k := string(kind)
-	if k == "" {
-		k = string(KindModel)
-	}
-	s.FailedKinds[k]++
-}
 
 // Progress reports one finished cell to the OnProgress callback.
 type Progress struct {
@@ -109,9 +68,8 @@ type Scheduler struct {
 	// called concurrently from the worker pool; duplicate copies of a
 	// fingerprint are never started, so they only reach OnProgress.
 	OnStart func(Cell)
-	// Live, when non-nil, receives lock-free counter updates
-	// (started/finished cells, busy workers, simulated instructions)
-	// that a metrics endpoint can scrape mid-run.
+	// Live, when non-nil, folds the run's events (and tracks busy
+	// workers) for a metrics endpoint to scrape mid-run.
 	Live *LiveStats
 	// Interval, together with IntervalSink, samples every simulated
 	// (not cached) cell at this cycle granularity and hands the
@@ -138,12 +96,6 @@ type Scheduler struct {
 	// earlier run already recorded (resume reconstructs it from the
 	// journal); they are served without re-simulating.
 	KnownFailures map[string]CellResult
-	// OnDegrade, when non-nil, observes non-fatal infrastructure
-	// failures (see Degradation). Called concurrently from workers.
-	OnDegrade func(Degradation)
-	// OnRetry, when non-nil, observes every transient-failure retry
-	// before its backoff sleep. Called concurrently from workers.
-	OnRetry func(RetryInfo)
 	// OnStall, when non-nil, receives the stall watchdog's flag (see
 	// StallFactor). Called from the watchdog goroutine.
 	OnStall func(StallReport)
@@ -159,22 +111,40 @@ type Scheduler struct {
 	// the scheduler (cell.panic, cell.slow). Testing only.
 	Faults *fault.Injector
 
-	stall     *stallWatch
-	degradedN atomic.Int64
+	mu      sync.Mutex // orders every emitted event and guards stats
+	stats   SchedulerStats
+	stall   *stallWatch
+	journal *JournalWriter
 }
 
-// Degrade feeds one non-fatal infrastructure failure into the
-// running campaign's counters and OnDegrade hook. The scheduler calls
-// it for its own cache-write failures; Execute also wires it as the
-// disk cache's read-side degradation sink. Safe from any goroutine.
-func (s *Scheduler) Degrade(d Degradation) {
-	s.degradedN.Add(1)
+// emit hands one lifecycle event to every view of the run, in the
+// order the events happen. Safe from any goroutine.
+func (s *Scheduler) emit(e Event) {
+	s.mu.Lock()
+	s.emitLocked(e)
+	s.mu.Unlock()
+}
+
+// emitLocked is emit for a caller already holding s.mu.
+func (s *Scheduler) emitLocked(e Event) {
+	s.stats.apply(e)
 	if s.Live != nil {
-		s.Live.noteDegraded()
+		s.Live.apply(e)
 	}
-	if s.OnDegrade != nil {
-		s.OnDegrade(d)
+	if s.stall != nil {
+		s.stall.apply(e)
 	}
+	if s.journal != nil {
+		s.journal.apply(e)
+	}
+}
+
+// Degrade records one non-fatal infrastructure failure as a degraded
+// event. The scheduler calls it for its own cache-write failures;
+// Execute also wires it as the disk cache's and checkpoint store's
+// degradation sink. Safe from any goroutine.
+func (s *Scheduler) Degrade(d Degradation) {
+	s.emit(Event{Ev: EvDegraded, Op: d.Op, Key: d.Key, Err: d.Err})
 }
 
 // Run executes the cells and returns their results keyed by cell
@@ -194,25 +164,9 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 		workers = len(cells)
 	}
 
-	stats := SchedulerStats{Total: len(cells)}
 	results := make(map[string]CellResult, len(cells))
-	var mu sync.Mutex
-	s.degradedN.Store(0)
-	if s.Live != nil {
-		s.Live.begin(stats.Total, workers)
-	}
-
-	if s.StallFactor > 0 {
-		min := s.StallMin
-		if min <= 0 {
-			min = 5 * time.Second
-		}
-		s.stall = &stallWatch{factor: s.StallFactor, min: min, last: time.Now(), total: len(cells)}
-		stop := make(chan struct{})
-		defer close(stop)
-		go s.stallLoop(stop)
-		defer func() { s.stall = nil }()
-	}
+	s.emit(Event{Ev: EvStart, Cells: len(cells), Workers: workers})
+	stopStall := s.watchStalls()
 
 	if s.Warm != nil {
 		s.Warm.prepare(cells)
@@ -230,7 +184,7 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 			arena := &warmArena{}
 			defer arena.drop()
 			for cell := range jobs {
-				s.runCell(ctx, cell, arena, &mu, results, &stats)
+				s.runCell(ctx, cell, arena, results)
 			}
 		}()
 	}
@@ -262,47 +216,35 @@ feed:
 		if !ok {
 			continue // first copy canceled: this one is missing too
 		}
-		var dupErr error
-		mu.Lock()
-		stats.Completed++
-		src := "cache"
 		if res.Err != "" {
 			// A recorded failure is deterministic (transient ones are
 			// not stored for sharing), so the copy shares it instead
 			// of racing a doomed rerun onto a worker.
-			stats.countFailure(ErrKind(res.ErrKind))
-			dupErr = &CellError{Kind: ErrKind(res.ErrKind), Msg: res.Err}
-			src = "sim"
+			s.finish(results, c, res, Event{Source: "sim", Err: &CellError{Kind: ErrKind(res.ErrKind), Msg: res.Err}})
 		} else {
-			stats.CacheHits++
+			s.finish(results, c, res, Event{Source: "cache"})
 		}
-		if s.Live != nil {
-			s.Live.cellFinished(dupErr == nil, dupErr, 0, 0)
-		}
-		if s.OnProgress != nil {
-			s.OnProgress(Progress{Done: stats.Completed, Total: stats.Total, Cell: c, FromCache: dupErr == nil, Source: src, Err: dupErr})
-		}
-		mu.Unlock()
 	}
-	stats.Degraded = int(s.degradedN.Load())
-	if s.Warm != nil {
-		stats.PrefixRuns = int(s.Warm.prefixRuns.Load())
-		stats.CheckpointHits = int(s.Warm.hits.Load())
-		stats.CheckpointMisses = int(s.Warm.misses.Load())
-	}
+	// The watchdog stops before the end event, so no stall lands
+	// after the run's footer.
+	stopStall()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Cancellation that landed after the last cell finished did not
 	// interrupt anything: the campaign is complete.
 	err := ctx.Err()
-	if err != nil && stats.Completed == stats.Total {
+	if err != nil && s.stats.Completed == s.stats.Total {
 		err = nil
 	}
-	return results, stats, err
+	s.emitLocked(Event{Ev: EvEnd, Err: err})
+	return results, s.stats, err
 }
 
 // runCell executes one cell end to end on a worker goroutine.
 //
 //ml:worker
-func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, mu *sync.Mutex, results map[string]CellResult, stats *SchedulerStats) {
+func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, results map[string]CellResult) {
+	s.emit(Event{Ev: EvCellStart, Cell: cell})
 	if s.OnStart != nil {
 		s.OnStart(cell)
 	}
@@ -317,12 +259,12 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, mu
 		// the cell would fail the same way, so serve the recorded
 		// failure (the resume counterpart of the duplicate-cell rule).
 		err := &CellError{Kind: ErrKind(res.ErrKind), Msg: res.Err}
-		s.finish(mu, results, stats, cell, res, Progress{Source: "journal", Err: err})
+		s.finish(results, cell, res, Event{Source: "journal", Err: err})
 		return
 	}
 	if s.Cache != nil {
 		if res, ok := s.Cache.Get(cell.Key); ok {
-			s.finish(mu, results, stats, cell, res, Progress{FromCache: true, Source: "cache"})
+			s.finish(results, cell, res, Event{Source: "cache"})
 			return
 		}
 	}
@@ -366,15 +308,7 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, mu
 		}
 		attempts++
 		delay := s.Retry.Delay(attempts)
-		mu.Lock()
-		stats.Retries++
-		mu.Unlock()
-		if s.Live != nil {
-			s.Live.noteRetry()
-		}
-		if s.OnRetry != nil {
-			s.OnRetry(RetryInfo{Cell: cell, Attempt: attempts, Err: err, Kind: kind, Delay: delay})
-		}
+		s.emit(Event{Ev: EvRetry, Op: "cell", Cell: cell, Attempt: attempts, Err: err, Delay: delay})
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
@@ -403,12 +337,12 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, mu
 		// A failed Put degrades to recomputation next time; the
 		// in-memory result is still good — but the degradation is
 		// counted and journaled, not silently dropped.
-		if perr := s.putWithRetry(ctx, res); perr != nil {
+		if perr := s.putWithRetry(ctx, cell, res); perr != nil {
 			s.Degrade(Degradation{Op: "cache.put", Key: cell.Key, Err: perr})
 		}
 	}
 
-	s.finish(mu, results, stats, cell, res, Progress{Err: err, Source: "sim", Wall: wall, Insts: insts, Attempts: attempts, Warm: warm})
+	s.finish(results, cell, res, Event{Err: err, Source: "sim", Wall: wall, Insts: insts, Attempts: attempts, Warm: warm})
 }
 
 // simulate runs one attempt of a cell under the per-cell deadline,
@@ -454,12 +388,14 @@ func (s *Scheduler) simulate(ctx context.Context, cell Cell, opts runner.Options
 }
 
 // putWithRetry persists one result, retrying transient cache I/O per
-// the retry policy.
-func (s *Scheduler) putWithRetry(ctx context.Context, res CellResult) error {
+// the retry policy; each re-Put is a retry event.
+func (s *Scheduler) putWithRetry(ctx context.Context, cell Cell, res CellResult) error {
 	err := s.Cache.Put(res)
 	for attempt := 1; err != nil && attempt <= s.Retry.Max; attempt++ {
+		delay := s.Retry.Delay(attempt)
+		s.emit(Event{Ev: EvRetry, Op: "cache.put", Cell: cell, Attempt: attempt, Err: err, Delay: delay})
 		select {
-		case <-time.After(s.Retry.Delay(attempt)):
+		case <-time.After(delay):
 		case <-ctx.Done():
 			return err
 		}
@@ -468,64 +404,46 @@ func (s *Scheduler) putWithRetry(ctx context.Context, res CellResult) error {
 	return err
 }
 
-// finish records one resolved cell under the scheduler lock: result
-// map, counters, live stats, progress callback, stall watchdog.
-func (s *Scheduler) finish(mu *sync.Mutex, results map[string]CellResult, stats *SchedulerStats, cell Cell, res CellResult, p Progress) {
-	mu.Lock()
+// finish records one resolved cell: its result, its cell_done event
+// (e carries the outcome) and the OnProgress call, all under the
+// scheduler lock.
+func (s *Scheduler) finish(results map[string]CellResult, cell Cell, res CellResult, e Event) {
+	e.Ev, e.Cell = EvCellDone, cell
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	results[cell.Key] = res
-	stats.Completed++
-	switch {
-	case res.Err != "":
-		stats.countFailure(ErrKind(res.ErrKind))
-	case p.FromCache:
-		stats.CacheHits++
-	default:
-		stats.Simulated++
-	}
-	if s.Live != nil {
-		s.Live.cellFinished(p.FromCache, p.Err, p.Wall, p.Insts)
-	}
-	if s.stall != nil {
-		s.stall.cellFinished(p.Wall)
-	}
+	s.emitLocked(e)
 	if s.OnProgress != nil {
-		p.Done = stats.Completed
-		p.Total = stats.Total
-		p.Cell = cell
-		s.OnProgress(p)
+		s.OnProgress(e.progress(s.stats))
 	}
-	mu.Unlock()
 }
 
 // stallWatch tracks campaign liveness: the wall times of completed
-// cells (for the median) and the time of the last finish.
+// cells (for the median) and the time of the last finish. Guarded by
+// the scheduler lock; the cell counts come from the scheduler's fold.
 type stallWatch struct {
-	mu      sync.Mutex
 	factor  float64
 	min     time.Duration
 	last    time.Time
 	walls   []time.Duration
-	done    int
-	total   int
 	flagged bool
 }
 
-func (w *stallWatch) cellFinished(wall time.Duration) {
-	w.mu.Lock()
-	w.last = time.Now()
-	w.done++
-	w.flagged = false // progress ends the stall episode
-	if wall > 0 {
-		w.walls = append(w.walls, wall)
+func (w *stallWatch) apply(e Event) {
+	if e.Ev != EvCellDone {
+		return
 	}
-	w.mu.Unlock()
+	w.last = time.Now()
+	w.flagged = false // progress ends the stall episode
+	if e.Wall > 0 {
+		w.walls = append(w.walls, e.Wall)
+	}
 }
 
-// check flags a stall once per episode.
-func (w *stallWatch) check() (StallReport, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.flagged || w.done >= w.total {
+// check flags a stall once per episode; done and total are the run's
+// finished and planned cells.
+func (w *stallWatch) check(done, total int) (StallReport, bool) {
+	if w.flagged || done >= total {
 		return StallReport{}, false
 	}
 	var median time.Duration
@@ -543,34 +461,59 @@ func (w *stallWatch) check() (StallReport, bool) {
 		return StallReport{}, false
 	}
 	w.flagged = true
-	return StallReport{Idle: idle, Threshold: threshold, Median: median, Done: w.done, Total: w.total}, true
+	return StallReport{Idle: idle, Threshold: threshold, Median: median, Done: done, Total: total}, true
 }
 
-func (s *Scheduler) stallLoop(stop <-chan struct{}) {
-	w := s.stall
-	tick := w.min / 8
+// watchStalls arms the stall watchdog when StallFactor is set. The
+// returned stop function returns once the watchdog goroutine has
+// exited.
+func (s *Scheduler) watchStalls() (stop func()) {
+	if s.StallFactor <= 0 {
+		return func() {}
+	}
+	min := s.StallMin
+	if min <= 0 {
+		min = 5 * time.Second
+	}
+	w := &stallWatch{factor: s.StallFactor, min: min, last: time.Now()}
+	s.mu.Lock()
+	s.stall = w
+	s.mu.Unlock()
+	tick := min / 8
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
 	}
 	if tick > time.Second {
 		tick = time.Second
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		if rep, ok := w.check(); ok {
-			if s.Live != nil {
-				s.Live.noteStall()
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
 			}
-			if s.OnStall != nil {
+			s.mu.Lock()
+			rep, ok := w.check(s.stats.Completed, s.stats.Total)
+			if ok {
+				s.emitLocked(Event{Ev: EvStall, Stall: rep})
+			}
+			s.mu.Unlock()
+			if ok && s.OnStall != nil {
 				s.OnStall(rep)
 			}
 		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+		s.mu.Lock()
+		s.stall = nil
+		s.mu.Unlock()
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"microlib/internal/runner"
 )
@@ -37,10 +36,6 @@ type Warm struct {
 	// groups counts distinct plan cells per prefix fingerprint; written
 	// once by prepare before the workers start, read-only after.
 	groups map[string]int
-
-	prefixRuns atomic.Uint64
-	hits       atomic.Uint64
-	misses     atomic.Uint64
 }
 
 // NewWarm returns a warm-checkpointing policy. store may be nil for
@@ -143,7 +138,7 @@ func (w *Warm) build(ctx context.Context, s *Scheduler, key string, opts runner.
 	if err != nil {
 		return nil, err
 	}
-	w.prefixRuns.Add(1)
+	s.emit(Event{Ev: EvPrefix, Op: "run", Key: key})
 	if w.Store != nil {
 		if perr := w.Store.Put(key, ck); perr != nil {
 			// Unpersisted checkpoints degrade the next campaign to a
@@ -213,19 +208,18 @@ func (s *Scheduler) warmAttempt(ctx context.Context, cell Cell, opts runner.Opti
 	}
 	ck, err := w.checkpoint(ctx, s, key, opts)
 	if err != nil {
-		w.misses.Add(1)
+		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		return runner.Result{}, false
 	}
 	full, err := arena.run(ctx, opts, ck)
 	if err != nil {
 		// The machine may hold a half-restored state; rebuild next time.
 		arena.drop()
-		w.misses.Add(1)
+		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		if !errors.Is(err, runner.ErrCheckpointUnusable) && ctx.Err() == nil {
 			s.Degrade(Degradation{Op: "warm.restore", Key: cell.Key, Err: err})
 		}
 		return runner.Result{}, false
 	}
-	w.hits.Add(1)
 	return full, true
 }

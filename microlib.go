@@ -479,10 +479,6 @@ type CampaignRetryPolicy = campaign.RetryPolicy
 // cell, failed back-fill).
 type CampaignDegradation = campaign.Degradation
 
-// CampaignRetryInfo describes one transient-failure retry, reported
-// to CampaignConfig.OnRetry before its backoff.
-type CampaignRetryInfo = campaign.RetryInfo
-
 // CampaignStallReport is the scheduler watchdog's flag: no cell has
 // finished for longer than the stall threshold.
 type CampaignStallReport = campaign.StallReport
