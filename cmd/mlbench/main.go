@@ -1,8 +1,9 @@
 // Command mlbench runs the kernel microbenchmarks and one end-to-end
 // artifact benchmark, writes the results as JSON (BENCH_10.json in CI)
-// and enforces three contracts: steady-state Engine.AfterFunc + Drain
+// and enforces four contracts: steady-state Engine.AfterFunc + Drain
 // scheduling must perform zero allocations per event, the stall-heavy
-// core rows must perform zero steady-state allocations, and a
+// core rows must perform zero steady-state allocations, so must the
+// eager-writeback drain (cache.DrainDirtyLRU) rows, and a
 // shared-prefix campaign sweep must run at least 2x faster warm
 // (prefix checkpointing on) than cold — or the command exits nonzero.
 //
@@ -34,6 +35,7 @@ import (
 	"testing"
 	"time"
 
+	"microlib/internal/cache"
 	"microlib/internal/campaign"
 	"microlib/internal/cpu"
 	"microlib/internal/experiments"
@@ -79,6 +81,7 @@ type Report struct {
 	AllocGate    string             `json:"alloc_gate"`
 	WarmGate     string             `json:"warm_gate"`
 	RetryGate    string             `json:"retry_gate"`
+	DrainGate    string             `json:"drain_gate"`
 }
 
 func bench(name string, f func(b *testing.B)) Result {
@@ -207,6 +210,49 @@ func main() {
 		}
 	}
 	rep.Results = append(rep.Results, stallIO, stallO3)
+
+	// Eager-writeback drain rows: cache.DrainDirtyLRU on the Table 1
+	// 1 MB L2 (4096 sets x 4 ways) at EWB's default batch of 4. Cold
+	// drains an empty cache: the dirty-LRU index is all zero words.
+	// Warm drains a full cache whose every set has a dirty LRU line,
+	// re-dirtying the batch after each drain so every op finds a full
+	// batch. Both must allocate nothing.
+	const drainBatch = 4
+	drainL2 := func(fill bool) *cache.Cache {
+		cfg := hier.DefaultConfig().L2
+		c := cache.New(sim.NewEngine(), cfg, nil)
+		c.TrackDirtyLRU()
+		if fill {
+			for la := uint64(0); la < uint64(cfg.Size); la += uint64(cfg.LineSize) {
+				c.InstallDirect(la, true, 0)
+			}
+		}
+		return c
+	}
+	drainCold := bench("cache/drain-dirty-lru/cold", func(b *testing.B) {
+		c := drainL2(false)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(c.DrainDirtyLRU(drainBatch)) != 0 {
+				b.Fatal("empty cache drained a line")
+			}
+		}
+	})
+	drainWarm := bench("cache/drain-dirty-lru/warm", func(b *testing.B) {
+		c := drainL2(true)
+		c.DrainDirtyLRU(drainBatch) // size the result buffer
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out := c.DrainDirtyLRU(drainBatch)
+			if len(out) != drainBatch {
+				b.Fatal("full dirty cache drained a short batch")
+			}
+			for _, la := range out {
+				c.MarkDirty(la)
+			}
+		}
+	})
+	rep.Results = append(rep.Results, drainCold, drainWarm)
 
 	// End-to-end simulator throughput (memory-bound bench + prefetch
 	// mechanism exercises the whole event path).
@@ -338,6 +384,16 @@ func main() {
 		rep.RetryGate = "PASS: 0 allocs/op on both stall-heavy core rows"
 	}
 
+	// The drain gate: an eager-writeback sweep reuses its result buffer
+	// and walks a preallocated index, so it allocates nothing.
+	drainFailed := drainCold.AllocsPerOp > 0 || drainWarm.AllocsPerOp > 0
+	if drainFailed {
+		rep.DrainGate = fmt.Sprintf("FAIL: drain-dirty-lru cold %d allocs/op, warm %d allocs/op (want 0)",
+			drainCold.AllocsPerOp, drainWarm.AllocsPerOp)
+	} else {
+		rep.DrainGate = "PASS: 0 allocs/op on both drain-dirty-lru rows"
+	}
+
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -356,7 +412,10 @@ func main() {
 	if retryFailed {
 		fmt.Fprintln(os.Stderr, "mlbench:", rep.RetryGate)
 	}
-	if gateFailed || warmFailed || retryFailed {
+	if drainFailed {
+		fmt.Fprintln(os.Stderr, "mlbench:", rep.DrainGate)
+	}
+	if gateFailed || warmFailed || retryFailed || drainFailed {
 		os.Exit(1)
 	}
 }

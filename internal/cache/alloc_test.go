@@ -79,3 +79,30 @@ func TestSteadyStateMissPathZeroAllocs(t *testing.T) {
 		t.Fatal("no accesses completed")
 	}
 }
+
+// TestDrainDirtyLRUZeroAllocs drains a warmed cache repeatedly: the
+// result buffer is reused, so a steady-state drain allocates nothing.
+func TestDrainDirtyLRUZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, drainConfig(), &pooledBackend{eng: eng, delay: 7})
+	c.TrackDirtyLRU()
+	for i := uint64(0); i < 16; i++ {
+		c.InstallDirect(0x40000+i*32, false, eng.Now())
+	}
+	dirty := func() {
+		for i := uint64(0); i < 16; i++ {
+			c.MarkDirty(0x40000 + i*32)
+		}
+	}
+	dirty()
+	c.DrainDirtyLRU(8) // size the result buffer
+	allocs := testing.AllocsPerRun(200, func() {
+		dirty()
+		if len(c.DrainDirtyLRU(8)) != 8 {
+			t.Fatal("drain came back short")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state drain allocates %.1f per call, want 0", allocs)
+	}
+}

@@ -1,6 +1,10 @@
 package cache
 
-import "microlib/internal/sim"
+import (
+	"math/bits"
+
+	"microlib/internal/sim"
+)
 
 // FillSink receives fetched line data. The requesting cache itself is
 // the sink (its FillLine method), so a backend needs no per-request
@@ -203,6 +207,14 @@ type Cache struct {
 
 	checker *Checker
 
+	// dirtyLRU is the drain index, allocated by TrackDirtyLRU: bit s
+	// is set exactly when the LRU valid line of set s is dirty. Every
+	// line mutation recomputes its set's bit, so DrainDirtyLRU visits
+	// only the sets it will clean. drainBuf is DrainDirtyLRU's reused
+	// result buffer.
+	dirtyLRU []uint64
+	drainBuf []uint64
+
 	stats Stats
 }
 
@@ -248,6 +260,41 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns the cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// Accesses returns the demand accesses accepted so far:
+// Stats().Accesses without copying the whole counter block.
+func (c *Cache) Accesses() uint64 { return c.stats.Accesses }
+
+// Rejects is the refusal counters alone, by reason.
+type Rejects struct{ Port, Stall, MSHR uint64 }
+
+// Rejects returns the refusal counters.
+func (c *Cache) Rejects() Rejects {
+	return Rejects{c.stats.RejectPort, c.stats.RejectStall, c.stats.RejectMSHR}
+}
+
+// AddRejects charges n repeats of the refusal counts d. A host core
+// that jumps over a run of identical refused cycles charges them here,
+// so the counters equal those of stepping every cycle.
+func (c *Cache) AddRejects(d Rejects, n uint64) {
+	c.stats.RejectPort += n * d.Port
+	c.stats.RejectStall += n * d.Stall
+	c.stats.RejectMSHR += n * d.MSHR
+}
+
+// Sub returns the counter deltas r - prev.
+func (r Rejects) Sub(prev Rejects) Rejects {
+	return Rejects{r.Port - prev.Port, r.Stall - prev.Stall, r.MSHR - prev.MSHR}
+}
+
+// StallUntil returns the cycle the pipeline stall lifts: every access
+// before it is refused with RefuseStall.
+func (c *Cache) StallUntil() uint64 { return c.stallUntil }
+
+// AuxProbed reports whether an auxiliary prober is attached. A refused
+// primary miss probes it before the MSHR check refuses, so on such a
+// cache a refused access is not free of side effects.
+func (c *Cache) AuxProbed() bool { return len(c.probers) > 0 }
 
 // LineAddr aligns an address to this cache's line size.
 func (c *Cache) LineAddr(addr uint64) uint64 {
@@ -343,7 +390,8 @@ func (c *Cache) Access(a *Access) Refusal {
 	}
 
 	la := c.LineAddr(a.Addr)
-	set := c.sets[c.setIndex(la)]
+	si := c.setIndex(la)
+	set := c.sets[si]
 	t := c.tag(la)
 
 	// Hit path.
@@ -370,6 +418,7 @@ func (c *Cache) Access(a *Access) Refusal {
 		}
 		c.useTick++
 		ln.lastUse = c.useTick
+		c.noteLRU(si)
 		c.notifyAccess(AccessEvent{
 			Addr: a.Addr, LineAddr: la, PC: a.PC, Write: a.Write,
 			Hit: true, PrefetchedLine: wasPF, Now: now,
@@ -578,7 +627,8 @@ func (c *Cache) FillLine(lineAddr, now uint64) {
 // install places a line into the array, evicting the LRU victim of
 // its set (invalid ways first).
 func (c *Cache) install(lineAddr uint64, dirty, prefetched bool, now uint64) {
-	set := c.sets[c.setIndex(lineAddr)]
+	si := c.setIndex(lineAddr)
+	set := c.sets[si]
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -607,6 +657,7 @@ func (c *Cache) install(lineAddr uint64, dirty, prefetched bool, now uint64) {
 	}
 	c.useTick++
 	*v = line{tag: c.tag(lineAddr), valid: true, dirty: dirty, prefetched: prefetched, lastUse: c.useTick}
+	c.noteLRU(si)
 	if c.checker != nil {
 		c.checker.noteFill(lineAddr, dirty)
 	}
@@ -639,11 +690,13 @@ func (c *Cache) InstallDirect(lineAddr uint64, dirty bool, now uint64) {
 // it to restore dirtiness when a swapped-in line had been modified.
 func (c *Cache) MarkDirty(addr uint64) {
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
+	si := c.setIndex(la)
+	set := c.sets[si]
 	t := c.tag(la)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
 			set[i].dirty = true
+			c.noteLRU(si)
 			if c.checker != nil {
 				c.checker.noteStore(la)
 			}
@@ -658,32 +711,84 @@ func (c *Cache) WriteBackLine(addr uint64) {
 	c.writeBack(c.LineAddr(addr))
 }
 
-// DrainDirtyLRU finds up to max dirty lines that are the LRU of
-// their set — the lines next in line to cause an eviction write-back
-// burst — clears their dirty bits and returns their addresses. The
-// caller is responsible for actually writing the data back (eager
-// writeback uses WriteBackLine when the bus is idle).
-func (c *Cache) DrainDirtyLRU(max int) []uint64 {
-	var out []uint64
-	for s := range c.sets {
-		if len(out) >= max {
-			break
+// TrackDirtyLRU arms the dirty-LRU index DrainDirtyLRU walks. A drain
+// client (eager writeback) calls it once at construction.
+func (c *Cache) TrackDirtyLRU() {
+	c.dirtyLRU = make([]uint64, (len(c.sets)+63)/64)
+	c.rebuildDirtyLRU()
+}
+
+// lruWay returns the way holding the least recently used valid line
+// of set, or -1 when the set holds no valid line.
+func lruWay(set []line) int {
+	lru := -1
+	for w := range set {
+		if !set[w].valid {
+			continue
 		}
-		set := c.sets[s]
-		lru := -1
-		for w := range set {
-			if !set[w].valid {
-				continue
-			}
-			if lru < 0 || set[w].lastUse < set[lru].lastUse {
-				lru = w
-			}
-		}
-		if lru >= 0 && set[lru].dirty {
-			set[lru].dirty = false
-			out = append(out, set[lru].tag<<c.lineShift)
+		if lru < 0 || set[w].lastUse < set[lru].lastUse {
+			lru = w
 		}
 	}
+	return lru
+}
+
+// noteLRU updates the dirty-LRU index after a line of set si changed.
+// Caches nobody drains pay one nil check.
+func (c *Cache) noteLRU(si uint64) {
+	if c.dirtyLRU != nil {
+		c.recomputeLRU(si)
+	}
+}
+
+// recomputeLRU sets set si's dirty-LRU bit from the set's lines.
+func (c *Cache) recomputeLRU(si uint64) {
+	set := c.sets[si]
+	bit := uint64(1) << (si & 63)
+	if lru := lruWay(set); lru >= 0 && set[lru].dirty {
+		c.dirtyLRU[si>>6] |= bit
+	} else {
+		c.dirtyLRU[si>>6] &^= bit
+	}
+}
+
+// rebuildDirtyLRU recomputes every set's dirty-LRU bit.
+func (c *Cache) rebuildDirtyLRU() {
+	if c.dirtyLRU == nil {
+		return
+	}
+	for si := range c.sets {
+		c.recomputeLRU(uint64(si))
+	}
+}
+
+// DrainDirtyLRU finds up to max dirty lines that are the LRU of
+// their set — the lines next in line to cause an eviction write-back
+// burst — clears their dirty bits and returns their addresses, in set
+// order. The caller is responsible for actually writing the data back
+// (eager writeback uses WriteBackLine when the bus is idle). The
+// result is a reused buffer, valid until the next drain. Cost is one
+// word test per 64 sets plus the batch: the walk visits only the
+// sets the dirty-LRU index marks. The cache must be armed with
+// TrackDirtyLRU.
+//
+//ml:hotpath
+func (c *Cache) DrainDirtyLRU(max int) []uint64 {
+	if c.dirtyLRU == nil {
+		panic("cache: DrainDirtyLRU on a cache without TrackDirtyLRU")
+	}
+	out := c.drainBuf[:0]
+	for wi := 0; wi < len(c.dirtyLRU) && len(out) < max; wi++ {
+		for w := c.dirtyLRU[wi]; w != 0 && len(out) < max; w &= w - 1 {
+			si := wi<<6 + bits.TrailingZeros64(w)
+			set := c.sets[si]
+			lru := lruWay(set)
+			set[lru].dirty = false
+			out = append(out, set[lru].tag<<c.lineShift)
+			c.dirtyLRU[wi] &^= w & -w
+		}
+	}
+	c.drainBuf = out
 	return out
 }
 
@@ -691,12 +796,14 @@ func (c *Cache) DrainDirtyLRU(max int) []uint64 {
 // dirty. Mechanisms that steal lines (TKVC filtering) use this.
 func (c *Cache) InvalidateLine(addr uint64) (present, dirty bool) {
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
+	si := c.setIndex(la)
+	set := c.sets[si]
 	t := c.tag(la)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
 			d := set[i].dirty
 			set[i] = line{}
+			c.noteLRU(si)
 			return true, d
 		}
 	}

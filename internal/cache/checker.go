@@ -51,4 +51,5 @@ func (c *Cache) CorruptDirtyBits() {
 			c.sets[s][w].dirty = false
 		}
 	}
+	clear(c.dirtyLRU)
 }

@@ -79,6 +79,7 @@ func TestDrainDirtyLRU(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Assoc = 2
 	c := New(eng, cfg, be)
+	c.TrackDirtyLRU()
 
 	// Set with a clean MRU and dirty LRU.
 	c.Access(&Access{Addr: 0x2000, Write: true}) // will become LRU, dirty

@@ -142,6 +142,7 @@ func (c *Cache) SetState(st State, resolve func(sim.OpRef) (any, bool)) error {
 			k++
 		}
 	}
+	c.rebuildDirtyLRU()
 	c.useTick = st.UseTick
 	c.stallUntil = st.StallUntil
 	c.portCycle = st.PortCycle

@@ -183,11 +183,29 @@ func (o *OoO) slot(seq uint64) *robEntry { return &o.win[seq%uint64(len(o.win))]
 // dominant per-cycle overhead without changing a single observable:
 // the skipped cycles are exactly those in which the per-cycle loop
 // would have done nothing.
+//
+// When that gate declines but a cycle changed nothing except refusal
+// counters (a quiet cycle: refused loads sit in the ready queue), and
+// the next cycle is quiet too, every cycle up to the next calendar
+// event or timer repeats it exactly; replayQuiet charges the repeats'
+// counters in bulk and jumps.
 func (o *OoO) Run(maxInsts uint64) Result {
 	o.maxFetch = maxInsts
 	cycle := o.eng.Now()
 	lastCommit := cycle
 	lastHead := o.head
+	// A refused access on a cache with an aux prober probes it, so
+	// cycles there are never quiet replicas of each other.
+	replay := !o.h.L1D.AuxProbed() && !o.h.L1I.AuxProbed()
+	var (
+		// last is the quiet mark at the end of the previous cycle,
+		// valid when haveLast: nothing changes between cycles, so it
+		// is also the mark at the start of this one.
+		last     quietMark
+		haveLast bool
+		armed    bool       // the previous cycle was quiet and from is set
+		from     replayMark // counters at the start of this cycle
+	)
 	for {
 		if o.stopInsts != 0 && o.res.Insts >= o.stopInsts {
 			// Prefix stop: advance the clock to the cycle the next
@@ -213,8 +231,34 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		if nc == 0 && ni == 0 && nf == 0 && len(o.readyQ) == 0 && !o.fetchRetry {
 			if t, ok := o.stallTarget(cycle); ok && t > cycle+1 {
 				cycle = t
+				haveLast, armed = false, false
 				continue
 			}
+		}
+		// Mark only idle cycles the gate could not judge because loads
+		// wait in the ready queue or fetch lost a port. Any other idle
+		// cycle the gate declined has its next event or timer a cycle
+		// away, or a head store that lost its port to a same-cycle
+		// fill event; neither can start a replay.
+		if replay && nc == 0 && ni == 0 && nf == 0 && (len(o.readyQ) > 0 || o.fetchRetry) {
+			m := o.quietMark()
+			quiet := haveLast && m == last
+			last, haveLast = m, true
+			if quiet && armed {
+				if t, ok := o.replayQuiet(cycle, &from); ok {
+					// The jump changes only counters, so last stays
+					// the mark at the start of cycle t.
+					cycle = t
+					armed = false
+					continue
+				}
+			}
+			armed = quiet
+			if armed {
+				from = o.replayMark()
+			}
+		} else {
+			haveLast, armed = false, false
 		}
 		cycle++
 	}
@@ -223,6 +267,80 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		o.res.Cycles = 1
 	}
 	return o.res
+}
+
+// quietMark is everything a cycle must leave unchanged to be quiet.
+// Events and accepted accesses are the only ways the caches, the
+// calendar and the window entries change; the remaining fields are
+// the core state a refused cycle could still move. Port
+// reservations, FU counts and the refusal scratch reset every cycle,
+// so a quiet cycle changes nothing but the Retry* and Reject*
+// counters.
+type quietMark struct {
+	events, l1d, l1i, head, tail          uint64
+	ready                                 int
+	fetchBlocked, haltOnBranch, hasStaged bool
+	fetchDone                             bool
+}
+
+func (o *OoO) quietMark() quietMark {
+	scheduled, executed := o.eng.Stats()
+	return quietMark{
+		events: scheduled + executed,
+		l1d:    o.h.L1D.Accesses(), l1i: o.h.L1I.Accesses(),
+		head: o.head, tail: o.tail, ready: len(o.readyQ),
+		fetchBlocked: o.fetchBlocked, haltOnBranch: o.haltOnBranch,
+		hasStaged: o.hasStaged, fetchDone: o.fetchDone,
+	}
+}
+
+// replayMark is the counter snapshot a replay charges from: the
+// core's retries and both L1 caches' refusals.
+type replayMark struct {
+	retry    cache.Rejects
+	l1d, l1i cache.Rejects
+}
+
+func (o *OoO) replayMark() replayMark {
+	return replayMark{
+		retry: cache.Rejects{Port: o.res.RetryPort, Stall: o.res.RetryStall, MSHR: o.res.RetryMSHR},
+		l1d:   o.h.L1D.Rejects(),
+		l1i:   o.h.L1I.Rejects(),
+	}
+}
+
+// replayQuiet handles a quiet cycle whose predecessor was quiet too;
+// from holds the counters after that predecessor, so the deltas since
+// are this cycle's alone. The cycles after it repeat it exactly until
+// the first of: the next calendar event, fetchResumeAt, and the
+// L1D/L1I stallUntil. Before then nothing can change — no event runs,
+// no access is accepted, and every time comparison a cycle makes
+// (cycle < fetchResumeAt, now < stallUntil) keeps its answer — and
+// the idle-skip gate, which declined this cycle, declines each repeat
+// for the same reason. replayQuiet charges the repeats' Retry* and
+// Reject* deltas and returns that first cycle; ok is false when no
+// repeat would be skipped.
+//
+//ml:hotpath
+func (o *OoO) replayQuiet(cycle uint64, from *replayMark) (uint64, bool) {
+	t, ok := o.eng.NextEventAt()
+	for _, b := range [...]uint64{o.fetchResumeAt, o.h.L1D.StallUntil(), o.h.L1I.StallUntil()} {
+		if b > cycle && (!ok || b < t) {
+			t, ok = b, true
+		}
+	}
+	if !ok || t <= cycle+1 {
+		return 0, false
+	}
+	n := t - cycle - 1
+	now := o.replayMark()
+	d := now.retry.Sub(from.retry)
+	o.res.RetryPort += n * d.Port
+	o.res.RetryStall += n * d.Stall
+	o.res.RetryMSHR += n * d.MSHR
+	o.h.L1D.AddRejects(now.l1d.Sub(from.l1d), n)
+	o.h.L1I.AddRejects(now.l1i.Sub(from.l1i), n)
+	return t, true
 }
 
 // stallTarget returns the next cycle at which the stalled core can

@@ -34,6 +34,7 @@ type EWB struct {
 // cycles, cleaning at most batch lines per scan.
 func New(eng *sim.Engine, l2 *cache.Cache, interval uint64, batch int) *EWB {
 	e := &EWB{eng: eng, l2: l2, interval: interval, batch: batch}
+	l2.TrackDirtyLRU()
 	e.arm()
 	return e
 }
@@ -62,6 +63,8 @@ func (e *EWB) arm() {
 }
 
 // ewbFireScan is the sweep trampoline: o1 is the EWB instance.
+//
+//ml:hotpath
 func ewbFireScan(_ uint64, o1, _ any, _, _ uint64) {
 	e := o1.(*EWB)
 	e.scan()

@@ -65,6 +65,8 @@ var snapshotCoverage = []struct {
 			"fillObs":          "observer wiring, re-attached by the mechanism at construction",
 			"missObs":          "observer wiring, re-attached by the mechanism at construction",
 			"checker":          "debug invariant checker, not armed in checkpointed runs",
+			"dirtyLRU":         "derived index over the serialized lines, rebuilt by SetState",
+			"drainBuf":         "DrainDirtyLRU result scratch, reused between drains",
 		},
 	},
 	{
