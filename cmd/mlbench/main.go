@@ -1,11 +1,13 @@
 // Command mlbench runs the kernel microbenchmarks and one end-to-end
 // artifact benchmark, writes the results as JSON (BENCH_10.json in CI)
-// and enforces four contracts: steady-state Engine.AfterFunc + Drain
+// and enforces five contracts: steady-state Engine.AfterFunc + Drain
 // scheduling must perform zero allocations per event, the stall-heavy
 // core rows must perform zero steady-state allocations, so must the
-// eager-writeback drain (cache.DrainDirtyLRU) rows, and a
-// shared-prefix campaign sweep must run at least 2x faster warm
-// (prefix checkpointing on) than cold — or the command exits nonzero.
+// eager-writeback drain (cache.DrainDirtyLRU) rows, a generator of a
+// live (profile, seed) must share its program image (a small constant
+// allocation count), and a shared-prefix campaign sweep must run at
+// least 2x faster warm (prefix checkpointing on) than cold — or the
+// command exits nonzero.
 //
 // Every row records wall-clock time and iteration count alongside the
 // allocation counters, and the simulator-throughput rows carry
@@ -82,7 +84,13 @@ type Report struct {
 	WarmGate     string             `json:"warm_gate"`
 	RetryGate    string             `json:"retry_gate"`
 	DrainGate    string             `json:"drain_gate"`
+	ImageGate    string             `json:"image_gate"`
 }
+
+// maxSharedGenAllocs bounds the allocations of a NewGenerator that
+// hits a live program image: the cursor (generator, pattern cursors,
+// chain tables) plus the canonical-JSON lookup key.
+const maxSharedGenAllocs = 24
 
 func bench(name string, f func(b *testing.B)) Result {
 	r := testing.Benchmark(f)
@@ -254,6 +262,24 @@ func main() {
 	})
 	rep.Results = append(rep.Results, drainCold, drainWarm)
 
+	// Shared program images: while one gcc generator is held live, a
+	// further NewGenerator of (gcc, seed 1) finds its image in the
+	// table and allocates only a cursor and the lookup key — a
+	// constant, however much code and data the program holds. The
+	// held generator is what keeps the weakly-held image resident;
+	// without it every op would rebuild the program.
+	gcc, _ := workload.ByName("gcc")
+	held := workload.NewGenerator(gcc, 1)
+	genShared := bench("workload/new-generator/shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if workload.NewGenerator(gcc, 1).Oracle() != held.Oracle() {
+				b.Fatal("generator did not share the live image")
+			}
+		}
+	})
+	runtime.KeepAlive(held)
+	rep.Results = append(rep.Results, genShared)
+
 	// End-to-end simulator throughput (memory-bound bench + prefetch
 	// mechanism exercises the whole event path).
 	simThroughput := bench("sim-throughput", func(b *testing.B) {
@@ -394,6 +420,19 @@ func main() {
 		rep.DrainGate = "PASS: 0 allocs/op on both drain-dirty-lru rows"
 	}
 
+	// The image gate: a generator of a live (profile, seed) shares its
+	// program image, so its construction cost is a small constant. A
+	// rebuild allocates thousands of objects (gcc's block templates
+	// alone), so losing the sharing fails here.
+	imageFailed := genShared.AllocsPerOp > maxSharedGenAllocs
+	if imageFailed {
+		rep.ImageGate = fmt.Sprintf("FAIL: new-generator/shared %d allocs/op (want <= %d)",
+			genShared.AllocsPerOp, maxSharedGenAllocs)
+	} else {
+		rep.ImageGate = fmt.Sprintf("PASS: new-generator/shared %d allocs/op (<= %d)",
+			genShared.AllocsPerOp, maxSharedGenAllocs)
+	}
+
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -415,7 +454,10 @@ func main() {
 	if drainFailed {
 		fmt.Fprintln(os.Stderr, "mlbench:", rep.DrainGate)
 	}
-	if gateFailed || warmFailed || retryFailed || drainFailed {
+	if imageFailed {
+		fmt.Fprintln(os.Stderr, "mlbench:", rep.ImageGate)
+	}
+	if gateFailed || warmFailed || retryFailed || drainFailed || imageFailed {
 		os.Exit(1)
 	}
 }

@@ -18,6 +18,23 @@ type Cell struct {
 
 	Opts runner.Options `json:"-"`
 	Key  string         `json:"key"`
+
+	// prefix is the warm-up prefix identity of Opts, rendered from the
+	// same canonical string as Key; zero when Opts has no warm-up.
+	prefix prefixID
+}
+
+// prefixID is one warm-up prefix: its fingerprint, the checkpoint
+// grouping key, and Options.PrefixCanonical. A plan keeps the
+// canonical form only for prefixes two or more cells share; a lone
+// cell, which runs warm only with a checkpoint store, renders its own
+// when it restores.
+type prefixID struct {
+	canon, key string
+}
+
+func newPrefixID(canon string) prefixID {
+	return prefixID{canon: canon, key: runner.CanonicalKey(canon)}
 }
 
 // Axis returns the cell's value on a named axis ("" when the plan
@@ -118,6 +135,8 @@ func NewPlan(spec Spec) (*Plan, error) {
 	}
 
 	seen := map[string]bool{}
+	// Cells of one prefix group share one prefixID (and its string).
+	prefixes := map[string]prefixID{}
 	idx := make([]int, len(e.axes))
 	for {
 		opts := spec.baseOptions()
@@ -141,7 +160,16 @@ func NewPlan(spec Spec) (*Plan, error) {
 		if err := opts.Validate(); err != nil {
 			return nil, fmt.Errorf("campaign: cell %s: %w", describeValues(values), err)
 		}
-		cell := Cell{Index: len(p.Cells), Values: values, Opts: opts, Key: opts.Fingerprint()}
+		canon, prefix := opts.CanonicalForms()
+		cell := Cell{Index: len(p.Cells), Values: values, Opts: opts, Key: runner.CanonicalKey(canon)}
+		if opts.Warmup > 0 {
+			id, ok := prefixes[prefix]
+			if !ok {
+				id = newPrefixID(prefix)
+				prefixes[prefix] = id
+			}
+			cell.prefix = id
+		}
 		group := cell.Scenario() + "\x00" + cell.Bench() + "\x00" + cell.Mech() + "\x00" + cell.Key
 		if !seen[group] {
 			seen[group] = true
@@ -159,6 +187,15 @@ func NewPlan(spec Spec) (*Plan, error) {
 		}
 		if i < 0 {
 			break
+		}
+	}
+	shared := make(map[string]int, len(prefixes))
+	for _, c := range p.Cells {
+		shared[c.prefix.key]++
+	}
+	for i := range p.Cells {
+		if id := &p.Cells[i].prefix; shared[id.key] < 2 {
+			id.canon = ""
 		}
 	}
 	return p, nil

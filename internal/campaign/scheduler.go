@@ -169,7 +169,7 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	stopStall := s.watchStalls()
 
 	if s.Warm != nil {
-		s.Warm.prepare(cells)
+		cells = s.Warm.prepare(cells, s.Interval > 0 && s.IntervalSink != nil)
 	}
 
 	jobs := make(chan Cell)
@@ -181,8 +181,11 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 			// One machine arena per worker: checkpoint restores fully
 			// overwrite it, so cells of a prefix group reuse the same
 			// caches, calendar and window instead of reallocating.
-			arena := &warmArena{}
-			defer arena.drop()
+			var arena *warmArena
+			if s.Warm != nil {
+				arena = s.Warm.newArena()
+				defer arena.drop()
+			}
 			for cell := range jobs {
 				s.runCell(ctx, cell, arena, results)
 			}

@@ -17,7 +17,7 @@ import (
 // restores the snapshot into its worker's reused machine arena and
 // runs only its measurement phase. Restored cells are bit-identical
 // to cold runs, so warm execution changes no result, fingerprint or
-// cache entry — only wall-clock time.
+// cache entry — only wall-clock time and the order cells start in.
 //
 // The warm layer is strictly an accelerator: any failure on the warm
 // path (corrupt stored checkpoint, budget inside the fetch horizon,
@@ -36,6 +36,9 @@ type Warm struct {
 	// groups counts distinct plan cells per prefix fingerprint; written
 	// once by prepare before the workers start, read-only after.
 	groups map[string]int
+	// arenas are the current run's worker arenas, kept so their
+	// rebuild counters stay readable after the run.
+	arenas []*warmArena
 }
 
 // NewWarm returns a warm-checkpointing policy. store may be nil for
@@ -54,38 +57,94 @@ type ckptFlight struct {
 	err  error
 }
 
-// prepare indexes the plan's prefix groups. Duplicate plan cells
-// (same fingerprint) are dispatched once by the scheduler, so they
-// count once here too.
-func (w *Warm) prepare(cells []Cell) {
+// prepare indexes the plan's prefix groups and returns the order to
+// dispatch the cells in: first the first cell of every prefix group,
+// in plan order, so prefixes still build in parallel across workers;
+// then the remaining cells of each group back to back, groups in
+// first-appearance order, so a worker's arena serves a whole run of
+// cells sharing its machine. Cells that cannot run warm keep their
+// plan order among the first cells. sampled reports that the
+// scheduler records interval telemetry, which only cold runs can.
+//
+// Duplicate plan cells (same fingerprint) are dispatched once by the
+// scheduler, so they count once here too. Cells built outside NewPlan
+// get their prefix identity here.
+func (w *Warm) prepare(cells []Cell, sampled bool) []Cell {
 	w.flights = make(map[string]*ckptFlight)
 	w.groups = make(map[string]int)
+	w.arenas = nil
+	if sampled {
+		return cells
+	}
+	ids := make([]prefixID, len(cells))
 	seen := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		if seen[c.Key] || c.Opts.Warmup == 0 {
+	for i, c := range cells {
+		if c.Opts.Warmup == 0 {
 			continue
 		}
-		seen[c.Key] = true
-		w.groups[c.Opts.PrefixFingerprint()]++
+		ids[i] = c.prefix
+		if ids[i].key == "" {
+			ids[i] = newPrefixID(c.Opts.PrefixCanonical())
+		}
+		if !seen[c.Key] {
+			seen[c.Key] = true
+			w.groups[ids[i].key]++
+		}
 	}
+
+	order := make([]int, 0, len(cells))
+	rest := make(map[string][]int)
+	var groups []string
+	for i, c := range cells {
+		c.prefix = ids[i]
+		k := w.key(c, false)
+		if k == "" {
+			order = append(order, i)
+			continue
+		}
+		if _, started := rest[k]; started {
+			rest[k] = append(rest[k], i)
+			continue
+		}
+		rest[k] = nil
+		groups = append(groups, k)
+		order = append(order, i)
+	}
+	if len(groups) == 0 {
+		return cells // nothing runs warm
+	}
+	for _, k := range groups {
+		order = append(order, rest[k]...)
+	}
+	out := make([]Cell, len(order))
+	for j, i := range order {
+		out[j] = cells[i]
+		out[j].prefix = ids[i]
+	}
+	return out
 }
 
-// key returns the prefix fingerprint if the cell is worth running
+// key returns the cell's prefix fingerprint if it is worth running
 // warm, or "" for the cold path. Sampled cells always run cold: the
 // warm-up portion of an interval series cannot be reproduced from a
 // post-warm-up snapshot.
-func (w *Warm) key(opts runner.Options) string {
-	if opts.Warmup == 0 {
+func (w *Warm) key(c Cell, sampled bool) string {
+	if c.Opts.Warmup == 0 || sampled || c.Opts.Interval > 0 && c.Opts.IntervalSink != nil {
 		return ""
 	}
-	if opts.Interval > 0 && opts.IntervalSink != nil {
+	if w.Store == nil && w.groups[c.prefix.key] < 2 {
 		return ""
 	}
-	pfp := opts.PrefixFingerprint()
-	if w.Store == nil && w.groups[pfp] < 2 {
-		return ""
-	}
-	return pfp
+	return c.prefix.key
+}
+
+// newArena returns a worker's machine arena for the current run.
+func (w *Warm) newArena() *warmArena {
+	a := &warmArena{}
+	w.mu.Lock()
+	w.arenas = append(w.arenas, a)
+	w.mu.Unlock()
+	return a
 }
 
 // checkpoint returns the group's checkpoint, building it exactly once
@@ -153,8 +212,11 @@ func (w *Warm) build(ctx context.Context, s *Scheduler, key string, opts runner.
 // overwrite the mutable state, so one machine serves every cell of a
 // prefix group without reallocating caches, calendar or window.
 type warmArena struct {
-	prefix string
+	prefix string // fingerprint of the machine's prefix
 	m      *runner.Machine
+	// builds counts machine builds per prefix fingerprint. prepare's
+	// dispatch order keeps it at two or fewer per group on one worker.
+	builds map[string]int
 }
 
 // run restores the checkpoint into the arena's machine — rebuilding it
@@ -162,22 +224,29 @@ type warmArena struct {
 // cell's measurement phase. Recover-protected: a panic on the warm path
 // becomes an error, the caller drops the arena and the cell falls back
 // to the cold path, which reproduces and classifies any real fault.
-func (a *warmArena) run(ctx context.Context, opts runner.Options, ck *runner.Checkpoint) (res runner.Result, err error) {
+func (a *warmArena) run(ctx context.Context, c Cell, opts runner.Options, ck *runner.Checkpoint) (res runner.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = runner.Result{}, &CellError{Kind: KindPanic, Msg: fmt.Sprint("warm restore panic: ", r)}
 		}
 	}()
-	prefix := opts.PrefixCanonical()
-	if a.m == nil || a.prefix != prefix {
+	if a.m == nil || a.prefix != c.prefix.key {
 		a.drop()
 		m, merr := runner.NewCheckpointMachine(ctx, opts)
 		if merr != nil {
 			return runner.Result{}, merr
 		}
-		a.m, a.prefix = m, prefix
+		a.m, a.prefix = m, c.prefix.key
+		if a.builds == nil {
+			a.builds = make(map[string]int)
+		}
+		a.builds[c.prefix.key]++
 	}
-	return a.m.RunFromCheckpoint(ctx, opts, ck)
+	canon := c.prefix.canon
+	if canon == "" {
+		canon = opts.PrefixCanonical()
+	}
+	return a.m.RunFromCheckpointPrefix(ctx, opts, canon, ck)
 }
 
 // drop releases the arena's machine (if any).
@@ -202,7 +271,7 @@ func (s *Scheduler) warmAttempt(ctx context.Context, cell Cell, opts runner.Opti
 	if w == nil || arena == nil {
 		return runner.Result{}, false
 	}
-	key := w.key(opts)
+	key := w.key(cell, opts.Interval > 0 && opts.IntervalSink != nil)
 	if key == "" {
 		return runner.Result{}, false
 	}
@@ -211,7 +280,7 @@ func (s *Scheduler) warmAttempt(ctx context.Context, cell Cell, opts runner.Opti
 		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		return runner.Result{}, false
 	}
-	full, err := arena.run(ctx, opts, ck)
+	full, err := arena.run(ctx, cell, opts, ck)
 	if err != nil {
 		// The machine may hold a half-restored state; rebuild next time.
 		arena.drop()

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"microlib/internal/telemetry"
@@ -234,6 +235,122 @@ func TestExecuteWarmByDefault(t *testing.T) {
 	for i := range sum.Scenarios {
 		if !reflect.DeepEqual(sum.Scenarios[i].Mean, coldSum.Scenarios[i].Mean) {
 			t.Fatalf("warm and cold aggregates differ in scenario %d", i)
+		}
+	}
+}
+
+// dispatchSpec mixes warm prefix groups (warm-up 500: one group of
+// three budgets per bench × seed) with cells that cannot run warm
+// (warm-up 0), interleaved in plan order.
+func dispatchSpec() Spec {
+	return Spec{
+		Name:       "dispatch",
+		Benchmarks: []string{"gzip", "mcf"},
+		Mechanisms: []string{"Base"},
+		Seeds:      []uint64{1, 2},
+		Warmups:    []uint64{0, 500},
+		Insts:      []uint64{2000, 3000, 4000},
+	}
+}
+
+// The dispatch order from prepare is a permutation of the plan that
+// starts every group's first cell in plan order, runs each group's
+// remaining cells back to back, and leaves cold cells in plan order.
+func TestWarmDispatchOrder(t *testing.T) {
+	plan, err := NewPlan(dispatchSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWarm(nil)
+	order := w.prepare(plan.Cells, false)
+	if len(order) != len(plan.Cells) {
+		t.Fatalf("dispatch order has %d cells, plan %d", len(order), len(plan.Cells))
+	}
+	seen := map[int]bool{}
+	for _, c := range order {
+		if seen[c.Index] {
+			t.Fatalf("cell %d dispatched twice", c.Index)
+		}
+		seen[c.Index] = true
+	}
+
+	var cold, firsts []int
+	started := map[string]bool{}
+	restRun := map[string][2]int{} // group -> [first, last] position of its non-first cells
+	firstRestPos := -1
+	for pos, c := range order {
+		k := w.key(c, false)
+		switch {
+		case k == "":
+			cold = append(cold, c.Index)
+			if firstRestPos >= 0 {
+				t.Fatalf("cold cell %d dispatched after a group's remaining cells", c.Index)
+			}
+		case !started[k]:
+			started[k] = true
+			firsts = append(firsts, c.Index)
+			if firstRestPos >= 0 {
+				t.Fatalf("group first cell %d dispatched after remaining cells", c.Index)
+			}
+		default:
+			if firstRestPos < 0 {
+				firstRestPos = pos
+			}
+			r, ok := restRun[k]
+			if !ok {
+				r[0] = pos
+			} else if r[1] != pos-1 {
+				t.Fatalf("group of cell %d is not contiguous after its first cell", c.Index)
+			}
+			r[1] = pos
+			restRun[k] = r
+		}
+	}
+	if len(cold) != 12 || len(firsts) != 4 || len(restRun) != 4 {
+		t.Fatalf("want 12 cold cells and 4 groups, got %d cold, %d firsts, %d groups", len(cold), len(firsts), len(restRun))
+	}
+	for _, idx := range [][]int{cold, firsts} {
+		if !sort.IntsAreSorted(idx) {
+			t.Fatalf("cells reordered within the first pass: %v", idx)
+		}
+	}
+
+	// Sampled runs are all cold: plan order is kept as is.
+	for i, c := range w.prepare(plan.Cells, true) {
+		if c.Index != plan.Cells[i].Index {
+			t.Fatalf("sampled dispatch reordered cell %d", c.Index)
+		}
+	}
+}
+
+// One worker, 2 benchmarks × 2 seeds × 3 budgets: the dispatch order
+// keeps the worker's arena on one group for runs of cells, so no group
+// builds its machine more than twice (once for its first cell, once
+// for the rest), and the results equal a cold campaign's.
+func TestWarmArenaBuildsPerGroup(t *testing.T) {
+	spec := warmSpec()
+	spec.Mechanisms = []string{"Base"}
+	spec.Seeds = []uint64{1, 2}
+
+	cold, _ := runPlan(t, &Scheduler{Workers: 1}, spec)
+	w := NewWarm(nil)
+	warm, stats := runPlan(t, &Scheduler{Workers: 1, Warm: w}, spec)
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm results differ from cold")
+	}
+	if stats.PrefixRuns != 4 || stats.CheckpointHits != 12 {
+		t.Fatalf("want 4 prefixes serving 12 cells: %+v", stats)
+	}
+	if len(w.arenas) != 1 {
+		t.Fatalf("one worker, %d arenas", len(w.arenas))
+	}
+	builds := w.arenas[0].builds
+	if len(builds) != 4 {
+		t.Fatalf("arena built machines for %d groups, want 4: %v", len(builds), builds)
+	}
+	for k, n := range builds {
+		if n > 2 {
+			t.Fatalf("group %s built its arena machine %d times, want <= 2", k, n)
 		}
 	}
 }

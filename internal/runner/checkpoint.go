@@ -332,13 +332,27 @@ func NewCheckpointMachine(ctx context.Context, opts Options) (*Machine, error) {
 	if opts.Insts == 0 {
 		opts.Insts = defaultInsts
 	}
-	return newMachine(ctx, opts, false, true)
+	m, err := newMachine(ctx, opts, false, true)
+	if err != nil {
+		return nil, err
+	}
+	m.prefix = opts.PrefixCanonical()
+	return m, nil
 }
 
 // RunFromCheckpoint restores the checkpoint into the machine and runs
 // the measurement phase. The options must share the machine's prefix
 // (only the measured budget may differ).
 func (m *Machine) RunFromCheckpoint(ctx context.Context, opts Options, ck *Checkpoint) (Result, error) {
+	return m.RunFromCheckpointPrefix(ctx, opts, opts.PrefixCanonical(), ck)
+}
+
+// RunFromCheckpointPrefix is RunFromCheckpoint for a caller that
+// already holds prefix, the options' PrefixCanonical form: a campaign
+// renders it once per cell at plan time, so a steady-state restore
+// formats nothing. The checkpoint and the machine must both carry
+// exactly this prefix.
+func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, prefix string, ck *Checkpoint) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -357,11 +371,10 @@ func (m *Machine) RunFromCheckpoint(ctx context.Context, opts Options, ck *Check
 	if ck.Version != CheckpointVersion {
 		return Result{}, fmt.Errorf("runner: checkpoint version %d, want %d: %w", ck.Version, CheckpointVersion, ErrCheckpointUnusable)
 	}
-	prefix := opts.PrefixCanonical()
 	if ck.Prefix != prefix {
 		return Result{}, fmt.Errorf("runner: checkpoint prefix mismatch: %w", ErrCheckpointUnusable)
 	}
-	if m.opts.PrefixCanonical() != prefix {
+	if m.prefix != prefix {
 		return Result{}, fmt.Errorf("runner: machine prefix does not match the requested options: %w", ErrCheckpointUnusable)
 	}
 	if m.ooo != nil && opts.Insts <= ck.MinInsts {

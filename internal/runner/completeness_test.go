@@ -136,10 +136,7 @@ var snapshotCoverage = []struct {
 		serialized: []string{"rng", "patterns", "lastSeq", "phaseIdx", "inPhase",
 			"curLoop", "loopIters", "blockIdx", "instIdx", "seq"},
 		exempt: map[string]string{
-			"prof":      "configuration, reproduced by reconstruction",
-			"oracle":    "deterministic value function, seeded once at construction before any stream draw",
-			"slotCount": "derived from the profile at construction",
-			"phases":    "per-phase loop structure derived from the profile; the serialized cursor indexes into it",
+			"prog": "shared read-only program image (profile copy, oracle, pattern tables, loop/block templates) built from (profile, seed) and never written after the build; reproduced by reconstruction, and the serialized cursor indexes into it",
 		},
 	},
 	{

@@ -100,9 +100,22 @@ func (o Options) Fingerprint() string {
 // machine states at the warm-up boundary, which is what makes a warm
 // checkpoint captured under one valid for the other.
 func (o Options) PrefixCanonical() string {
+	return prefixOf(o.Canonical())
+}
+
+// CanonicalForms returns Canonical and PrefixCanonical from a single
+// rendering of the options. Callers that need both — a campaign plan
+// fingerprints every cell and groups it by warm-up prefix — pay for
+// one formatting pass instead of two.
+func (o Options) CanonicalForms() (canonical, prefix string) {
 	c := o.Canonical()
-	// The canonical form is pipe-delimited and %+v renders no pipes,
-	// so the budget segment is located unambiguously.
+	return c, prefixOf(c)
+}
+
+// prefixOf masks the measured budget out of a canonical form. The form
+// is pipe-delimited and %+v renders no pipes, so the budget segment is
+// located unambiguously.
+func prefixOf(c string) string {
 	i := strings.Index(c, "|insts=")
 	j := i + strings.Index(c[i:], "|warmup=")
 	return c[:i] + "|insts=*" + c[j:]

@@ -24,6 +24,10 @@ type Machine struct {
 	h    *hier.Hierarchy
 	mech core.Mechanism
 
+	// prefix is opts.PrefixCanonical(), rendered once when a
+	// checkpoint machine is built; restores compare against it.
+	prefix string
+
 	gen    *workload.Generator
 	tf     *trace.File
 	oracle *workload.Oracle

@@ -30,11 +30,14 @@ func TestWarmArenaReuseZeroMarginalAllocs(t *testing.T) {
 	}
 	defer m.Close()
 
+	// The prefix is rendered once, as a campaign renders it at plan
+	// time: the restore path itself formats nothing.
 	ctx := context.Background()
+	prefix := opts.PrefixCanonical()
 	runWith := func(insts uint64) {
 		o := opts
 		o.Insts = insts
-		if _, err := m.RunFromCheckpoint(ctx, o, ck); err != nil {
+		if _, err := m.RunFromCheckpointPrefix(ctx, o, prefix, ck); err != nil {
 			t.Fatal(err)
 		}
 	}

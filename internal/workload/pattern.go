@@ -78,21 +78,13 @@ type PatternSpec struct {
 	FVProb float64 `json:"fv_prob,omitempty"`
 }
 
-// pattern is the run-time state of one PatternSpec instance.
+// pattern is the static part of one PatternSpec instance: its region
+// and the visit tables built from the seed. It lives in the shared
+// program image and is never written after the build.
 type pattern struct {
-	spec PatternSpec
-	base uint64
-	rng  *prng.Source
-
-	pos    uint64 // generic cursor
-	inner  int    // tile inner step
-	field  int    // chase field cursor
-	fields []uint64
-	// chase state: one step cursor per independent chain, indexing
-	// the shuffled visit order.
-	nodeCur  []uint64
-	chainIdx int
-	curChain int // chain of the most recently emitted access
+	spec   PatternSpec
+	base   uint64
+	fields []uint64 // chase: node offsets touched per visit
 	// order is the shuffled node-visit order of a chase; successive
 	// deltas are irregular, so stride/delta prefetchers cannot
 	// predict the walk — only content (CDP) or repetition (Markov,
@@ -100,7 +92,21 @@ type pattern struct {
 	order []uint32
 	tour  []uint64
 	hotWS []uint64
-	perm  lcg
+}
+
+// patternCursor is the run-time state of one pattern: what advances as
+// its addresses are emitted, one per generator.
+type patternCursor struct {
+	rng prng.Source
+
+	pos   uint64 // generic cursor
+	inner int    // tile inner step
+	field int    // chase field cursor
+	// chase state: one step cursor per independent chain, indexing
+	// the shuffled visit order.
+	nodeCur  []uint64
+	chainIdx int
+	curChain int // chain of the most recently emitted access
 }
 
 // shuffledOrder returns a Fisher-Yates shuffle of [0, n).
@@ -116,42 +122,12 @@ func shuffledOrder(n uint64, rng *prng.Source) []uint32 {
 	return order
 }
 
-// lcg is a full-period affine permutation over [0, n): visiting
-// i -> (a*i + c) mod n with a, c chosen so the walk is irregular but
-// repeats identically every period. Deterministic, no storage.
-type lcg struct {
-	a, c, n uint64
-}
-
-func newLCG(n uint64, rng *prng.Source) lcg {
-	if n == 0 {
-		n = 1
-	}
-	// a must be coprime with n; using odd a with power-of-two-ish n
-	// is not guaranteed, so force n odd arithmetic by stepping with
-	// gcd check.
-	a := rng.Uint64n(n)*2 + 1
-	for gcd(a, n) != 1 {
-		a += 2
-		if a >= n*2 {
-			a = 1
-		}
-	}
-	c := rng.Uint64n(n)
-	return lcg{a: a, c: c, n: n}
-}
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func (l lcg) apply(i uint64) uint64 { return (l.a*i + l.c) % l.n }
-
-func newPattern(spec PatternSpec, base uint64, rng *prng.Source) *pattern {
-	p := &pattern{spec: spec, base: base, rng: rng.Split()}
+// newPattern builds the static tables of a non-chase pattern (chases
+// are built with their oracle region in buildProgram) and returns them
+// with the pattern's private PRNG, split from the build stream.
+func newPattern(spec PatternSpec, base uint64, rng *prng.Source) (pattern, *prng.Source) {
+	p := pattern{spec: spec, base: base}
+	own := rng.Split()
 	switch spec.Kind {
 	case PatTour:
 		n := spec.TourLines
@@ -168,7 +144,7 @@ func newPattern(spec PatternSpec, base uint64, rng *prng.Source) *pattern {
 		// Visit a shuffled subset of the region's lines: irregular
 		// (unpredictable by stride/delta) but identical every pass
 		// (learnable by miss-address correlation).
-		ord := shuffledOrder(lines, p.rng)
+		ord := shuffledOrder(lines, own)
 		p.tour = make([]uint64, n)
 		for i := range p.tour {
 			p.tour[i] = base + uint64(ord[i])*lineBytes
@@ -185,14 +161,8 @@ func newPattern(spec PatternSpec, base uint64, rng *prng.Source) *pattern {
 		for i := range p.hotWS {
 			p.hotWS[i] = base + uint64(i)*8
 		}
-	case PatChase:
-		nodes := spec.Size / spec.NodeSize
-		if nodes == 0 {
-			nodes = 1
-		}
-		p.perm = newLCG(nodes, p.rng)
 	}
-	return p
+	return p, own
 }
 
 // lineBytes is the L1 line size used for pattern geometry.
@@ -201,65 +171,65 @@ const lineBytes = 32
 // next returns the next effective address for this pattern, and, for
 // chases, whether the access reads the true next-node pointer (the
 // access later accesses of the structure serialize on).
-func (p *pattern) next() (addr uint64, ptrField bool) {
+func (c *patternCursor) next(p *pattern) (addr uint64, ptrField bool) {
 	s := &p.spec
 	switch s.Kind {
 	case PatHot:
-		return p.hotWS[p.rng.Intn(len(p.hotWS))], false
+		return p.hotWS[c.rng.Intn(len(p.hotWS))], false
 	case PatSeq:
-		a := p.base + p.pos
-		p.pos += 8
-		if p.pos >= s.Size {
-			p.pos = 0
+		a := p.base + c.pos
+		c.pos += 8
+		if c.pos >= s.Size {
+			c.pos = 0
 		}
 		return a, false
 	case PatStride:
-		a := p.base + p.pos
-		p.pos += s.Stride
-		if p.pos >= s.Size {
-			p.pos = 0
+		a := p.base + c.pos
+		c.pos += s.Stride
+		if c.pos >= s.Size {
+			c.pos = 0
 		}
 		return a, false
 	case PatTile:
-		a := p.base + p.pos
-		p.inner++
-		if p.inner >= s.InnerSteps {
-			p.inner = 0
-			p.pos += s.Jump
+		a := p.base + c.pos
+		c.inner++
+		if c.inner >= s.InnerSteps {
+			c.inner = 0
+			c.pos += s.Jump
 		} else {
-			p.pos += s.Stride
+			c.pos += s.Stride
 		}
-		if p.pos >= s.Size {
-			p.pos = 0
+		if c.pos >= s.Size {
+			c.pos = 0
 		}
 		return a, false
 	case PatChase:
 		steps := uint64(len(p.order))
-		off := p.fields[p.field]
-		p.curChain = p.chainIdx
-		cur := &p.nodeCur[p.chainIdx]
+		off := p.fields[c.field]
+		c.curChain = c.chainIdx
+		cur := &c.nodeCur[c.chainIdx]
 		addr := p.base + uint64(p.order[*cur])*s.NodeSize + off
 		isPtr := off == s.PtrOff
-		p.field++
-		if p.field >= len(p.fields) {
-			p.field = 0
+		c.field++
+		if c.field >= len(p.fields) {
+			c.field = 0
 			*cur++
 			if *cur >= steps {
 				*cur = 0
 			}
-			p.chainIdx = (p.chainIdx + 1) % len(p.nodeCur)
+			c.chainIdx = (c.chainIdx + 1) % len(c.nodeCur)
 		}
 		return addr, isPtr
 	case PatTour:
-		a := p.tour[p.pos]
-		p.pos++
-		if p.pos >= uint64(len(p.tour)) {
-			p.pos = 0
+		a := p.tour[c.pos]
+		c.pos++
+		if c.pos >= uint64(len(p.tour)) {
+			c.pos = 0
 		}
 		return a, false
 	case PatRand:
 		lines := s.Size / lineBytes
-		return p.base + p.rng.Uint64n(lines)*lineBytes, false
+		return p.base + c.rng.Uint64n(lines)*lineBytes, false
 	case PatConflict:
 		// Lines spaced exactly one L1-cache-size apart share a set in
 		// the direct-mapped L1.
@@ -268,8 +238,8 @@ func (p *pattern) next() (addr uint64, ptrField bool) {
 		if k < 2 {
 			k = 2
 		}
-		a := p.base + (p.pos%k)*l1Size
-		p.pos++
+		a := p.base + (c.pos%k)*l1Size
+		c.pos++
 		return a, false
 	}
 	return p.base, false

@@ -61,12 +61,7 @@ func TestPropertyOracleDeterministic(t *testing.T) {
 func TestPropertyChasePointersAlwaysInRegion(t *testing.T) {
 	gen, _ := New("equake", 42)
 	o := gen.Oracle()
-	var chase *pattern
-	for _, p := range gen.patterns {
-		if p.spec.Kind == PatChase {
-			chase = p
-		}
-	}
+	chase, _ := findPattern(gen, PatChase)
 	nodes := chase.spec.Size / chase.spec.NodeSize
 	err := quick.Check(func(nRaw uint32) bool {
 		node := uint64(nRaw) % nodes
@@ -85,17 +80,17 @@ func TestPhaseCycling(t *testing.T) {
 	gen, _ := New("gcc", 42) // three phases
 	var inst trace.Inst
 	var total uint64
-	for _, ph := range gen.prof.Phases {
+	for _, ph := range gen.prog.prof.Phases {
 		total += ph.Len
 	}
 	bbsFirst := map[uint32]bool{}
-	for i := uint64(0); i < gen.prof.Phases[0].Len; i++ {
+	for i := uint64(0); i < gen.prog.prof.Phases[0].Len; i++ {
 		gen.Next(&inst)
 		bbsFirst[inst.BB] = true
 	}
 	// Second phase uses different code blocks.
 	seenNew := false
-	for i := uint64(0); i < gen.prof.Phases[1].Len; i++ {
+	for i := uint64(0); i < gen.prog.prof.Phases[1].Len; i++ {
 		gen.Next(&inst)
 		if !bbsFirst[inst.BB] {
 			seenNew = true
@@ -105,7 +100,7 @@ func TestPhaseCycling(t *testing.T) {
 		t.Fatal("phase 2 reuses only phase 1 blocks")
 	}
 	// After a full cycle the first phase's blocks return.
-	for i := gen.prof.Phases[0].Len + gen.prof.Phases[1].Len; i < total; i++ {
+	for i := gen.prog.prof.Phases[0].Len + gen.prog.prof.Phases[1].Len; i < total; i++ {
 		gen.Next(&inst)
 	}
 	gen.Next(&inst)

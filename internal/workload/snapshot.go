@@ -3,10 +3,10 @@ package workload
 import "fmt"
 
 // This file serializes the generator's stream cursor for warm-state
-// checkpointing. Everything built in NewGenerator from (profile, seed)
-// — pattern regions, visit orders, loop/block templates, the oracle —
-// is static and reproduced by reconstruction; only the cursors that
-// advance as instructions are emitted travel in the snapshot.
+// checkpointing. Everything built from (profile, seed) — pattern
+// regions, visit orders, loop/block templates, the oracle — lives in
+// the shared program image and is reproduced by reconstruction; only
+// the generator's own cursors travel in the snapshot.
 
 // PatternState is one access pattern's mutable cursor state.
 type PatternState struct {
@@ -47,12 +47,13 @@ func (g *Generator) State() GeneratorState {
 		st.LastSeq[i] = append([]uint64(nil), ls...)
 	}
 	st.Patterns = make([]PatternState, len(g.patterns))
-	for i, p := range g.patterns {
+	for i := range g.patterns {
+		c := &g.patterns[i]
 		st.Patterns[i] = PatternState{
-			Pos: p.pos, Inner: p.inner, Field: p.field,
-			ChainIdx: p.chainIdx, CurChain: p.curChain,
-			NodeCur: append([]uint64(nil), p.nodeCur...),
-			RNG:     p.rng.State(),
+			Pos: c.pos, Inner: c.inner, Field: c.field,
+			ChainIdx: c.chainIdx, CurChain: c.curChain,
+			NodeCur: append([]uint64(nil), c.nodeCur...),
+			RNG:     c.rng.State(),
 		}
 	}
 	return st
@@ -77,15 +78,15 @@ func (g *Generator) SetState(st GeneratorState) error {
 	}
 	for i := range st.Patterns {
 		ps := &st.Patterns[i]
-		p := g.patterns[i]
-		if len(ps.NodeCur) != len(p.nodeCur) {
+		c := &g.patterns[i]
+		if len(ps.NodeCur) != len(c.nodeCur) {
 			return fmt.Errorf("workload: snapshot pattern %d has %d chase cursors, generator holds %d",
-				i, len(ps.NodeCur), len(p.nodeCur))
+				i, len(ps.NodeCur), len(c.nodeCur))
 		}
-		p.pos, p.inner, p.field = ps.Pos, ps.Inner, ps.Field
-		p.chainIdx, p.curChain = ps.ChainIdx, ps.CurChain
-		copy(p.nodeCur, ps.NodeCur)
-		p.rng.SetState(ps.RNG)
+		c.pos, c.inner, c.field = ps.Pos, ps.Inner, ps.Field
+		c.chainIdx, c.curChain = ps.ChainIdx, ps.CurChain
+		copy(c.nodeCur, ps.NodeCur)
+		c.rng.SetState(ps.RNG)
 	}
 	g.phaseIdx, g.inPhase = st.PhaseIdx, st.InPhase
 	g.curLoop, g.loopIters = st.CurLoop, st.LoopIters

@@ -20,7 +20,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"microlib/internal/prng"
 	"microlib/internal/trace"
@@ -116,19 +115,21 @@ type phaseState struct {
 // Generator emits the instruction stream of one benchmark. It
 // implements trace.Stream and never ends (callers bound it with
 // trace.Limit).
+//
+// A Generator is a cursor over a shared, immutable program image (see
+// image.go): everything built from (profile, seed) lives in prog, and
+// the generator holds only the state that advances as instructions
+// are emitted — exactly the fields State and SetState serialize.
 type Generator struct {
-	prof   Profile
-	oracle *Oracle
-	rng    *prng.Source
+	prog *program
+	rng  prng.Source
 
-	patterns []*pattern
+	patterns []patternCursor
 	// lastSeq tracks, per pattern and chase chain, the sequence
 	// number of the last pointer load (for chase and serial
 	// dependences); shared across phases.
-	lastSeq   [][]uint64
-	slotCount []int
+	lastSeq [][]uint64
 
-	phases   []*phaseState
 	phaseIdx int
 	inPhase  uint64
 
@@ -140,243 +141,27 @@ type Generator struct {
 	seq uint64
 }
 
-// NewGenerator builds the deterministic generator for a profile.
-// The same (profile, seed) pair always yields the identical stream.
+// NewGenerator returns a generator for a profile, positioned at the
+// start of its stream. The same (profile, seed) pair always yields the
+// identical stream. Generators of one (profile, seed) share a single
+// read-only program image, built by the first of them (see image.go);
+// each holds only its own cursor, so sharing changes no instruction.
 func NewGenerator(prof Profile, seed uint64) *Generator {
-	if len(prof.Patterns) == 0 || len(prof.Phases) == 0 {
-		panic("workload: profile needs patterns and phases: " + prof.Name)
-	}
-	for _, ph := range prof.Phases {
-		if len(ph.Weights) != len(prof.Patterns) {
-			panic("workload: phase weight vector length mismatch: " + prof.Name)
-		}
-	}
-	rng := prng.New(seed ^ prng.HashString(prof.Name))
-	g := &Generator{
-		prof:   prof,
-		oracle: newOracle(rng.Uint64()),
-		rng:    rng,
-	}
-
-	// Allocate pattern regions and register them with the oracle.
-	nextBase := uint64(heapBase)
-	for _, spec := range prof.Patterns {
-		// Jitter region bases so distinct regions do not all alias
-		// to L1 set 0.
-		base := nextBase + (rng.Uint64n(32<<10) &^ 63)
-		sz := spec.Size
-		if sz == 0 {
-			sz = 4 << 10
-		}
-		spec.Size = sz
-		nextBase += (sz + (2 << 20)) &^ ((1 << 20) - 1)
-
-		var p *pattern
-		if spec.Kind == PatChase {
-			if spec.NodeSize == 0 {
-				spec.NodeSize = 64
-			}
-			nodes := sz / spec.NodeSize
-			if nodes == 0 {
-				nodes = 1
-			}
-			// Shuffled visit order; the oracle's pointer fields are
-			// built to match, so the chain in memory IS the walk.
-			order := shuffledOrder(nodes, rng)
-			succ := make([]uint32, nodes)
-			for i := range order {
-				succ[order[i]] = order[(i+1)%len(order)]
-			}
-			fields := spec.Fields
-			if len(fields) == 0 {
-				fields = []uint64{spec.PtrOff}
-			}
-			chains := spec.Chains
-			if chains < 1 {
-				chains = 1
-			}
-			cursors := make([]uint64, chains)
-			for c := range cursors {
-				cursors[c] = uint64(c) * nodes / uint64(chains)
-			}
-			p = &pattern{spec: spec, base: base, rng: rng.Split(), order: order, fields: fields, nodeCur: cursors}
-			g.oracle.addRegion(oracleRegion{
-				base: base, size: sz,
-				nodeSize: spec.NodeSize, ptrOff: spec.PtrOff,
-				succ: succ, nodes: nodes, decoys: spec.Decoys,
-				fvProb: orDefault(spec.FVProb, prof.FVProb),
-			})
-		} else {
-			p = newPattern(spec, base, rng)
-			g.oracle.addRegion(oracleRegion{
-				base: base, size: sz,
-				fvProb: orDefault(spec.FVProb, prof.FVProb),
-			})
-		}
-		g.patterns = append(g.patterns, p)
-	}
-	g.lastSeq = make([][]uint64, len(g.patterns))
-	for i, p := range g.patterns {
-		n := 1
-		if len(p.nodeCur) > 0 {
-			n = len(p.nodeCur)
-		}
-		g.lastSeq[i] = make([]uint64, n)
-	}
-	g.slotCount = make([]int, len(g.patterns))
-
-	// Build each phase's loops so the total text size approximates
-	// CodeKB spread across the phases.
-	blockID := uint32(0)
-	pcCursor := uint64(codeBase)
-	for _, ps := range prof.Phases {
-		st := &phaseState{spec: ps}
-		blockLen := prof.BlockLen
-		if blockLen < 3 {
-			blockLen = 5
-		}
-		codeBytes := prof.CodeKB * 1024 / len(prof.Phases)
-		totalBlocks := codeBytes / (blockLen * 4)
-		if totalBlocks < 4 {
-			totalBlocks = 4
-		}
-		const blocksPerLoop = 8
-		nLoops := totalBlocks / blocksPerLoop
-		if nLoops < 1 {
-			nLoops = 1
-		}
-		cw := cumulativeWeights(ps.Weights)
-		for l := 0; l < nLoops; l++ {
-			var lp loop
-			for b := 0; b < blocksPerLoop; b++ {
-				blk := g.buildBlock(blockID, pcCursor, blockLen, cw)
-				pcCursor += uint64(len(blk.insts)) * 4
-				blockID++
-				lp.blocks = append(lp.blocks, blk)
-			}
-			st.loops = append(st.loops, lp)
-		}
-		g.phases = append(g.phases, st)
-	}
-	return g
-}
-
-func orDefault(v, def float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
-func cumulativeWeights(weights []float64) []float64 {
-	cw := make([]float64, len(weights))
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		sum += w
-		cw[i] = sum
-	}
-	if sum == 0 {
-		panic("workload: phase has all-zero weights")
-	}
-	for i := range cw {
-		cw[i] /= sum
-	}
-	return cw
-}
-
-// buildBlock synthesizes one basic-block template. The final
-// instruction is always the block-ending branch.
-func (g *Generator) buildBlock(id uint32, pcBase uint64, meanLen int, cw []float64) block {
-	n := g.rng.Geometric(float64(meanLen), meanLen*3)
-	if n < 2 {
-		n = 2
-	}
-	insts := make([]instTemplate, 0, n)
-	memBudget := g.prof.LoadFrac + g.prof.StoreFrac
-	for i := 0; i < n-1; i++ {
-		t := instTemplate{pc: pcBase + uint64(len(insts))*4}
-		r := g.rng.Float64()
-		switch {
-		case r < memBudget:
-			t.kind = slotMem
-			t.isStore = g.rng.Float64() < g.prof.StoreFrac/memBudget
-			if t.isStore {
-				t.class = trace.Store
-			} else {
-				t.class = trace.Load
-			}
-			t.pattern = pickWeighted(cw, g.rng.Float64())
-			if pat := g.patterns[t.pattern]; pat.spec.Kind != PatHot {
-				// Non-hot patterns present a stable, small set of
-				// static-instruction identities to the memory system.
-				t.dataPC = 0x00f0_0000 + (pat.base >> 14 << 5) +
-					uint64(g.slotCount[t.pattern]%dataPCsPerPattern)*4
-			}
-			g.slotCount[t.pattern]++
-		default:
-			t.kind = slotALU
-			t.class = g.pickALUClass()
-		}
-		t.dep1 = uint16(g.rng.Geometric(g.prof.DepMean, 48))
-		if g.rng.Bool(0.5) {
-			t.dep2 = uint16(g.rng.Geometric(g.prof.DepMean, 48))
-		}
-		insts = append(insts, t)
-	}
-	insts = append(insts, instTemplate{
-		pc:    pcBase + uint64(len(insts))*4,
-		kind:  slotBranch,
-		class: trace.Branch,
-		dep1:  uint16(g.rng.Geometric(g.prof.DepMean, 16)),
-	})
-	return block{id: id, insts: insts}
-}
-
-func pickWeighted(cw []float64, u float64) int {
-	i := sort.SearchFloat64s(cw, u)
-	if i >= len(cw) {
-		i = len(cw) - 1
-	}
-	return i
-}
-
-func (g *Generator) pickALUClass() trace.Class {
-	if g.prof.FP {
-		switch r := g.rng.Float64(); {
-		case r < 0.45:
-			return trace.FPALU
-		case r < 0.65:
-			return trace.FPMult
-		case r < 0.67:
-			return trace.FPDiv
-		case r < 0.70:
-			return trace.IntMult
-		default:
-			return trace.IntALU
-		}
-	}
-	switch r := g.rng.Float64(); {
-	case r < 0.04:
-		return trace.IntMult
-	case r < 0.045:
-		return trace.IntDiv
-	default:
-		return trace.IntALU
-	}
+	return lookupProgram(prof, seed).newCursor()
 }
 
 // Oracle returns the benchmark's memory-content oracle.
-func (g *Generator) Oracle() *Oracle { return g.oracle }
+func (g *Generator) Oracle() *Oracle { return g.prog.oracle }
 
-// Profile returns the generating profile.
-func (g *Generator) Profile() Profile { return g.prof }
+// Profile returns a copy of the generating profile; the image's own
+// copy is shared with every other generator of the same program and
+// must never be mutated.
+func (g *Generator) Profile() Profile { return g.prog.prof.clone() }
 
 // Next implements trace.Stream; the stream is infinite.
 func (g *Generator) Next(inst *trace.Inst) bool {
-	st := g.phases[g.phaseIdx]
+	prog := g.prog
+	st := &prog.phases[g.phaseIdx]
 	lp := &st.loops[g.curLoop%len(st.loops)]
 	blk := &lp.blocks[g.blockIdx%len(lp.blocks)]
 	t := &blk.insts[g.instIdx]
@@ -392,14 +177,15 @@ func (g *Generator) Next(inst *trace.Inst) bool {
 
 	switch t.kind {
 	case slotMem:
-		p := g.patterns[t.pattern]
-		addr, ptrField := p.next()
+		p := &prog.patterns[t.pattern]
+		c := &g.patterns[t.pattern]
+		addr, ptrField := c.next(p)
 		inst.Addr = addr
 		switch {
 		case p.spec.Kind == PatChase:
 			// Chase accesses serialize on the previous pointer load
 			// of the same chain of the structure.
-			chain := p.curChain
+			chain := c.curChain
 			if last := g.lastSeq[t.pattern][chain]; last > 0 {
 				d := g.seq - last
 				if d > 65535 {
@@ -422,7 +208,7 @@ func (g *Generator) Next(inst *trace.Inst) bool {
 			g.lastSeq[t.pattern][0] = g.seq
 		}
 	case slotBranch:
-		inst.Mispredict = g.rng.Bool(g.prof.Mispredict)
+		inst.Mispredict = g.rng.Bool(prog.prof.Mispredict)
 	}
 
 	// Advance cursors.
@@ -446,7 +232,7 @@ func (g *Generator) Next(inst *trace.Inst) bool {
 	g.inPhase++
 	if g.inPhase >= st.spec.Len {
 		g.inPhase = 0
-		g.phaseIdx = (g.phaseIdx + 1) % len(g.phases)
+		g.phaseIdx = (g.phaseIdx + 1) % len(prog.phases)
 		// loopIters resets with the other loop cursors: a residual
 		// count would cut the first loop of the new phase short.
 		g.blockIdx, g.instIdx, g.curLoop, g.loopIters = 0, 0, 0, 0

@@ -96,10 +96,13 @@ func TestOracleChaseConsistency(t *testing.T) {
 	o := gen.Oracle()
 
 	// Find mcf's chase pattern and walk it both ways.
-	var chase *pattern
-	for _, p := range gen.patterns {
-		if p.spec.Kind == PatChase {
-			chase = p
+	var (
+		chase    *pattern
+		chaseCur *patternCursor
+	)
+	for i := range gen.prog.patterns {
+		if gen.prog.patterns[i].spec.Kind == PatChase {
+			chase, chaseCur = &gen.prog.patterns[i], &gen.patterns[i]
 			break
 		}
 	}
@@ -109,7 +112,7 @@ func TestOracleChaseConsistency(t *testing.T) {
 	// Pattern's first chain starts at order[cursor]; read the true
 	// pointer from the oracle and check it names the next node of
 	// that chain.
-	cur := chase.nodeCur[0]
+	cur := chaseCur.nodeCur[0]
 	node := uint64(chase.order[cur])
 	nodeAddr := chase.base + node*chase.spec.NodeSize
 	ptr := o.Word(nodeAddr + chase.spec.PtrOff)
@@ -152,12 +155,7 @@ func TestOracleFrequentValues(t *testing.T) {
 	}
 	// gzip's FV-dense tour region: most words should be frequent.
 	// Sample the region of the tour pattern.
-	var tour *pattern
-	for _, p := range gen.patterns {
-		if p.spec.Kind == PatTour {
-			tour = p
-		}
-	}
+	tour, _ := findPattern(gen, PatTour)
 	freq := 0
 	const samples = 2000
 	for i := 0; i < samples; i++ {
@@ -174,12 +172,7 @@ func TestOracleFrequentValues(t *testing.T) {
 func TestLineCompressible(t *testing.T) {
 	gen, _ := New("gzip", 42)
 	o := gen.Oracle()
-	var tour *pattern
-	for _, p := range gen.patterns {
-		if p.spec.Kind == PatTour {
-			tour = p
-		}
-	}
+	tour, _ := findPattern(gen, PatTour)
 	comp := 0
 	for i := 0; i < 200; i++ {
 		if o.LineCompressible(tour.base+uint64(i)*32, 32) {
@@ -195,19 +188,14 @@ func TestLineCompressible(t *testing.T) {
 // sequence on every pass (what correlation prefetchers learn).
 func TestTourRepeats(t *testing.T) {
 	gen, _ := New("gzip", 42)
-	var tour *pattern
-	for _, p := range gen.patterns {
-		if p.spec.Kind == PatTour {
-			tour = p
-		}
-	}
+	tour, tourCur := findPattern(gen, PatTour)
 	n := len(tour.tour)
 	first := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		first[i], _ = tour.next()
+		first[i], _ = tourCur.next(tour)
 	}
 	for i := 0; i < n; i++ {
-		a, _ := tour.next()
+		a, _ := tourCur.next(tour)
 		if a != first[i] {
 			t.Fatalf("tour diverged at %d", i)
 		}
@@ -218,16 +206,11 @@ func TestTourRepeats(t *testing.T) {
 // (otherwise stride prefetchers could predict pointer chains).
 func TestChaseIrregular(t *testing.T) {
 	gen, _ := New("equake", 42)
-	var chase *pattern
-	for _, p := range gen.patterns {
-		if p.spec.Kind == PatChase {
-			chase = p
-		}
-	}
+	chase, chaseCur := findPattern(gen, PatChase)
 	var prev uint64
 	deltas := map[int64]int{}
 	for i := 0; i < 200; i++ {
-		a, _ := chase.next()
+		a, _ := chaseCur.next(chase)
 		if i > 0 {
 			deltas[int64(a)-int64(prev)]++
 		}
@@ -274,4 +257,19 @@ func TestDataPCStability(t *testing.T) {
 			t.Fatalf("region %#x touched by %d data PCs, want <= %d", base, len(pcs), dataPCsPerPattern+1)
 		}
 	}
+}
+
+// findPattern returns the generator's last pattern of a kind: its
+// static image and the generator's cursor over it.
+func findPattern(gen *Generator, kind PatternKind) (*pattern, *patternCursor) {
+	var (
+		p *pattern
+		c *patternCursor
+	)
+	for i := range gen.prog.patterns {
+		if gen.prog.patterns[i].spec.Kind == kind {
+			p, c = &gen.prog.patterns[i], &gen.patterns[i]
+		}
+	}
+	return p, c
 }
