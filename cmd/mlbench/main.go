@@ -85,12 +85,20 @@ type Report struct {
 	RetryGate    string             `json:"retry_gate"`
 	DrainGate    string             `json:"drain_gate"`
 	ImageGate    string             `json:"image_gate"`
+	ArenaGate    string             `json:"arena_gate"`
 }
 
 // maxSharedGenAllocs bounds the allocations of a NewGenerator that
 // hits a live program image: the cursor (generator, pattern cursors,
-// chain tables) plus the canonical-JSON lookup key.
-const maxSharedGenAllocs = 24
+// chain tables) and nothing for the lookup.
+const maxSharedGenAllocs = 4
+
+// maxArenaCellBytes bounds the bytes one steady-state store-stall cell
+// allocates on a warmed worker arena (runner/cold-cell/arena): the
+// measured 37,808 B/op (linux/amd64, go1.24) plus 30% headroom. A
+// cell that rebuilt its cache arrays (~440 KB) or its program image
+// would fail it.
+const maxArenaCellBytes = 48 << 10
 
 func bench(name string, f func(b *testing.B)) Result {
 	r := testing.Benchmark(f)
@@ -280,6 +288,32 @@ func main() {
 	runtime.KeepAlive(held)
 	rep.Results = append(rep.Results, genShared)
 
+	// A campaign worker's cold cell: one store-stall cell (the inline
+	// stall-heavy profile on the 1-port 1-MSHR L1D, OoO core, Base)
+	// built on the previous cell's machine, as a worker's arena builds
+	// it. The caches take the previous machine's line arrays and the
+	// generator finds the program image still live in the image table,
+	// so what is left per cell is the machine's own fresh state.
+	arenaCell := bench("runner/cold-cell/arena", func(b *testing.B) {
+		opts := runner.DefaultOptions("stall-heavy", runner.BaseName)
+		opts.Workload = &runner.Workload{Profile: &stallProfile}
+		opts.Hier = stallHier()
+		opts.Warmup, opts.Insts, opts.Seed = 1500, 6000, 1
+		var m *runner.Machine
+		run := func() {
+			var err error
+			if _, m, err = runner.RunOn(context.Background(), opts, m); err != nil {
+				fatal(err)
+			}
+		}
+		run() // warm the arena
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+	})
+	rep.Results = append(rep.Results, arenaCell)
+
 	// End-to-end simulator throughput (memory-bound bench + prefetch
 	// mechanism exercises the whole event path).
 	simThroughput := bench("sim-throughput", func(b *testing.B) {
@@ -433,6 +467,18 @@ func main() {
 			genShared.AllocsPerOp, maxSharedGenAllocs)
 	}
 
+	// The arena gate: a cold cell on a warmed worker arena recycles its
+	// cache storage and program image, so it allocates far less than a
+	// machine's cache arrays alone.
+	arenaFailed := arenaCell.BytesPerOp > maxArenaCellBytes
+	if arenaFailed {
+		rep.ArenaGate = fmt.Sprintf("FAIL: cold-cell/arena %d B/op, %d allocs/op (want <= %d B/op)",
+			arenaCell.BytesPerOp, arenaCell.AllocsPerOp, maxArenaCellBytes)
+	} else {
+		rep.ArenaGate = fmt.Sprintf("PASS: cold-cell/arena %d B/op, %d allocs/op (<= %d B/op)",
+			arenaCell.BytesPerOp, arenaCell.AllocsPerOp, maxArenaCellBytes)
+	}
+
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -457,7 +503,10 @@ func main() {
 	if imageFailed {
 		fmt.Fprintln(os.Stderr, "mlbench:", rep.ImageGate)
 	}
-	if gateFailed || warmFailed || retryFailed || drainFailed || imageFailed {
+	if arenaFailed {
+		fmt.Fprintln(os.Stderr, "mlbench:", rep.ArenaGate)
+	}
+	if gateFailed || warmFailed || retryFailed || drainFailed || imageFailed || arenaFailed {
 		os.Exit(1)
 	}
 }

@@ -173,7 +173,11 @@ type Cache struct {
 	cfg Config
 	eng *sim.Engine
 
-	sets      [][]line
+	// lines is the array, row-major over (set, way): set s is
+	// lines[s*ways : (s+1)*ways]. One pointer-free block, so the GC
+	// never scans it and a recycled machine can hand it on whole.
+	lines     []line
+	ways      int
 	setMask   uint64
 	lineShift uint
 	useTick   uint64
@@ -226,13 +230,35 @@ type prefetchReq struct {
 // New builds a cache on the engine with the given backend (which may
 // be nil only if the cache can never miss — tests use that).
 func New(eng *sim.Engine, cfg Config, backend Backend) *Cache {
+	return NewRecycling(eng, cfg, backend, Storage{})
+}
+
+// Storage is a cache's line array, detached from its cache by
+// TakeStorage so that a new cache can reuse it (NewRecycling) while
+// nothing else of the old cache stays reachable.
+type Storage struct{ lines []line }
+
+// TakeStorage detaches the cache's line array. The cache must not be
+// used again.
+func (c *Cache) TakeStorage() Storage {
+	s := Storage{c.lines}
+	c.lines = nil
+	return s
+}
+
+// NewRecycling is New, except that the line array is spare's when
+// spare holds exactly as many lines as cfg needs (the zero Storage
+// never does). The array is cleared, so the new cache starts exactly
+// as a fresh one. Every other field is built fresh.
+func NewRecycling(eng *sim.Engine, cfg Config, backend Backend, spare Storage) *Cache {
 	cfg.Validate()
 	nsets := cfg.NumSets()
 	ways := cfg.Ways()
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways], backing[ways:]
+	lines := spare.lines
+	if len(lines) == nsets*ways {
+		clear(lines)
+	} else {
+		lines = make([]line, nsets*ways)
 	}
 	nm := cfg.MSHRs
 	if cfg.InfiniteMSHR {
@@ -247,7 +273,8 @@ func New(eng *sim.Engine, cfg Config, backend Backend) *Cache {
 	return &Cache{
 		cfg:       cfg,
 		eng:       eng,
-		sets:      sets,
+		lines:     lines,
+		ways:      ways,
 		setMask:   uint64(nsets - 1),
 		lineShift: ls,
 		backend:   backend,
@@ -301,6 +328,15 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineSize) - 1)
 }
 
+// set returns the ways of set si.
+func (c *Cache) set(si uint64) []line {
+	i := int(si) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
+}
+
+// numSets returns the number of sets.
+func (c *Cache) numSets() int { return int(c.setMask) + 1 }
+
 func (c *Cache) setIndex(lineAddr uint64) uint64 {
 	return (lineAddr >> c.lineShift) & c.setMask
 }
@@ -312,7 +348,7 @@ func (c *Cache) tag(lineAddr uint64) uint64 {
 // Contains reports whether the line is present (no state change).
 func (c *Cache) Contains(addr uint64) bool {
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
+	set := c.set(c.setIndex(la))
 	t := c.tag(la)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
@@ -359,7 +395,7 @@ func (c *Cache) reservePort(now uint64, force bool) bool {
 // (present, dirty, prefetched).
 func (c *Cache) Probe(addr uint64) (present, dirty, prefetched bool) {
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
+	set := c.set(c.setIndex(la))
 	t := c.tag(la)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
@@ -391,7 +427,7 @@ func (c *Cache) Access(a *Access) Refusal {
 
 	la := c.LineAddr(a.Addr)
 	si := c.setIndex(la)
-	set := c.sets[si]
+	set := c.set(si)
 	t := c.tag(la)
 
 	// Hit path.
@@ -628,7 +664,7 @@ func (c *Cache) FillLine(lineAddr, now uint64) {
 // its set (invalid ways first).
 func (c *Cache) install(lineAddr uint64, dirty, prefetched bool, now uint64) {
 	si := c.setIndex(lineAddr)
-	set := c.sets[si]
+	set := c.set(si)
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -691,7 +727,7 @@ func (c *Cache) InstallDirect(lineAddr uint64, dirty bool, now uint64) {
 func (c *Cache) MarkDirty(addr uint64) {
 	la := c.LineAddr(addr)
 	si := c.setIndex(la)
-	set := c.sets[si]
+	set := c.set(si)
 	t := c.tag(la)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
@@ -714,7 +750,7 @@ func (c *Cache) WriteBackLine(addr uint64) {
 // TrackDirtyLRU arms the dirty-LRU index DrainDirtyLRU walks. A drain
 // client (eager writeback) calls it once at construction.
 func (c *Cache) TrackDirtyLRU() {
-	c.dirtyLRU = make([]uint64, (len(c.sets)+63)/64)
+	c.dirtyLRU = make([]uint64, (c.numSets()+63)/64)
 	c.rebuildDirtyLRU()
 }
 
@@ -743,7 +779,7 @@ func (c *Cache) noteLRU(si uint64) {
 
 // recomputeLRU sets set si's dirty-LRU bit from the set's lines.
 func (c *Cache) recomputeLRU(si uint64) {
-	set := c.sets[si]
+	set := c.set(si)
 	bit := uint64(1) << (si & 63)
 	if lru := lruWay(set); lru >= 0 && set[lru].dirty {
 		c.dirtyLRU[si>>6] |= bit
@@ -757,7 +793,7 @@ func (c *Cache) rebuildDirtyLRU() {
 	if c.dirtyLRU == nil {
 		return
 	}
-	for si := range c.sets {
+	for si := range c.numSets() {
 		c.recomputeLRU(uint64(si))
 	}
 }
@@ -781,7 +817,7 @@ func (c *Cache) DrainDirtyLRU(max int) []uint64 {
 	for wi := 0; wi < len(c.dirtyLRU) && len(out) < max; wi++ {
 		for w := c.dirtyLRU[wi]; w != 0 && len(out) < max; w &= w - 1 {
 			si := wi<<6 + bits.TrailingZeros64(w)
-			set := c.sets[si]
+			set := c.set(uint64(si))
 			lru := lruWay(set)
 			set[lru].dirty = false
 			out = append(out, set[lru].tag<<c.lineShift)
@@ -797,7 +833,7 @@ func (c *Cache) DrainDirtyLRU(max int) []uint64 {
 func (c *Cache) InvalidateLine(addr uint64) (present, dirty bool) {
 	la := c.LineAddr(addr)
 	si := c.setIndex(la)
-	set := c.sets[si]
+	set := c.set(si)
 	t := c.tag(la)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {

@@ -46,10 +46,8 @@ func (ch *Checker) noteEvict(lineAddr uint64, dirty bool) {
 // dirty-bit bug from the paper so tests can prove the checker
 // catches it.
 func (c *Cache) CorruptDirtyBits() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].dirty = false
-		}
+	for i := range c.lines {
+		c.lines[i].dirty = false
 	}
 	clear(c.dirtyLRU)
 }

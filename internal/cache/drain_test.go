@@ -14,11 +14,11 @@ import (
 // without clearing anything.
 func refDrainDirtyLRU(c *Cache, max int) []uint64 {
 	var out []uint64
-	for s := range c.sets {
+	for s := range c.numSets() {
 		if len(out) >= max {
 			break
 		}
-		set := c.sets[s]
+		set := c.set(uint64(s))
 		lru := -1
 		for w := range set {
 			if !set[w].valid {

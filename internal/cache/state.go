@@ -68,14 +68,12 @@ func (c *Cache) State(resolve func(any) (sim.OpRef, bool)) (State, error) {
 		PQRetryArm: c.pqRetryArm,
 		Stats:      c.stats,
 	}
-	st.Lines = make([]LineState, 0, len(c.sets)*len(c.sets[0]))
-	for _, set := range c.sets {
-		for i := range set {
-			ln := &set[i]
-			st.Lines = append(st.Lines, LineState{
-				Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty,
-				Prefetched: ln.prefetched, LastUse: ln.lastUse,
-			})
+	st.Lines = make([]LineState, len(c.lines))
+	for i := range c.lines {
+		ln := &c.lines[i]
+		st.Lines[i] = LineState{
+			Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty,
+			Prefetched: ln.prefetched, LastUse: ln.lastUse,
 		}
 	}
 	st.MSHRs = make([]MSHRState, len(c.mshrs))
@@ -127,19 +125,14 @@ func (c *Cache) State(resolve func(any) (sim.OpRef, bool)) (State, error) {
 // back to live sinks. Backing arrays (MSHR target slices, the prefetch
 // queue) are reused, so steady-state restores do not allocate.
 func (c *Cache) SetState(st State, resolve func(sim.OpRef) (any, bool)) error {
-	want := len(c.sets) * len(c.sets[0])
-	if len(st.Lines) != want {
-		return fmt.Errorf("cache %s: snapshot has %d lines, geometry needs %d", c.cfg.Name, len(st.Lines), want)
+	if len(st.Lines) != len(c.lines) {
+		return fmt.Errorf("cache %s: snapshot has %d lines, geometry needs %d", c.cfg.Name, len(st.Lines), len(c.lines))
 	}
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			ls := &st.Lines[k]
-			set[i] = line{
-				tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty,
-				prefetched: ls.Prefetched, lastUse: ls.LastUse,
-			}
-			k++
+	for i := range st.Lines {
+		ls := &st.Lines[i]
+		c.lines[i] = line{
+			tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty,
+			prefetched: ls.Prefetched, lastUse: ls.LastUse,
 		}
 	}
 	c.rebuildDirtyLRU()

@@ -22,6 +22,10 @@ type Cell struct {
 	// prefix is the warm-up prefix identity of Opts, rendered from the
 	// same canonical string as Key; zero when Opts has no warm-up.
 	prefix prefixID
+	// program is Opts.StreamCanonical, from the same rendering: cells
+	// that share it run the same workload program from the same point.
+	// Cells of one plan share the string.
+	program string
 }
 
 // prefixID is one warm-up prefix: its fingerprint, the checkpoint
@@ -135,8 +139,10 @@ func NewPlan(spec Spec) (*Plan, error) {
 	}
 
 	seen := map[string]bool{}
-	// Cells of one prefix group share one prefixID (and its string).
+	// Cells of one prefix group share one prefixID (and its string);
+	// cells of one program share one program string.
 	prefixes := map[string]prefixID{}
+	programs := map[string]string{}
 	idx := make([]int, len(e.axes))
 	for {
 		opts := spec.baseOptions()
@@ -160,8 +166,13 @@ func NewPlan(spec Spec) (*Plan, error) {
 		if err := opts.Validate(); err != nil {
 			return nil, fmt.Errorf("campaign: cell %s: %w", describeValues(values), err)
 		}
-		canon, prefix := opts.CanonicalForms()
-		cell := Cell{Index: len(p.Cells), Values: values, Opts: opts, Key: runner.CanonicalKey(canon)}
+		canon, prefix, stream := opts.CanonicalForms()
+		if s, ok := programs[stream]; ok {
+			stream = s
+		} else {
+			programs[stream] = stream
+		}
+		cell := Cell{Index: len(p.Cells), Values: values, Opts: opts, Key: runner.CanonicalKey(canon), program: stream}
 		if opts.Warmup > 0 {
 			id, ok := prefixes[prefix]
 			if !ok {

@@ -168,9 +168,7 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	s.emit(Event{Ev: EvStart, Cells: len(cells), Workers: workers})
 	stopStall := s.watchStalls()
 
-	if s.Warm != nil {
-		cells = s.Warm.prepare(cells, s.Interval > 0 && s.IntervalSink != nil)
-	}
+	cells, order := s.dispatchOrder(cells)
 
 	jobs := make(chan Cell)
 	var wg sync.WaitGroup
@@ -178,16 +176,16 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One machine arena per worker: checkpoint restores fully
-			// overwrite it, so cells of a prefix group reuse the same
-			// caches, calendar and window instead of reallocating.
-			var arena *warmArena
+			// One machine arena per worker: every build recycles the
+			// previous machine's cache storage, and warm cells of a
+			// prefix group restore into the same machine.
+			a := &arena{}
+			defer a.close()
 			if s.Warm != nil {
-				arena = s.Warm.newArena()
-				defer arena.drop()
+				s.Warm.track(a)
 			}
 			for cell := range jobs {
-				s.runCell(ctx, cell, arena, results)
+				s.runCell(ctx, cell, a, results)
 			}
 		}()
 	}
@@ -200,7 +198,8 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	fed := map[string]bool{}
 	var dups []Cell
 feed:
-	for _, c := range cells {
+	for _, i := range order {
+		c := cells[i]
 		if fed[c.Key] {
 			dups = append(dups, c)
 			continue
@@ -246,7 +245,7 @@ feed:
 // runCell executes one cell end to end on a worker goroutine.
 //
 //ml:worker
-func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, results map[string]CellResult) {
+func (s *Scheduler) runCell(ctx context.Context, cell Cell, a *arena, results map[string]CellResult) {
 	s.emit(Event{Ev: EvCellStart, Cell: cell})
 	if s.OnStart != nil {
 		s.OnStart(cell)
@@ -293,7 +292,7 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, re
 	for {
 		ivs = ivs[:0] // a retried attempt starts a fresh series
 		t0 := time.Now()
-		full, warm, err = s.simulate(ctx, cell, opts, arena)
+		full, warm, err = s.simulate(ctx, cell, opts, a)
 		wall = time.Since(t0)
 		if err == nil {
 			break
@@ -354,7 +353,7 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, arena *warmArena, re
 // failure with its stack — the cell fails, the campaign continues.
 // warm reports whether the attempt was served from a warm-state
 // checkpoint instead of a cold run.
-func (s *Scheduler) simulate(ctx context.Context, cell Cell, opts runner.Options, arena *warmArena) (full runner.Result, warm bool, err error) {
+func (s *Scheduler) simulate(ctx context.Context, cell Cell, opts runner.Options, a *arena) (full runner.Result, warm bool, err error) {
 	cctx := ctx
 	if s.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -379,10 +378,10 @@ func (s *Scheduler) simulate(ctx context.Context, cell Cell, opts runner.Options
 		case <-cctx.Done():
 		}
 	}
-	if full, ok := s.warmAttempt(cctx, cell, opts, arena); ok {
+	if full, ok := s.warmAttempt(cctx, cell, opts, a); ok {
 		return full, true, nil
 	}
-	full, err = runner.RunContext(cctx, opts)
+	full, err = a.cold(cctx, opts)
 	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
 		// The cell's own deadline cut it, not campaign cancellation.
 		err = &CellError{Kind: KindTimeout, Msg: fmt.Sprintf("cell exceeded deadline %v", s.CellTimeout)}

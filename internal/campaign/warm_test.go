@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -253,28 +254,20 @@ func dispatchSpec() Spec {
 	}
 }
 
-// The dispatch order from prepare is a permutation of the plan that
-// starts every group's first cell in plan order, runs each group's
-// remaining cells back to back, and leaves cold cells in plan order.
+// The dispatch order is a permutation of the plan that starts every
+// group's first cell in plan order, runs each group's remaining cells
+// back to back, and runs the cold cells of each program back to back.
 func TestWarmDispatchOrder(t *testing.T) {
 	plan, err := NewPlan(dispatchSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := NewWarm(nil)
-	order := w.prepare(plan.Cells, false)
-	if len(order) != len(plan.Cells) {
-		t.Fatalf("dispatch order has %d cells, plan %d", len(order), len(plan.Cells))
-	}
-	seen := map[int]bool{}
-	for _, c := range order {
-		if seen[c.Index] {
-			t.Fatalf("cell %d dispatched twice", c.Index)
-		}
-		seen[c.Index] = true
-	}
+	order := dispatched(&Scheduler{Warm: w}, plan.Cells)
+	checkPermutation(t, plan.Cells, order)
 
-	var cold, firsts []int
+	var cold []Cell
+	var firsts []int
 	started := map[string]bool{}
 	restRun := map[string][2]int{} // group -> [first, last] position of its non-first cells
 	firstRestPos := -1
@@ -282,7 +275,7 @@ func TestWarmDispatchOrder(t *testing.T) {
 		k := w.key(c, false)
 		switch {
 		case k == "":
-			cold = append(cold, c.Index)
+			cold = append(cold, c)
 			if firstRestPos >= 0 {
 				t.Fatalf("cold cell %d dispatched after a group's remaining cells", c.Index)
 			}
@@ -309,24 +302,135 @@ func TestWarmDispatchOrder(t *testing.T) {
 	if len(cold) != 12 || len(firsts) != 4 || len(restRun) != 4 {
 		t.Fatalf("want 12 cold cells and 4 groups, got %d cold, %d firsts, %d groups", len(cold), len(firsts), len(restRun))
 	}
-	for _, idx := range [][]int{cold, firsts} {
-		if !sort.IntsAreSorted(idx) {
-			t.Fatalf("cells reordered within the first pass: %v", idx)
-		}
+	if !sort.IntsAreSorted(firsts) {
+		t.Fatalf("group first cells reordered: %v", firsts)
 	}
+	checkProgramRuns(t, order, cold)
 
 	// Sampled runs are all cold: plan order is kept as is.
-	for i, c := range w.prepare(plan.Cells, true) {
+	sampled := &Scheduler{Warm: w, Interval: 100, IntervalSink: func(Cell, []telemetry.Interval) {}}
+	for i, c := range dispatched(sampled, plan.Cells) {
 		if c.Index != plan.Cells[i].Index {
 			t.Fatalf("sampled dispatch reordered cell %d", c.Index)
 		}
 	}
 }
 
+// dispatched returns the cells in the scheduler's dispatch order.
+func dispatched(s *Scheduler, cells []Cell) []Cell {
+	cells, order := s.dispatchOrder(cells)
+	out := make([]Cell, len(order))
+	for j, i := range order {
+		out[j] = cells[i]
+	}
+	return out
+}
+
+// checkPermutation fails unless order holds exactly the cells of plan.
+func checkPermutation(t *testing.T, plan, order []Cell) {
+	t.Helper()
+	if len(order) != len(plan) {
+		t.Fatalf("dispatch order has %d cells, plan %d", len(order), len(plan))
+	}
+	n := map[int]int{}
+	for _, c := range plan {
+		n[c.Index]++
+	}
+	for _, c := range order {
+		if n[c.Index]--; n[c.Index] < 0 {
+			t.Fatalf("cell %d dispatched more often than planned", c.Index)
+		}
+	}
+}
+
+// checkProgramRuns fails unless the cold cells (in dispatch order)
+// of each program sit next to each other in order, programs come in
+// the order of their first cell in the plan, and each program's cells
+// keep plan order.
+func checkProgramRuns(t *testing.T, order, cold []Cell) {
+	t.Helper()
+	at := func(c Cell) int {
+		for i := range order {
+			if order[i].Index == c.Index && order[i].Key == c.Key {
+				return i
+			}
+		}
+		return -1
+	}
+	last := map[string]int{} // program -> position of its latest cell
+	prevFirst := -1
+	for _, c := range cold {
+		p, i := c.program, at(c)
+		if j, ok := last[p]; ok {
+			if i != j+1 {
+				t.Fatalf("cell %d of program %q is not next to the program's other cells", c.Index, p)
+			}
+			if order[j].Index > c.Index {
+				t.Fatalf("cells %d and %d of one program left plan order", order[j].Index, c.Index)
+			}
+		} else {
+			if c.Index < prevFirst {
+				t.Fatalf("program of cell %d runs before a program that appears earlier in the plan", c.Index)
+			}
+			prevFirst = c.Index
+		}
+		last[p] = i
+	}
+	if len(last) < 2 {
+		t.Fatalf("want cold cells of several programs, got %d", len(last))
+	}
+}
+
+// A cold plan whose programs (benchmark × seed) interleave in plan
+// order is dispatched one program at a time; copies of a fingerprint
+// keep their relative order, and a sampled run keeps plan order.
+func TestDispatchOrderGroupsPrograms(t *testing.T) {
+	spec := dispatchSpec()
+	spec.Warmups = []uint64{0}
+	spec.Mechanisms = []string{"Base", "TP"}
+	plan, err := NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Cells[0].program == plan.Cells[1].program {
+		t.Fatal("plan order must interleave programs for this test to mean anything")
+	}
+	// Duplicate copies of two cells, as a cross-scenario repeat would
+	// leave them: each copy carries its original's index and key.
+	cells := append(slices.Clone(plan.Cells), plan.Cells[5], plan.Cells[0])
+	for i := len(plan.Cells); i < len(cells); i++ {
+		cells[i].Index = i
+	}
+	for _, s := range []*Scheduler{{}, {Warm: NewWarm(nil)}} {
+		order := dispatched(s, cells)
+		checkPermutation(t, cells, order)
+		checkProgramRuns(t, order, order)
+		for _, k := range []string{plan.Cells[5].Key, plan.Cells[0].Key} {
+			var idx []int
+			for _, c := range order {
+				if c.Key == k {
+					idx = append(idx, c.Index)
+				}
+			}
+			if len(idx) != 2 || idx[0] > idx[1] {
+				t.Fatalf("copies of %s dispatched as %v, want plan order", k, idx)
+			}
+		}
+		sampled := &Scheduler{Warm: s.Warm, Interval: 100, IntervalSink: func(Cell, []telemetry.Interval) {}}
+		for i, c := range dispatched(sampled, cells) {
+			if c.Index != cells[i].Index {
+				t.Fatalf("sampled dispatch reordered cell %d", c.Index)
+			}
+		}
+	}
+}
+
 // One worker, 2 benchmarks × 2 seeds × 3 budgets: the dispatch order
-// keeps the worker's arena on one group for runs of cells, so no group
-// builds its machine more than twice (once for its first cell, once
-// for the rest), and the results equal a cold campaign's.
+// keeps the worker's arena on one group for runs of cells, and each
+// group's prefix capture runs on the arena's machine, which its first
+// cell then restores into. So no group builds more than two machines,
+// prefix capture included (the capture, then one for the rest), and
+// the results equal a cold campaign's.
 func TestWarmArenaBuildsPerGroup(t *testing.T) {
 	spec := warmSpec()
 	spec.Mechanisms = []string{"Base"}
@@ -350,7 +454,7 @@ func TestWarmArenaBuildsPerGroup(t *testing.T) {
 	}
 	for k, n := range builds {
 		if n > 2 {
-			t.Fatalf("group %s built its arena machine %d times, want <= 2", k, n)
+			t.Fatalf("group %s built %d machines (prefix capture included), want <= 2", k, n)
 		}
 	}
 }

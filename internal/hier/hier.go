@@ -226,6 +226,23 @@ type Hierarchy struct {
 
 // Build wires the hierarchy on the engine.
 func Build(eng *sim.Engine, cfg Config) *Hierarchy {
+	return BuildRecycling(eng, cfg, Storage{})
+}
+
+// Storage is the line arrays of a hierarchy's caches, by level,
+// detached by TakeStorage for a later BuildRecycling.
+type Storage struct{ L1D, L1I, L2 cache.Storage }
+
+// TakeStorage detaches every cache's line array. The hierarchy must
+// not be used again.
+func (h *Hierarchy) TakeStorage() Storage {
+	return Storage{h.L1D.TakeStorage(), h.L1I.TakeStorage(), h.L2.TakeStorage()}
+}
+
+// BuildRecycling is Build, except that each cache reuses the line
+// array of the same level of spare where the geometry allows (see
+// cache.NewRecycling).
+func BuildRecycling(eng *sim.Engine, cfg Config, spare Storage) *Hierarchy {
 	h := &Hierarchy{Eng: eng}
 	h.L1Bus = bus.New("l1l2", cfg.L1BusBytes, cfg.L1BusCPUCycles)
 	h.FSB = bus.New("fsb", cfg.FSBBytes, cfg.FSBCPUCycles)
@@ -249,12 +266,12 @@ func Build(eng *sim.Engine, cfg Config) *Hierarchy {
 		h.memBack = &memBackend{eng: eng, fsb: h.FSB, m: h.Mem, lineSize: uint64(cfg.L2.LineSize)}
 		l2Back = h.memBack
 	}
-	h.L2 = cache.New(eng, cfg.L2, l2Back)
+	h.L2 = cache.NewRecycling(eng, cfg.L2, l2Back, spare.L2)
 
 	l1Back := &l2Backend{eng: eng, bus: h.L1Bus, l2: h.L2}
 	h.l1dBack = &l1DataBackend{l2Backend: l1Back, lineSize: uint64(cfg.L1D.LineSize)}
 	h.l1iBack = &l1DataBackend{l2Backend: l1Back, lineSize: uint64(cfg.L1I.LineSize)}
-	h.L1D = cache.New(eng, cfg.L1D, h.l1dBack)
-	h.L1I = cache.New(eng, cfg.L1I, h.l1iBack)
+	h.L1D = cache.NewRecycling(eng, cfg.L1D, h.l1dBack, spare.L1D)
+	h.L1I = cache.NewRecycling(eng, cfg.L1I, h.l1iBack, spare.L1I)
 	return h
 }

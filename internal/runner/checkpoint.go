@@ -265,23 +265,42 @@ func (m *Machine) restoreState(st *MachineState) error {
 // checkpoint serves RunFromCheckpoint for any options sharing the
 // prefix fingerprint whose measured budget exceeds MinInsts.
 func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
+	ck, m, err := RunPrefixOn(ctx, opts, nil)
+	if m != nil {
+		m.Close()
+	}
+	return ck, err
+}
+
+// RunPrefixOn is RunPrefixContext on a machine built from spare's cache
+// storage, with spare as for RunOn. On success it also returns that
+// machine, holding exactly the captured state and wired for checkpoint
+// restores of this prefix: restoring the checkpoint into it is a full
+// overwrite, so its first restore costs no build. The caller owns the
+// machine and must Close it. On failure the machine is closed and nil.
+func RunPrefixOn(ctx context.Context, opts Options, spare *Machine) (*Checkpoint, *Machine, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.Insts == 0 {
 		opts.Insts = defaultInsts
 	}
 	if opts.Warmup == 0 {
-		return nil, fmt.Errorf("runner: a warm-state checkpoint needs Warmup > 0")
+		return nil, nil, fmt.Errorf("runner: a warm-state checkpoint needs Warmup > 0")
 	}
-	m, err := newMachine(ctx, opts, true, false)
+	m, err := newMachine(ctx, opts, true, true, spare)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer m.Close()
+	kept := false
+	defer func() {
+		if !kept { // also on a panic
+			m.Close()
+		}
+	}()
 
 	ck := &Checkpoint{Version: CheckpointVersion, Prefix: opts.PrefixCanonical()}
 	m.host.SetWarmup(opts.Warmup, func(cycles uint64) { ck.Warm = m.warmStats(cycles) })
@@ -299,25 +318,27 @@ func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
 	}
 	if cres.Insts < opts.Warmup {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if m.traceDone != nil {
 			if err := m.traceDone(); err != nil {
-				return nil, fmt.Errorf("runner: %s: %w", opts.Workload.TracePath, err)
+				return nil, nil, fmt.Errorf("runner: %s: %w", opts.Workload.TracePath, err)
 			}
 		}
-		return nil, fmt.Errorf("runner: stream ended after %d of %d warm-up instructions (skip=%d)",
+		return nil, nil, fmt.Errorf("runner: stream ended after %d of %d warm-up instructions (skip=%d)",
 			cres.Insts, opts.Warmup, opts.Skip)
 	}
 	st, err := m.captureState()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ck.Machine = st
 	if st.OoO != nil {
 		ck.MinInsts = st.OoO.Fetched - opts.Warmup
 	}
-	return ck, nil
+	m.prefix = ck.Prefix
+	kept = true
+	return ck, m, nil
 }
 
 // NewCheckpointMachine builds a machine wired for checkpoint restores:
@@ -326,13 +347,19 @@ func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
 // group and restores into it for every cell, so the arena — cache
 // arrays, calendar nodes, window slots — is paid for once.
 func NewCheckpointMachine(ctx context.Context, opts Options) (*Machine, error) {
+	return NewCheckpointMachineOn(ctx, opts, nil)
+}
+
+// NewCheckpointMachineOn is NewCheckpointMachine on a machine built
+// from spare's cache storage, with spare as for RunOn.
+func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine) (*Machine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Insts == 0 {
 		opts.Insts = defaultInsts
 	}
-	m, err := newMachine(ctx, opts, false, true)
+	m, err := newMachine(ctx, opts, false, true, spare)
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +504,7 @@ func RunWithStreamContext(ctx context.Context, opts Options, sc *StreamCheckpoin
 	if key := opts.StreamCanonical(); sc.Key != key {
 		return Result{}, fmt.Errorf("runner: stream checkpoint key mismatch: %w", ErrCheckpointUnusable)
 	}
-	m, err := newMachine(ctx, opts, false, false)
+	m, err := newMachine(ctx, opts, false, false, nil)
 	if err != nil {
 		return Result{}, err
 	}

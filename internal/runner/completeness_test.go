@@ -50,13 +50,14 @@ var snapshotCoverage = []struct {
 	},
 	{
 		typ: cache.Cache{},
-		serialized: []string{"sets", "useTick", "stallUntil", "portCycle", "portsUsed",
+		serialized: []string{"lines", "useTick", "stallUntil", "portCycle", "portsUsed",
 			"mshrs", "mshrsIn", "pq", "pqHead", "pqRetryArm", "stats"},
 		exempt: map[string]string{
 			"cfg":              "configuration, reproduced by reconstruction",
 			"eng":              "wiring, reproduced by reconstruction",
 			"backend":          "wiring, reproduced by reconstruction",
 			"setMask":          "derived from configuration at construction",
+			"ways":             "derived from configuration at construction",
 			"lineShift":        "derived from configuration at construction",
 			"prefetchAsDemand": "configuration flag applied at machine build",
 			"accessObs":        "observer wiring, re-attached by the mechanism at construction",

@@ -28,6 +28,21 @@ const FingerprintVersion = 2
 // Params keys sorted. Two Options values that would simulate the
 // same system produce the same canonical string.
 func (o Options) Canonical() string {
+	c, _ := o.render()
+	return c
+}
+
+// marks locate what the derived canonical forms need in a rendered
+// canonical form: the workload identity and normalized seed as
+// rendered, and the offsets of the measured-budget segment.
+type marks struct {
+	bench         string
+	seed          uint64
+	insts, warmup int
+}
+
+// render builds the canonical form and its marks in one pass.
+func (o Options) render() (string, marks) {
 	mech := o.Mechanism
 	if mech == "" {
 		mech = BaseName
@@ -43,17 +58,10 @@ func (o Options) Canonical() string {
 	}
 	sort.Strings(keys)
 
-	// A custom workload's identity is its content — the canonical
-	// profile serialization or the trace file's hash — never the
-	// Bench label or the file path: two custom workloads can only
-	// share a fingerprint by being the same workload.
-	bench := o.Bench
-	if o.Workload != nil {
-		bench = o.Workload.identity()
-	}
-
+	var m marks
+	m.bench, m.seed = o.identity()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "v%d|bench=%s|mech=%s|params={", FingerprintVersion, bench, mech)
+	fmt.Fprintf(&sb, "v%d|bench=%s|mech=%s|params={", FingerprintVersion, m.bench, mech)
 	for i, k := range keys {
 		if i > 0 {
 			sb.WriteByte(',')
@@ -62,18 +70,31 @@ func (o Options) Canonical() string {
 	}
 	// Hier and CPU are plain value structs (no maps or pointers), so
 	// their %+v rendering is deterministic.
-	// A trace replays fixed bytes; the seed never reaches it, so it
-	// is normalized out — rerunning a trace cell under a different
-	// seed list still hits the cache.
-	seed := o.Seed
-	if o.Workload != nil && o.Workload.TracePath != "" {
-		seed = 0
-	}
-
 	fmt.Fprintf(&sb, "}|hier=%+v|cpu=%+v", o.Hier, o.CPU)
-	fmt.Fprintf(&sb, "|insts=%d|warmup=%d|skip=%d|seed=%d|inorder=%t|queue=%d|pfd=%t",
-		insts, o.Warmup, o.Skip, seed, o.InOrder, o.QueueOverride, o.PrefetchAsDemand)
-	return sb.String()
+	m.insts = sb.Len()
+	fmt.Fprintf(&sb, "|insts=%d", insts)
+	m.warmup = sb.Len()
+	fmt.Fprintf(&sb, "|warmup=%d|skip=%d|seed=%d|inorder=%t|queue=%d|pfd=%t",
+		o.Warmup, o.Skip, m.seed, o.InOrder, o.QueueOverride, o.PrefetchAsDemand)
+	return sb.String(), m
+}
+
+// identity returns the workload identity and the seed as the canonical
+// forms render them. A custom workload's identity is its content — the
+// canonical profile serialization or the trace file's hash — never the
+// Bench label or the file path: two custom workloads can only share a
+// fingerprint by being the same workload. A trace replays fixed bytes;
+// the seed never reaches it, so it is normalized out — rerunning a
+// trace cell under a different seed list still hits the cache.
+func (o Options) identity() (bench string, seed uint64) {
+	bench, seed = o.Bench, o.Seed
+	if o.Workload != nil {
+		bench = o.Workload.identity()
+		if o.Workload.TracePath != "" {
+			seed = 0
+		}
+	}
+	return bench, seed
 }
 
 // CanonicalKey is the fingerprinting hash: a stable 32-hex-digit key
@@ -100,25 +121,23 @@ func (o Options) Fingerprint() string {
 // machine states at the warm-up boundary, which is what makes a warm
 // checkpoint captured under one valid for the other.
 func (o Options) PrefixCanonical() string {
-	return prefixOf(o.Canonical())
+	c, m := o.render()
+	return m.prefix(c)
 }
 
-// CanonicalForms returns Canonical and PrefixCanonical from a single
-// rendering of the options. Callers that need both — a campaign plan
-// fingerprints every cell and groups it by warm-up prefix — pay for
-// one formatting pass instead of two.
-func (o Options) CanonicalForms() (canonical, prefix string) {
-	c := o.Canonical()
-	return c, prefixOf(c)
+// CanonicalForms returns Canonical, PrefixCanonical and
+// StreamCanonical from a single rendering of the options. Callers that
+// need them all — a campaign plan fingerprints every cell, groups it
+// by warm-up prefix and by program — pay for one formatting pass
+// instead of three.
+func (o Options) CanonicalForms() (canonical, prefix, stream string) {
+	c, m := o.render()
+	return c, m.prefix(c), streamForm(m.bench, m.seed, o.Skip)
 }
 
-// prefixOf masks the measured budget out of a canonical form. The form
-// is pipe-delimited and %+v renders no pipes, so the budget segment is
-// located unambiguously.
-func prefixOf(c string) string {
-	i := strings.Index(c, "|insts=")
-	j := i + strings.Index(c[i:], "|warmup=")
-	return c[:i] + "|insts=*" + c[j:]
+// prefix masks the measured budget out of the canonical form c.
+func (m marks) prefix(c string) string {
+	return c[:m.insts] + "|insts=*" + c[m.warmup:]
 }
 
 // PrefixFingerprint is the warm-checkpoint grouping key: the campaign
@@ -134,15 +153,13 @@ func (o Options) PrefixFingerprint() string {
 // parameter enters it — the skipped stream is consumed without
 // simulation, so one cursor serves every machine configuration.
 func (o Options) StreamCanonical() string {
-	bench := o.Bench
-	seed := o.Seed
-	if o.Workload != nil {
-		bench = o.Workload.identity()
-		if o.Workload.TracePath != "" {
-			seed = 0
-		}
-	}
-	return fmt.Sprintf("v%d|stream|bench=%s|seed=%d|skip=%d", FingerprintVersion, bench, seed, o.Skip)
+	bench, seed := o.identity()
+	return streamForm(bench, seed, o.Skip)
+}
+
+// streamForm renders StreamCanonical from its parts.
+func streamForm(bench string, seed, skip uint64) string {
+	return fmt.Sprintf("v%d|stream|bench=%s|seed=%d|skip=%d", FingerprintVersion, bench, seed, skip)
 }
 
 // StreamFingerprint is the stream-checkpoint grouping key.

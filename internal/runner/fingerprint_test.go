@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"microlib/internal/core"
+	"microlib/internal/workload"
 )
 
 func TestFingerprintStable(t *testing.T) {
@@ -121,5 +122,27 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("simulation did not stop after cancellation")
+	}
+}
+
+// CanonicalForms renders once and slices out the prefix and stream
+// forms; each must equal its own rendering, also for a workload whose
+// identity text mimics the canonical form's separators.
+func TestCanonicalFormsMatchRenderings(t *testing.T) {
+	base := DefaultOptions("gzip", "GHB")
+	base.Skip = 1234
+	prof, _ := workload.ByName("mcf")
+	prof.Name = "odd|mech=TP|params={}|skip=9|seed=9"
+	odd := base
+	odd.Workload = &Workload{Profile: &prof}
+	odd.Seed = 77
+	trace := base
+	trace.Workload = &Workload{TracePath: "x.mlt", TraceSHA: "abc"}
+	for _, o := range []Options{base, odd, trace} {
+		c, p, s := o.CanonicalForms()
+		if c != o.Canonical() || p != o.PrefixCanonical() || s != o.StreamCanonical() {
+			t.Fatalf("forms of %s:\nprefix %s\nwant   %s\nstream %s\nwant   %s",
+				c, p, o.PrefixCanonical(), s, o.StreamCanonical())
+		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 // instruction source and host core. RunContext builds one per call;
 // the warm-state checkpoint paths build them explicitly so a prefix
 // can be captured once and the measurement phase forked per cell —
-// restoring into a reused Machine rather than reconstructing.
+// restoring into a reused Machine rather than reconstructing. The *On
+// entry points (RunOn, RunPrefixOn, NewCheckpointMachineOn) build
+// each machine from a spare one's cache storage, so a caller running
+// cells one after another allocates the cache arrays once.
 type Machine struct {
 	opts Options
 	eng  *sim.Engine
@@ -50,7 +53,18 @@ type Machine struct {
 // snapshot instead. alwaysCancel forces the cancellation wrap even
 // under an uncancelable context, so a machine reused across cells can
 // swap in each cell's own (possibly deadlined) context later.
-func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool) (*Machine, error) {
+//
+// spare, when non-nil, is a machine its owner has finished with: the
+// new caches take its line arrays where the geometry matches (see
+// hier.BuildRecycling), so spare must not run again. Everything else is
+// built fresh. The arrays are detached first, so nothing else of spare
+// — its program image in particular — is kept reachable while this
+// machine opens its workload.
+func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool, spare *Machine) (*Machine, error) {
+	var storage hier.Storage
+	if spare != nil {
+		storage = spare.h.TakeStorage()
+	}
 	m := &Machine{opts: opts}
 
 	// Resolve the instruction source: a built-in benchmark, an inline
@@ -83,7 +97,7 @@ func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool)
 	}
 
 	m.eng = sim.NewEngine()
-	m.h = hier.Build(m.eng, opts.Hier)
+	m.h = hier.BuildRecycling(m.eng, opts.Hier, storage)
 
 	env := &core.Env{Eng: m.eng, L1D: m.h.L1D, L2: m.h.L2}
 	if m.oracle != nil {

@@ -124,21 +124,34 @@ func Run(opts Options) (Result, error) {
 // within a few thousand simulated instructions of ctx being canceled
 // and RunContext returns ctx's error instead of a partial Result.
 func RunContext(ctx context.Context, opts Options) (Result, error) {
+	res, _, err := RunOn(ctx, opts, nil)
+	return res, err
+}
+
+// RunOn is RunContext on a machine built from spare's cache storage.
+// spare may be nil; otherwise it is a machine the caller has finished
+// with, whose cache line arrays the new machine takes, so it must not
+// run again. RunOn also returns the machine it ran on, closed, even
+// when the run failed, for the caller to pass as the next call's
+// spare; it is nil when none was built. The Result's Mech belongs to
+// that machine, so it is only valid until the machine is recycled.
+func RunOn(ctx context.Context, opts Options, spare *Machine) (Result, *Machine, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if err := opts.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if opts.Insts == 0 {
 		opts.Insts = defaultInsts
 	}
-	m, err := newMachine(ctx, opts, true, false)
+	m, err := newMachine(ctx, opts, true, false, spare)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	defer m.Close()
-	return m.runMeasured(ctx, opts)
+	res, err := m.runMeasured(ctx, opts)
+	return res, m, err
 }
 
 // cancelStream ends the instruction stream shortly after its context

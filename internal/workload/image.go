@@ -1,8 +1,9 @@
 package workload
 
 import (
-	"encoding/binary"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"weak"
@@ -43,62 +44,101 @@ type program struct {
 	words int
 }
 
-// images is the process-wide table of live program images, keyed by
-// the profile's canonical JSON followed by the seed's eight bytes.
+// imageKey files an image in the table under its profile's name and
+// its seed. Distinct profiles may share a name (an inline profile
+// named like a built-in, a sweep of variants); the lookup tells them
+// apart by comparing whole profiles, which costs no allocation, where
+// rendering a canonical form would cost one per pattern.
+type imageKey struct {
+	name string
+	seed uint64
+}
+
+// images is the process-wide table of live program images.
 var images = struct {
 	sync.Mutex
-	m map[string]weak.Pointer[program]
-}{m: map[string]weak.Pointer[program]{}}
+	m map[imageKey][]weak.Pointer[program]
+}{m: map[imageKey][]weak.Pointer[program]{}}
 
 // lookupProgram returns the live image of (prof, seed), building and
-// registering it on a miss. A profile without a canonical form (one
-// Validate rejects) is built privately, so NewGenerator's panics and
-// behavior on such profiles are unchanged.
+// registering it on a miss. A profile Validate rejects is built
+// privately, so NewGenerator's panics and behavior on such profiles
+// are unchanged.
 func lookupProgram(prof Profile, seed uint64) *program {
-	key, ok := imageKey(prof, seed)
-	if !ok {
-		return buildProgram(prof, seed)
-	}
+	k := imageKey{prof.Name, seed}
 	images.Lock()
-	pr := images.m[string(key)].Value()
+	pr := liveImage(k, &prof)
 	images.Unlock()
 	if pr != nil {
 		return pr
 	}
+	if prof.Validate() != nil {
+		return buildProgram(prof, seed)
+	}
 	// Build outside the lock so workers building different programs
-	// do not serialize; two concurrent builds of one key keep the
+	// do not serialize; two concurrent builds of one program keep the
 	// first registered image and drop the other.
 	pr = buildProgram(prof, seed)
-	k := string(key)
 	images.Lock()
 	defer images.Unlock()
-	if live := images.m[k].Value(); live != nil {
+	if live := liveImage(k, &prof); live != nil {
 		return live
 	}
-	images.m[k] = weak.Make(pr)
-	runtime.AddCleanup(pr, forgetImage, k)
+	images.m[k] = append(images.m[k], weak.Make(pr))
+	runtime.AddCleanup(pr, forgetImages, k)
 	return pr
 }
 
-// imageKey is the table key of (prof, seed); ok is false for a profile
-// without a canonical form.
-func imageKey(prof Profile, seed uint64) (key []byte, ok bool) {
-	data, err := prof.CanonicalJSON()
-	if err != nil {
-		return nil, false
+// liveImage returns the live image filed under k whose profile equals
+// prof, or nil. The caller holds the table's lock.
+func liveImage(k imageKey, prof *Profile) *program {
+	for _, wp := range images.m[k] {
+		if pr := wp.Value(); pr != nil && pr.prof.sameAs(prof) {
+			return pr
+		}
 	}
-	return binary.LittleEndian.AppendUint64(data, seed), true
+	return nil
 }
 
-// forgetImage drops a collected image's key. A key re-registered by a
-// later build holds a live image and is kept.
-func forgetImage(k string) {
+// forgetImages drops k's collected images, and k once none is left.
+func forgetImages(k imageKey) {
 	images.Lock()
-	if images.m[k].Value() == nil {
+	live := images.m[k][:0]
+	for _, wp := range images.m[k] {
+		if wp.Value() != nil {
+			live = append(live, wp)
+		}
+	}
+	if len(live) == 0 {
 		delete(images.m, k)
+	} else {
+		images.m[k] = live
 	}
 	images.Unlock()
 }
+
+// sameAs reports whether p and q describe the same program: every
+// field equal, floats bit for bit, so two profiles only share an image
+// when buildProgram could not tell them apart.
+func (p *Profile) sameAs(q *Profile) bool {
+	return p.Name == q.Name && p.FP == q.FP &&
+		sameFloat(p.LoadFrac, q.LoadFrac) && sameFloat(p.StoreFrac, q.StoreFrac) &&
+		sameFloat(p.BranchFrac, q.BranchFrac) && sameFloat(p.Mispredict, q.Mispredict) &&
+		p.CodeKB == q.CodeKB && p.BlockLen == q.BlockLen &&
+		sameFloat(p.DepMean, q.DepMean) && sameFloat(p.FVProb, q.FVProb) &&
+		slices.EqualFunc(p.Patterns, q.Patterns, func(a, b PatternSpec) bool {
+			return a.Kind == b.Kind && a.Size == b.Size && a.Stride == b.Stride &&
+				a.InnerSteps == b.InnerSteps && a.Jump == b.Jump &&
+				a.NodeSize == b.NodeSize && a.PtrOff == b.PtrOff && a.Decoys == b.Decoys &&
+				slices.Equal(a.Fields, b.Fields) && a.Chains == b.Chains && a.Serial == b.Serial &&
+				a.TourLines == b.TourLines && sameFloat(a.FVProb, b.FVProb)
+		}) &&
+		slices.EqualFunc(p.Phases, q.Phases, func(a, b PhaseSpec) bool {
+			return a.Len == b.Len && slices.EqualFunc(a.Weights, b.Weights, sameFloat)
+		})
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // clone returns a deep copy of the profile.
 func (p Profile) clone() Profile {

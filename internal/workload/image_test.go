@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -143,14 +144,10 @@ func TestSharedImageIsolatedFromCaller(t *testing.T) {
 func TestImageReleasedWhenUnused(t *testing.T) {
 	prof, _ := ByName("gzip")
 	const seed = 0x5eed_f00d
-	key, ok := imageKey(prof, seed)
-	if !ok {
-		t.Fatal("built-in profile has no canonical form")
-	}
 	registered := func() bool {
 		images.Lock()
 		defer images.Unlock()
-		_, ok := images.m[string(key)]
+		_, ok := images.m[imageKey{prof.Name, seed}]
 		return ok
 	}
 
@@ -167,4 +164,58 @@ func TestImageReleasedWhenUnused(t *testing.T) {
 		t.Fatal("an image no generator uses was never released")
 	}
 	sameStream(t, NewGenerator(prof, seed), privateGenerator(prof, seed), 50_000)
+}
+
+// TestProfileSameAsEveryField: the image lookup compares whole
+// profiles, so changing any one field — a scalar, a slice element or a
+// slice's length — must make the profiles differ, and a deep copy must
+// not.
+func TestProfileSameAsEveryField(t *testing.T) {
+	base, _ := ByName("ammp")
+	base.Patterns[0].Fields = []uint64{0, 8}
+	if c := base.clone(); !base.sameAs(&c) {
+		t.Fatal("a deep copy differs from its original")
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+			return
+		case reflect.Slice:
+			if v.Len() == 0 {
+				t.Fatalf("%s: empty in the test profile, so it is not probed", path)
+			}
+			walk(v.Index(0), path+"[0]")
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.Slice:
+			v.Set(v.Slice(0, v.Len()-1))
+		default:
+			t.Fatalf("%s: kind %s not probed", path, v.Kind())
+		}
+		changed := base.clone()
+		v.Set(old)
+		if base.sameAs(&changed) {
+			t.Errorf("%s: changing it leaves the profile the same", path)
+		}
+	}
+	walk(reflect.ValueOf(&base).Elem(), "Profile")
+	if zero, neg := (Profile{}), (Profile{LoadFrac: math.Copysign(0, -1)}); zero.sameAs(&neg) {
+		t.Error("0 and -0 compare the same")
+	}
 }
