@@ -116,8 +116,9 @@ func (r Reason) String() string {
 // core) may jump its clock straight to RetryAt — or, for event-bound
 // refusals, to the next calendar event — instead of polling every
 // cycle: refused attempts have no side effects beyond reject
-// counters, so the acceptance cycle is identical either way (the
-// oracle property test in refusal_test.go pins this).
+// counters and aux probers' probe counts, so the acceptance cycle is
+// identical either way (the oracle property test in refusal_test.go
+// pins this).
 type Refusal struct {
 	Reason Reason
 	// RetryAt is the exact earliest cycle a retry can be accepted for
@@ -220,6 +221,10 @@ type Cache struct {
 	drainBuf []uint64
 
 	stats Stats
+	// probed counts the refused primary misses, each of which
+	// consulted every prober first; a replaying core reads it only as
+	// a delta (Rejects.Probed).
+	probed uint64
 }
 
 type prefetchReq struct {
@@ -292,36 +297,38 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Stats().Accesses without copying the whole counter block.
 func (c *Cache) Accesses() uint64 { return c.stats.Accesses }
 
-// Rejects is the refusal counters alone, by reason.
-type Rejects struct{ Port, Stall, MSHR uint64 }
+// Rejects is the refusal counters alone, by reason, plus Probed: the
+// refused primary misses, which probed every aux prober (each missed)
+// before the MSHR check refused them.
+type Rejects struct{ Port, Stall, MSHR, Probed uint64 }
 
 // Rejects returns the refusal counters.
 func (c *Cache) Rejects() Rejects {
-	return Rejects{c.stats.RejectPort, c.stats.RejectStall, c.stats.RejectMSHR}
+	return Rejects{c.stats.RejectPort, c.stats.RejectStall, c.stats.RejectMSHR, c.probed}
 }
 
-// AddRejects charges n repeats of the refusal counts d. A host core
-// that jumps over a run of identical refused cycles charges them here,
-// so the counters equal those of stepping every cycle.
+// AddRejects charges n repeats of the refusal counts d, including
+// n*d.Probed missing probes to every aux prober. A host core that
+// jumps over a run of identical refused cycles charges them here, so
+// the counters equal those of stepping every cycle.
 func (c *Cache) AddRejects(d Rejects, n uint64) {
 	c.stats.RejectPort += n * d.Port
 	c.stats.RejectStall += n * d.Stall
 	c.stats.RejectMSHR += n * d.MSHR
+	c.probed += n * d.Probed
+	for _, p := range c.probers {
+		p.RepeatMisses(n * d.Probed)
+	}
 }
 
 // Sub returns the counter deltas r - prev.
 func (r Rejects) Sub(prev Rejects) Rejects {
-	return Rejects{r.Port - prev.Port, r.Stall - prev.Stall, r.MSHR - prev.MSHR}
+	return Rejects{r.Port - prev.Port, r.Stall - prev.Stall, r.MSHR - prev.MSHR, r.Probed - prev.Probed}
 }
 
 // StallUntil returns the cycle the pipeline stall lifts: every access
 // before it is refused with RefuseStall.
 func (c *Cache) StallUntil() uint64 { return c.stallUntil }
-
-// AuxProbed reports whether an auxiliary prober is attached. A refused
-// primary miss probes it before the MSHR check refuses, so on such a
-// cache a refused access is not free of side effects.
-func (c *Cache) AuxProbed() bool { return len(c.probers) > 0 }
 
 // LineAddr aligns an address to this cache's line size.
 func (c *Cache) LineAddr(addr uint64) uint64 {
@@ -530,6 +537,7 @@ func (c *Cache) Access(a *Access) Refusal {
 	free := c.freeMSHR()
 	if free < 0 {
 		c.stats.RejectMSHR++
+		c.probed++
 		return Refusal{Reason: RefuseMSHR}
 	}
 	c.stats.Accesses++

@@ -283,11 +283,14 @@ func TestPrefetchRedirect(t *testing.T) {
 }
 
 type probeAux struct {
-	lines map[uint64]bool
-	hits  int
+	lines   map[uint64]bool
+	hits    int
+	probes  uint64 // ProbeAux calls
+	repeats uint64 // missing probes charged by RepeatMisses
 }
 
 func (p *probeAux) ProbeAux(lineAddr uint64, now uint64) bool {
+	p.probes++
 	if p.lines[lineAddr] {
 		delete(p.lines, lineAddr)
 		p.hits++
@@ -295,6 +298,8 @@ func (p *probeAux) ProbeAux(lineAddr uint64, now uint64) bool {
 	}
 	return false
 }
+
+func (p *probeAux) RepeatMisses(n uint64) { p.repeats += n }
 
 func TestAuxProberServicesMiss(t *testing.T) {
 	eng, c, be := testCache(t, smallConfig())
@@ -315,6 +320,58 @@ func TestAuxProberServicesMiss(t *testing.T) {
 	}
 	if !c.Contains(0x7000) {
 		t.Fatal("aux line not installed")
+	}
+}
+
+// TestProbedRefusalContract pins what a replaying core relies on:
+// Rejects().Probed counts exactly the refusals that probed, and
+// AddRejects charges their repeats to every prober.
+func TestProbedRefusalContract(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MSHRs, cfg.ReadsPerMSHR, cfg.NoPipelineStall = 1, 1, true
+	eng, c, _ := testCache(t, cfg)
+	a, b := &probeAux{}, &probeAux{}
+	c.Attach(a)
+	c.Attach(b)
+	if r := c.Access(&Access{Addr: 0x1000}); !r.Accepted() {
+		t.Fatalf("first miss refused: %v", r.Reason)
+	}
+
+	// A primary miss with the only MSHR busy probes, then is refused.
+	before, probes := c.Rejects(), a.probes
+	if r := c.Access(&Access{Addr: 0x2000}); r.Reason != RefuseMSHR {
+		t.Fatalf("primary miss: got %v, want mshr", r.Reason)
+	}
+	primary := c.Rejects().Sub(before)
+	if want := (Rejects{MSHR: 1, Probed: 1}); primary != want {
+		t.Fatalf("primary-miss refusal delta %+v, want %+v", primary, want)
+	}
+	if a.probes-probes != 1 || b.probes != a.probes {
+		t.Fatalf("probes %d/%d after one refused primary miss, want one more each", a.probes, b.probes)
+	}
+
+	// A merge into a full target is refused before any probe.
+	eng.AdvanceTo(eng.Now() + 1) // a fresh cycle's ports
+	before, probes = c.Rejects(), a.probes
+	if r := c.Access(&Access{Addr: 0x1008}); r.Reason != RefuseMSHR {
+		t.Fatalf("full merge target: got %v, want mshr", r.Reason)
+	}
+	if d, want := c.Rejects().Sub(before), (Rejects{MSHR: 1}); d != want {
+		t.Fatalf("merge refusal delta %+v, want %+v", d, want)
+	}
+	if a.probes != probes {
+		t.Fatal("a refused merge probed the aux structures")
+	}
+
+	// n repeats charge n*Probed missing probes to every prober.
+	const n = 7
+	before = c.Rejects()
+	c.AddRejects(primary, n)
+	if d, want := c.Rejects().Sub(before), (Rejects{MSHR: n, Probed: n}); d != want {
+		t.Fatalf("AddRejects delta %+v, want %+v", d, want)
+	}
+	if a.repeats != n || b.repeats != n {
+		t.Fatalf("RepeatMisses charged %d/%d, want %d each", a.repeats, b.repeats, n)
 	}
 }
 

@@ -27,8 +27,17 @@ type AccessObserver interface {
 // cache, FVC, prefetch buffer) holds the line: the cache installs
 // the line locally and completes the access without a downstream
 // fetch. The prober must remove the line from its own storage.
+//
+// A primary miss refused for want of an MSHR has already probed, so a
+// core stalled on it probes again every cycle it retries. Across such
+// a run of quiet cycles the answer cannot change: prober contents
+// change only through fills, installs and accepted accesses, and a
+// quiet cycle has none. RepeatMisses(n) charges n such repeats in
+// bulk and must leave the prober exactly as n more ProbeAux calls
+// returning false would.
 type AuxProber interface {
 	ProbeAux(lineAddr uint64, now uint64) bool
+	RepeatMisses(n uint64)
 }
 
 // EvictObserver sees every eviction of a valid line (victim caches

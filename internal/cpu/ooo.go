@@ -194,9 +194,6 @@ func (o *OoO) Run(maxInsts uint64) Result {
 	cycle := o.eng.Now()
 	lastCommit := cycle
 	lastHead := o.head
-	// A refused access on a cache with an aux prober probes it, so
-	// cycles there are never quiet replicas of each other.
-	replay := !o.h.L1D.AuxProbed() && !o.h.L1I.AuxProbed()
 	var (
 		// last is the quiet mark at the end of the previous cycle,
 		// valid when haveLast: nothing changes between cycles, so it
@@ -240,7 +237,7 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		// cycle the gate declined has its next event or timer a cycle
 		// away, or a head store that lost its port to a same-cycle
 		// fill event; neither can start a replay.
-		if replay && nc == 0 && ni == 0 && nf == 0 && (len(o.readyQ) > 0 || o.fetchRetry) {
+		if nc == 0 && ni == 0 && nf == 0 && (len(o.readyQ) > 0 || o.fetchRetry) {
 			m := o.quietMark()
 			quiet := haveLast && m == last
 			last, haveLast = m, true
@@ -275,7 +272,7 @@ func (o *OoO) Run(maxInsts uint64) Result {
 // the core state a refused cycle could still move. Port
 // reservations, FU counts and the refusal scratch reset every cycle,
 // so a quiet cycle changes nothing but the Retry* and Reject*
-// counters.
+// counters and the aux probers' counts of missing probes.
 type quietMark struct {
 	events, l1d, l1i, head, tail          uint64
 	ready                                 int
@@ -318,8 +315,9 @@ func (o *OoO) replayMark() replayMark {
 // (cycle < fetchResumeAt, now < stallUntil) keeps its answer — and
 // the idle-skip gate, which declined this cycle, declines each repeat
 // for the same reason. replayQuiet charges the repeats' Retry* and
-// Reject* deltas and returns that first cycle; ok is false when no
-// repeat would be skipped.
+// Reject* deltas, the latter with their missing aux probes
+// (cache.AddRejects), and returns that first cycle; ok is false when
+// no repeat would be skipped.
 //
 //ml:hotpath
 func (o *OoO) replayQuiet(cycle uint64, from *replayMark) (uint64, bool) {

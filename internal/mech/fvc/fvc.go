@@ -119,6 +119,10 @@ func (f *FVC) ProbeAux(lineAddr uint64, now uint64) bool {
 	return false
 }
 
+// RepeatMisses implements cache.AuxProber: a missing probe only
+// counts.
+func (f *FVC) RepeatMisses(n uint64) { f.Probes += n }
+
 // Hardware implements core.CostModeler: 1024 lines, each stored as
 // 3-bit codes per word plus a tag — about 8 bytes per line.
 func (f *FVC) Hardware() []core.HWTable {

@@ -149,6 +149,10 @@ func (m *Markov) ProbeAux(lineAddr uint64, now uint64) bool {
 	return false
 }
 
+// RepeatMisses implements cache.AuxProber: a buffer miss changes
+// nothing.
+func (m *Markov) RepeatMisses(n uint64) {}
+
 // Hardware implements core.CostModeler: the big prediction table is
 // what makes Markov's Figure 5 cost and power bars tower over the
 // others.

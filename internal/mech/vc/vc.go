@@ -101,6 +101,10 @@ func (v *VC) ProbeAux(lineAddr uint64, now uint64) bool {
 	return false
 }
 
+// RepeatMisses implements cache.AuxProber: a missing probe only
+// counts.
+func (v *VC) RepeatMisses(n uint64) { v.Probes += n }
+
 // callMarkDirty is the packed trampoline for the post-swap dirtiness
 // restore: o1 is the L1, a0 the line address. The static shape keeps
 // the dirty-hit path allocation-free (a closure here would allocate

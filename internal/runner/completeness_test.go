@@ -68,6 +68,7 @@ var snapshotCoverage = []struct {
 			"checker":          "debug invariant checker, not armed in checkpointed runs",
 			"dirtyLRU":         "derived index over the serialized lines, rebuilt by SetState",
 			"drainBuf":         "DrainDirtyLRU result scratch, reused between drains",
+			"probed":           "replay bookkeeping: a core reads it only as a delta within one Run (Rejects.Probed)",
 		},
 	},
 	{

@@ -12,7 +12,7 @@ import (
 // stallPinCounts is every counter the store-stall machine's host-time
 // shortcuts could disturb: cycles, each cache's refusals, the core's
 // retries, L2 write-backs (eager writeback's output) and the
-// mechanism's hardware-table activity (EWB scans, VC probes).
+// mechanism's hardware-table activity (EWB scans, aux probes).
 type stallPinCounts struct {
 	Cycles                uint64
 	RetryPort, RetryStall uint64
@@ -49,13 +49,29 @@ var storeStallPins = map[string]stallPinCounts{
 	"mcf/EWB/ooo":              {89969, 88467, 6006, 65331, rejects{70299, 4810, 49782}, rejects{172, 0, 0}, rejects{3, 5, 0}, 0, "ewb-scanptr:351/498"},
 	"mcf/VC/inorder":           {86549, 848, 115, 992, rejects{593, 106, 700}, rejects{0, 0, 0}, rejects{0, 0, 0}, 0, "victim-cache:3107/2085"},
 	"mcf/VC/ooo":               {84309, 83653, 5549, 60834, rejects{66693, 4426, 46390}, rejects{172, 0, 0}, rejects{5, 2, 0}, 0, "victim-cache:62768/2095"},
+
+	// The other aux probers, recorded before their cores replayed
+	// quiet cycles (every probe stepped one by one).
+	"stall-heavy/FVC/inorder":    {406931, 3772, 1839, 6933, rejects{2990, 1458, 5507}, rejects{0, 0, 0}, rejects{0, 0, 0}, 9, "fvc:11101/0"},
+	"stall-heavy/FVC/ooo":        {407679, 270252, 10766, 327238, rejects{212834, 8551, 259283}, rejects{17, 0, 0}, rejects{0, 36, 0}, 9, "fvc:331406/0"},
+	"stall-heavy/Markov/inorder": {407367, 3801, 1839, 7211, rejects{3018, 1458, 5774}, rejects{0, 0, 0}, rejects{0, 0, 0}, 9, "markov-table:4168/4167 markov-buffer:30/30"},
+	"stall-heavy/Markov/ooo":     {408107, 270653, 10784, 327622, rejects{213219, 8569, 259653}, rejects{17, 0, 0}, rejects{0, 36, 0}, 9, "markov-table:4168/4167 markov-buffer:30/30"},
+	"stall-heavy/TKVC/inorder":   {409674, 3772, 1839, 6933, rejects{2990, 1458, 5507}, rejects{0, 0, 0}, rejects{0, 0, 0}, 9, "victim-cache:11101/1038 tkvc-decay:4135/4135"},
+	"stall-heavy/TKVC/ooo":       {410288, 271979, 10766, 329352, rejects{214206, 8551, 260973}, rejects{17, 0, 0}, rejects{0, 36, 0}, 9, "victim-cache:333520/1037 tkvc-decay:4135/4135"},
+	"mcf/FVC/inorder":            {88366, 907, 122, 1052, rejects{635, 113, 748}, rejects{0, 0, 0}, rejects{0, 0, 0}, 0, "fvc:3167/22"},
+	"mcf/FVC/ooo":                {86656, 84596, 5943, 62325, rejects{67342, 4745, 47584}, rejects{172, 0, 0}, rejects{4, 4, 0}, 0, "fvc:64364/22"},
+	"mcf/Markov/inorder":         {98982, 2003, 84, 10381, rejects{1640, 77, 9424}, rejects{0, 0, 0}, rejects{0, 0, 0}, 0, "markov-table:1608/1607 markov-buffer:2223/1729"},
+	"mcf/Markov/ooo":             {98790, 114684, 5349, 74420, rejects{95015, 4176, 58350}, rejects{167, 0, 0}, rejects{0, 2, 0}, 0, "markov-table:1623/1622 markov-buffer:2258/1771"},
+	"mcf/TKVC/inorder":           {86684, 854, 117, 996, rejects{597, 108, 704}, rejects{0, 0, 0}, rejects{0, 0, 0}, 0, "victim-cache:3111/1254 tkvc-decay:2085/2085"},
+	"mcf/TKVC/ooo":               {84587, 83735, 5548, 61146, rejects{66866, 4417, 46483}, rejects{173, 0, 0}, rejects{6, 3, 0}, 0, "victim-cache:63171/1289 tkvc-decay:2093/2093"},
 }
 
 // TestStoreStallPinnedCounts runs the perfbench store-stall machine —
 // a 1 KB direct-mapped L1D with one port, one MSHR and one read per
-// MSHR — on the stall-heavy profile and on mcf, for Base, EWB and VC
-// on both host cores, and pins the refusal, retry, write-back and
-// hardware-table counters exactly.
+// MSHR — on the stall-heavy profile and on mcf, for Base, EWB and
+// every deterministic aux prober (VC, FVC, Markov, TKVC) on both host
+// cores, and pins the refusal, retry, write-back and hardware-table
+// counters exactly.
 func TestStoreStallPinnedCounts(t *testing.T) {
 	stallHeavy, err := NewProfileWorkload(workload.Profile{
 		Name:      "stall-heavy",
@@ -71,7 +87,7 @@ func TestStoreStallPinnedCounts(t *testing.T) {
 	}
 	var recorded strings.Builder
 	for _, bench := range []string{"stall-heavy", "mcf"} {
-		for _, mech := range []string{"Base", "EWB", "VC"} {
+		for _, mech := range []string{"Base", "EWB", "VC", "FVC", "Markov", "TKVC"} {
 			for _, inorder := range []bool{true, false} {
 				core := "ooo"
 				if inorder {
