@@ -11,11 +11,8 @@ type Bus struct {
 	name              string
 	widthBytes        uint64
 	cpuCyclesPerCycle uint64
-	freeAt            uint64
 
-	transfers  uint64
-	busyCycles uint64
-	waitCycles uint64
+	st State // all mutable state, snapshotted whole
 }
 
 // New builds a bus. widthBytes is the per-bus-cycle payload and
@@ -48,26 +45,26 @@ func (b *Bus) TransferCycles(nbytes uint64) uint64 {
 //ml:hotpath
 func (b *Bus) Reserve(now, nbytes uint64) (done uint64) {
 	start := now
-	if b.freeAt > start {
-		start = b.freeAt
+	if b.st.FreeAt > start {
+		start = b.st.FreeAt
 	}
-	b.waitCycles += start - now
+	b.st.WaitCycles += start - now
 	occ := b.TransferCycles(nbytes)
-	b.freeAt = start + occ
-	b.transfers++
-	b.busyCycles += occ
-	return b.freeAt
+	b.st.FreeAt = start + occ
+	b.st.Transfers++
+	b.st.BusyCycles += occ
+	return b.st.FreeAt
 }
 
 // Busy reports whether the bus is occupied at the given cycle.
-func (b *Bus) Busy(now uint64) bool { return b.freeAt > now }
+func (b *Bus) Busy(now uint64) bool { return b.st.FreeAt > now }
 
 // FreeAt returns the cycle the bus next becomes free.
-func (b *Bus) FreeAt() uint64 { return b.freeAt }
+func (b *Bus) FreeAt() uint64 { return b.st.FreeAt }
 
 // Stats returns cumulative counters: completed transfers, total busy
 // CPU cycles, and total CPU cycles requests spent waiting for the
 // bus.
 func (b *Bus) Stats() (transfers, busyCycles, waitCycles uint64) {
-	return b.transfers, b.busyCycles, b.waitCycles
+	return b.st.Transfers, b.st.BusyCycles, b.st.WaitCycles
 }

@@ -1,9 +1,11 @@
 package bus
 
-// State is the full mutable state of a Bus, in serializable form, for
-// warm-state checkpointing. Geometry (width, clock ratio) is
-// configuration, not state: a restored bus is rebuilt from the same
-// config and only these fields are overwritten.
+import "microlib/internal/statecopy"
+
+// State is the full mutable state of a Bus, for warm-state
+// checkpointing. Geometry (width, clock ratio) is configuration, not
+// state: a restored bus is rebuilt from the same config and only
+// these fields are overwritten.
 type State struct {
 	FreeAt     uint64
 	Transfers  uint64
@@ -11,20 +13,8 @@ type State struct {
 	WaitCycles uint64
 }
 
-// State captures the bus's mutable fields.
-func (b *Bus) State() State {
-	return State{
-		FreeAt:     b.freeAt,
-		Transfers:  b.transfers,
-		BusyCycles: b.busyCycles,
-		WaitCycles: b.waitCycles,
-	}
-}
+// State captures the bus's mutable state.
+func (b *Bus) State() State { return statecopy.Clone(b.st) }
 
-// SetState overwrites the bus's mutable fields from a snapshot.
-func (b *Bus) SetState(st State) {
-	b.freeAt = st.FreeAt
-	b.transfers = st.Transfers
-	b.busyCycles = st.BusyCycles
-	b.waitCycles = st.WaitCycles
-}
+// SetState overwrites the bus's mutable state from a snapshot.
+func (b *Bus) SetState(st State) { statecopy.CopyInto(&b.st, st) }

@@ -134,14 +134,6 @@ func (r Refusal) Accepted() bool { return r.Reason == Accepted }
 // rather than a known cycle.
 func (r Refusal) EventBound() bool { return r.Reason == RefuseMSHR }
 
-type line struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool
-	lastUse    uint64
-}
-
 type mshrEntry struct {
 	valid     bool
 	lineAddr  uint64
@@ -177,7 +169,7 @@ type Cache struct {
 	// lines is the array, row-major over (set, way): set s is
 	// lines[s*ways : (s+1)*ways]. One pointer-free block, so the GC
 	// never scans it and a recycled machine can hand it on whole.
-	lines     []line
+	lines     []LineState
 	ways      int
 	setMask   uint64
 	lineShift uint
@@ -241,7 +233,7 @@ func New(eng *sim.Engine, cfg Config, backend Backend) *Cache {
 // Storage is a cache's line array, detached from its cache by
 // TakeStorage so that a new cache can reuse it (NewRecycling) while
 // nothing else of the old cache stays reachable.
-type Storage struct{ lines []line }
+type Storage struct{ lines []LineState }
 
 // TakeStorage detaches the cache's line array. The cache must not be
 // used again.
@@ -263,7 +255,7 @@ func NewRecycling(eng *sim.Engine, cfg Config, backend Backend, spare Storage) *
 	if len(lines) == nsets*ways {
 		clear(lines)
 	} else {
-		lines = make([]line, nsets*ways)
+		lines = make([]LineState, nsets*ways)
 	}
 	nm := cfg.MSHRs
 	if cfg.InfiniteMSHR {
@@ -336,7 +328,7 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 }
 
 // set returns the ways of set si.
-func (c *Cache) set(si uint64) []line {
+func (c *Cache) set(si uint64) []LineState {
 	i := int(si) * c.ways
 	return c.lines[i : i+c.ways : i+c.ways]
 }
@@ -358,7 +350,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	set := c.set(c.setIndex(la))
 	t := c.tag(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == t {
+		if set[i].Valid && set[i].Tag == t {
 			return true
 		}
 	}
@@ -405,8 +397,8 @@ func (c *Cache) Probe(addr uint64) (present, dirty, prefetched bool) {
 	set := c.set(c.setIndex(la))
 	t := c.tag(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return true, set[i].dirty, set[i].prefetched
+		if set[i].Valid && set[i].Tag == t {
+			return true, set[i].Dirty, set[i].Prefetched
 		}
 	}
 	return false, false, false
@@ -440,27 +432,27 @@ func (c *Cache) Access(a *Access) Refusal {
 	// Hit path.
 	for i := range set {
 		ln := &set[i]
-		if !ln.valid || ln.tag != t {
+		if !ln.Valid || ln.Tag != t {
 			continue
 		}
 		c.stats.Accesses++
 		if a.Write {
 			c.stats.Writes++
 			if c.cfg.WriteBack {
-				ln.dirty = true
+				ln.Dirty = true
 			}
 			if c.checker != nil {
 				c.checker.noteStore(la)
 			}
 		}
 		c.stats.Hits++
-		wasPF := ln.prefetched
+		wasPF := ln.Prefetched
 		if wasPF {
 			c.stats.PrefetchUseful++
-			ln.prefetched = false
+			ln.Prefetched = false
 		}
 		c.useTick++
-		ln.lastUse = c.useTick
+		ln.LastUse = c.useTick
 		c.noteLRU(si)
 		c.notifyAccess(AccessEvent{
 			Addr: a.Addr, LineAddr: la, PC: a.PC, Write: a.Write,
@@ -675,32 +667,31 @@ func (c *Cache) install(lineAddr uint64, dirty, prefetched bool, now uint64) {
 	set := c.set(si)
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].Valid {
 			victim = i
 			break
 		}
-		if set[i].lastUse < set[victim].lastUse {
+		if set[i].LastUse < set[victim].LastUse {
 			victim = i
 		}
 	}
 	v := &set[victim]
-	if v.valid {
-		// tag holds the full line number (lineAddr >> lineShift).
-		vAddr := v.tag << c.lineShift
+	if v.Valid {
+		vAddr := v.Tag << c.lineShift
 		c.stats.Evictions++
 		if c.checker != nil {
-			c.checker.noteEvict(vAddr, v.dirty)
+			c.checker.noteEvict(vAddr, v.Dirty)
 		}
 		for _, o := range c.evictObs {
-			o.OnEvict(vAddr, v.dirty, now)
+			o.OnEvict(vAddr, v.Dirty, now)
 		}
-		if v.dirty {
+		if v.Dirty {
 			c.stats.WriteBack++
 			c.writeBack(vAddr)
 		}
 	}
 	c.useTick++
-	*v = line{tag: c.tag(lineAddr), valid: true, dirty: dirty, prefetched: prefetched, lastUse: c.useTick}
+	*v = LineState{Tag: c.tag(lineAddr), Valid: true, Dirty: dirty, Prefetched: prefetched, LastUse: c.useTick}
 	c.noteLRU(si)
 	if c.checker != nil {
 		c.checker.noteFill(lineAddr, dirty)
@@ -738,8 +729,8 @@ func (c *Cache) MarkDirty(addr uint64) {
 	set := c.set(si)
 	t := c.tag(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i].dirty = true
+		if set[i].Valid && set[i].Tag == t {
+			set[i].Dirty = true
 			c.noteLRU(si)
 			if c.checker != nil {
 				c.checker.noteStore(la)
@@ -764,13 +755,13 @@ func (c *Cache) TrackDirtyLRU() {
 
 // lruWay returns the way holding the least recently used valid line
 // of set, or -1 when the set holds no valid line.
-func lruWay(set []line) int {
+func lruWay(set []LineState) int {
 	lru := -1
 	for w := range set {
-		if !set[w].valid {
+		if !set[w].Valid {
 			continue
 		}
-		if lru < 0 || set[w].lastUse < set[lru].lastUse {
+		if lru < 0 || set[w].LastUse < set[lru].LastUse {
 			lru = w
 		}
 	}
@@ -789,7 +780,7 @@ func (c *Cache) noteLRU(si uint64) {
 func (c *Cache) recomputeLRU(si uint64) {
 	set := c.set(si)
 	bit := uint64(1) << (si & 63)
-	if lru := lruWay(set); lru >= 0 && set[lru].dirty {
+	if lru := lruWay(set); lru >= 0 && set[lru].Dirty {
 		c.dirtyLRU[si>>6] |= bit
 	} else {
 		c.dirtyLRU[si>>6] &^= bit
@@ -827,8 +818,8 @@ func (c *Cache) DrainDirtyLRU(max int) []uint64 {
 			si := wi<<6 + bits.TrailingZeros64(w)
 			set := c.set(uint64(si))
 			lru := lruWay(set)
-			set[lru].dirty = false
-			out = append(out, set[lru].tag<<c.lineShift)
+			set[lru].Dirty = false
+			out = append(out, set[lru].Tag<<c.lineShift)
 			c.dirtyLRU[wi] &^= w & -w
 		}
 	}
@@ -844,9 +835,9 @@ func (c *Cache) InvalidateLine(addr uint64) (present, dirty bool) {
 	set := c.set(si)
 	t := c.tag(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			d := set[i].dirty
-			set[i] = line{}
+		if set[i].Valid && set[i].Tag == t {
+			d := set[i].Dirty
+			set[i] = LineState{}
 			c.noteLRU(si)
 			return true, d
 		}

@@ -47,7 +47,7 @@ func (ch *Checker) noteEvict(lineAddr uint64, dirty bool) {
 // catches it.
 func (c *Cache) CorruptDirtyBits() {
 	for i := range c.lines {
-		c.lines[i].dirty = false
+		c.lines[i].Dirty = false
 	}
 	clear(c.dirtyLRU)
 }

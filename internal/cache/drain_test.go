@@ -21,15 +21,15 @@ func refDrainDirtyLRU(c *Cache, max int) []uint64 {
 		set := c.set(uint64(s))
 		lru := -1
 		for w := range set {
-			if !set[w].valid {
+			if !set[w].Valid {
 				continue
 			}
-			if lru < 0 || set[w].lastUse < set[lru].lastUse {
+			if lru < 0 || set[w].LastUse < set[lru].LastUse {
 				lru = w
 			}
 		}
-		if lru >= 0 && set[lru].dirty {
-			out = append(out, set[lru].tag<<c.lineShift)
+		if lru >= 0 && set[lru].Dirty {
+			out = append(out, set[lru].Tag<<c.lineShift)
 		}
 	}
 	return out

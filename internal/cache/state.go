@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microlib/internal/sim"
+	"microlib/internal/statecopy"
 )
 
 // This file serializes a cache's mutable state for warm-state
@@ -13,9 +14,10 @@ import (
 // redirect sinks — are identifiable objects, captured as sim.OpRef
 // through the caller's resolver.
 
-// LineState is one cache line in serializable form.
+// LineState is one cache line: the element type of the line array
+// itself, so the array snapshots and restores as a block.
 type LineState struct {
-	Tag        uint64
+	Tag        uint64 // the full line number (lineAddr >> lineShift)
 	Valid      bool
 	Dirty      bool
 	Prefetched bool
@@ -68,14 +70,7 @@ func (c *Cache) State(resolve func(any) (sim.OpRef, bool)) (State, error) {
 		PQRetryArm: c.pqRetryArm,
 		Stats:      c.stats,
 	}
-	st.Lines = make([]LineState, len(c.lines))
-	for i := range c.lines {
-		ln := &c.lines[i]
-		st.Lines[i] = LineState{
-			Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty,
-			Prefetched: ln.prefetched, LastUse: ln.lastUse,
-		}
-	}
+	st.Lines = statecopy.Clone(c.lines)
 	st.MSHRs = make([]MSHRState, len(c.mshrs))
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
@@ -128,13 +123,7 @@ func (c *Cache) SetState(st State, resolve func(sim.OpRef) (any, bool)) error {
 	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("cache %s: snapshot has %d lines, geometry needs %d", c.cfg.Name, len(st.Lines), len(c.lines))
 	}
-	for i := range st.Lines {
-		ls := &st.Lines[i]
-		c.lines[i] = line{
-			tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty,
-			prefetched: ls.Prefetched, lastUse: ls.LastUse,
-		}
-	}
+	statecopy.CopyInto(&c.lines, st.Lines)
 	c.rebuildDirtyLRU()
 	c.useTick = st.UseTick
 	c.stallUntil = st.StallUntil

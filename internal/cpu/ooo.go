@@ -17,17 +17,6 @@ const (
 	stDone                 // result available
 )
 
-type robEntry struct {
-	class      trace.Class
-	pc         uint64
-	addr       uint64
-	isStore    bool
-	mispredict bool
-	state      uint8
-	pending    int
-	waiters    []uint64 // absolute sequence numbers of consumers
-}
-
 // OoO is the out-of-order host core. It is trace-driven: it consumes
 // a trace.Stream and models timing only, with all memory behaviour
 // delegated to the hierarchy.
@@ -37,31 +26,17 @@ type OoO struct {
 	h      *hier.Hierarchy
 	stream trace.Stream
 
-	win  []robEntry
-	head uint64 // oldest in-flight sequence number
-	tail uint64 // next sequence number to allocate
+	// st is the core's whole mutable state (window, front end,
+	// functional-unit usage, result counters); State and SetState copy
+	// it whole. Everything below is wiring, run control or scratch.
+	st OoOState
 
-	readyQ []uint64
-
-	lsqUsed int
-
-	// Front-end state.
-	fetchDone     bool   // stream exhausted or budget reached
-	fetchBlocked  bool   // waiting on an I-cache fill
-	fetchRetry    bool   // fetch bailed on a next-cycle-retriable resource
-	fetchResumeAt uint64 // earliest fetch cycle after redirect
 	// fetchRefuse is per-cycle scratch: the structured reason the
 	// I-cache refused fetch this cycle (zero when fetch ran clean).
 	// fetch() rewrites it every cycle before stallTarget reads it.
-	fetchRefuse   cache.Refusal
-	haltOnBranch  bool // a mispredicted branch is unresolved
-	haltBranchSeq uint64
-	curFetchLine  uint64
-	staged        trace.Inst // one-instruction fetch stage
-	hasStaged     bool
-	fetchScratch  trace.Inst // reused fetch-loop scratch (kept off the heap)
-	fetched       uint64
-	maxFetch      uint64
+	fetchRefuse  cache.Refusal
+	fetchScratch trace.Inst // reused fetch-loop scratch (kept off the heap)
+	maxFetch     uint64
 
 	// Pooled request state: loadReq nodes carry a load's Access with
 	// the node itself as the pre-bound completion sink, and the core
@@ -73,10 +48,6 @@ type OoO struct {
 	// boundary after stopInsts instructions have committed (warm-state
 	// prefix runs snapshot the machine there).
 	stopInsts uint64
-
-	// Per-cycle functional-unit usage.
-	fuCycle                        uint64
-	intALU, intMD, fpALU, fpMD, ls int
 
 	// Warm-up: when warmInsts instructions have committed, onWarm
 	// fires once (the runner snapshots statistics there).
@@ -90,11 +61,9 @@ type OoO struct {
 	storeAcc cache.Access
 	// headRefuse is per-cycle scratch: why the D-cache refused the
 	// head store this cycle. Only meaningful while the head slot is
-	// stDone and isStore; commit() rewrites it on every refused
+	// stDone and IsStore; commit() rewrites it on every refused
 	// attempt before stallTarget reads it.
 	headRefuse cache.Refusal
-
-	res Result
 }
 
 // SetWarmup arranges for fn to be called once, with the cycle count
@@ -109,7 +78,7 @@ func (o *OoO) SetWarmup(insts uint64, fn func(cycles uint64)) {
 
 // Committed returns the number of instructions retired so far; the
 // telemetry sampler reads it mid-run.
-func (o *OoO) Committed() uint64 { return o.res.Insts }
+func (o *OoO) Committed() uint64 { return o.st.Res.Insts }
 
 // NewOoO builds the core on an engine and hierarchy.
 func NewOoO(eng *sim.Engine, cfg Config, h *hier.Hierarchy, stream trace.Stream) *OoO {
@@ -119,7 +88,7 @@ func NewOoO(eng *sim.Engine, cfg Config, h *hier.Hierarchy, stream trace.Stream)
 		eng:    eng,
 		h:      h,
 		stream: stream,
-		win:    make([]robEntry, cfg.RUUSize),
+		st:     OoOState{Win: make([]ROBEntryState, cfg.RUUSize)},
 	}
 	o.storeAcc.Write = true
 	return o
@@ -127,7 +96,7 @@ func NewOoO(eng *sim.Engine, cfg Config, h *hier.Hierarchy, stream trace.Stream)
 
 // AccessDone implements cache.DoneSink for the front end: an I-cache
 // fill arrived, fetch may resume.
-func (o *OoO) AccessDone(now uint64, hit bool) { o.fetchBlocked = false }
+func (o *OoO) AccessDone(now uint64, hit bool) { o.st.FetchBlocked = false }
 
 // SetStop arranges for Run to return at the first cycle boundary
 // after insts instructions have committed, leaving the machine (and
@@ -169,7 +138,7 @@ func (lr *loadReq) AccessDone(now uint64, hit bool) {
 	o.complete(seq)
 }
 
-func (o *OoO) slot(seq uint64) *robEntry { return &o.win[seq%uint64(len(o.win))] }
+func (o *OoO) slot(seq uint64) *ROBEntryState { return &o.st.Win[seq%uint64(len(o.st.Win))] }
 
 // Run simulates until maxInsts instructions commit (or the stream
 // ends) and returns the result.
@@ -193,7 +162,7 @@ func (o *OoO) Run(maxInsts uint64) Result {
 	o.maxFetch = maxInsts
 	cycle := o.eng.Now()
 	lastCommit := cycle
-	lastHead := o.head
+	lastHead := o.st.Head
 	var (
 		// last is the quiet mark at the end of the previous cycle,
 		// valid when haveLast: nothing changes between cycles, so it
@@ -204,7 +173,7 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		from     replayMark // counters at the start of this cycle
 	)
 	for {
-		if o.stopInsts != 0 && o.res.Insts >= o.stopInsts {
+		if o.stopInsts != 0 && o.st.Res.Insts >= o.stopInsts {
 			// Prefix stop: advance the clock to the cycle the next
 			// iteration would have processed (a resumed Run picks it
 			// up from Engine.Now) and leave everything else in flight.
@@ -215,17 +184,17 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		nc := o.commit()
 		ni := o.issue(cycle)
 		nf := o.fetch(cycle)
-		if o.fetchDone && o.head == o.tail {
+		if o.st.FetchDone && o.st.Head == o.st.Tail {
 			break
 		}
-		if o.head != lastHead {
-			lastHead = o.head
+		if o.st.Head != lastHead {
+			lastHead = o.st.Head
 			lastCommit = cycle
 		} else if cycle-lastCommit > 2_000_000 {
 			panic(fmt.Sprintf("cpu: no commit progress for 2M cycles at cycle %d (head=%d tail=%d state=%d pending=%d)",
-				cycle, o.head, o.tail, o.slot(o.head).state, o.slot(o.head).pending))
+				cycle, o.st.Head, o.st.Tail, o.slot(o.st.Head).State, o.slot(o.st.Head).Pending))
 		}
-		if nc == 0 && ni == 0 && nf == 0 && len(o.readyQ) == 0 && !o.fetchRetry {
+		if nc == 0 && ni == 0 && nf == 0 && len(o.st.ReadyQ) == 0 && !o.st.FetchRetry {
 			if t, ok := o.stallTarget(cycle); ok && t > cycle+1 {
 				cycle = t
 				haveLast, armed = false, false
@@ -237,7 +206,7 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		// cycle the gate declined has its next event or timer a cycle
 		// away, or a head store that lost its port to a same-cycle
 		// fill event; neither can start a replay.
-		if nc == 0 && ni == 0 && nf == 0 && (len(o.readyQ) > 0 || o.fetchRetry) {
+		if nc == 0 && ni == 0 && nf == 0 && (len(o.st.ReadyQ) > 0 || o.st.FetchRetry) {
 			m := o.quietMark()
 			quiet := haveLast && m == last
 			last, haveLast = m, true
@@ -259,11 +228,11 @@ func (o *OoO) Run(maxInsts uint64) Result {
 		}
 		cycle++
 	}
-	o.res.Cycles = o.eng.Now()
-	if o.res.Cycles == 0 {
-		o.res.Cycles = 1
+	o.st.Res.Cycles = o.eng.Now()
+	if o.st.Res.Cycles == 0 {
+		o.st.Res.Cycles = 1
 	}
-	return o.res
+	return o.st.Res
 }
 
 // quietMark is everything a cycle must leave unchanged to be quiet.
@@ -285,9 +254,9 @@ func (o *OoO) quietMark() quietMark {
 	return quietMark{
 		events: scheduled + executed,
 		l1d:    o.h.L1D.Accesses(), l1i: o.h.L1I.Accesses(),
-		head: o.head, tail: o.tail, ready: len(o.readyQ),
-		fetchBlocked: o.fetchBlocked, haltOnBranch: o.haltOnBranch,
-		hasStaged: o.hasStaged, fetchDone: o.fetchDone,
+		head: o.st.Head, tail: o.st.Tail, ready: len(o.st.ReadyQ),
+		fetchBlocked: o.st.FetchBlocked, haltOnBranch: o.st.HaltOnBranch,
+		hasStaged: o.st.HasStaged, fetchDone: o.st.FetchDone,
 	}
 }
 
@@ -300,7 +269,7 @@ type replayMark struct {
 
 func (o *OoO) replayMark() replayMark {
 	return replayMark{
-		retry: cache.Rejects{Port: o.res.RetryPort, Stall: o.res.RetryStall, MSHR: o.res.RetryMSHR},
+		retry: cache.Rejects{Port: o.st.Res.RetryPort, Stall: o.st.Res.RetryStall, MSHR: o.st.Res.RetryMSHR},
 		l1d:   o.h.L1D.Rejects(),
 		l1i:   o.h.L1I.Rejects(),
 	}
@@ -309,10 +278,10 @@ func (o *OoO) replayMark() replayMark {
 // replayQuiet handles a quiet cycle whose predecessor was quiet too;
 // from holds the counters after that predecessor, so the deltas since
 // are this cycle's alone. The cycles after it repeat it exactly until
-// the first of: the next calendar event, fetchResumeAt, and the
+// the first of: the next calendar event, FetchResumeAt, and the
 // L1D/L1I stallUntil. Before then nothing can change — no event runs,
 // no access is accepted, and every time comparison a cycle makes
-// (cycle < fetchResumeAt, now < stallUntil) keeps its answer — and
+// (cycle < FetchResumeAt, now < stallUntil) keeps its answer — and
 // the idle-skip gate, which declined this cycle, declines each repeat
 // for the same reason. replayQuiet charges the repeats' Retry* and
 // Reject* deltas, the latter with their missing aux probes
@@ -322,7 +291,7 @@ func (o *OoO) replayMark() replayMark {
 //ml:hotpath
 func (o *OoO) replayQuiet(cycle uint64, from *replayMark) (uint64, bool) {
 	t, ok := o.eng.NextEventAt()
-	for _, b := range [...]uint64{o.fetchResumeAt, o.h.L1D.StallUntil(), o.h.L1I.StallUntil()} {
+	for _, b := range [...]uint64{o.st.FetchResumeAt, o.h.L1D.StallUntil(), o.h.L1I.StallUntil()} {
 		if b > cycle && (!ok || b < t) {
 			t, ok = b, true
 		}
@@ -333,9 +302,9 @@ func (o *OoO) replayQuiet(cycle uint64, from *replayMark) (uint64, bool) {
 	n := t - cycle - 1
 	now := o.replayMark()
 	d := now.retry.Sub(from.retry)
-	o.res.RetryPort += n * d.Port
-	o.res.RetryStall += n * d.Stall
-	o.res.RetryMSHR += n * d.MSHR
+	o.st.Res.RetryPort += n * d.Port
+	o.st.Res.RetryStall += n * d.Stall
+	o.st.Res.RetryMSHR += n * d.MSHR
 	o.h.L1D.AddRejects(now.l1d.Sub(from.l1d), n)
 	o.h.L1I.AddRejects(now.l1i.Sub(from.l1i), n)
 	return t, true
@@ -355,13 +324,13 @@ func (o *OoO) stallTarget(cycle uint64) (uint64, bool) {
 	// stall-refused access: the refusal lifts at exactly that cycle,
 	// so any jump must stop there.
 	var capAt uint64
-	if o.head != o.tail {
+	if o.st.Head != o.st.Tail {
 		// The oldest instruction must itself be waiting on an event.
 		// A done head means commit is blocked on a cache refusal
 		// instead — skippable only when the recorded reason proves
 		// the refusal is timer- or event-bound.
-		if e := o.slot(o.head); e.state == stDone {
-			if !e.isStore {
+		if e := o.slot(o.st.Head); e.State == stDone {
+			if !e.IsStore {
 				return 0, false
 			}
 			switch o.headRefuse.Reason {
@@ -374,7 +343,7 @@ func (o *OoO) stallTarget(cycle uint64) (uint64, bool) {
 				return 0, false // port conflict: free again next cycle
 			}
 		}
-	} else if !(o.fetchBlocked || o.haltOnBranch || o.fetchResumeAt > cycle) {
+	} else if !(o.st.FetchBlocked || o.st.HaltOnBranch || o.st.FetchResumeAt > cycle) {
 		// Empty window: only an event- or timer-bound front end
 		// justifies a jump. A stall- or MSHR-refused I-cache access
 		// qualifies; anything else (including a clean fetch that
@@ -395,11 +364,11 @@ func (o *OoO) stallTarget(cycle uint64) (uint64, bool) {
 		capAt = o.fetchRefuse.RetryAt
 	}
 	t, ok := o.eng.NextEventAt()
-	// A pending redirect wakes fetch at fetchResumeAt with no
+	// A pending redirect wakes fetch at FetchResumeAt with no
 	// calendar event involved; never jump past it.
-	if o.fetchResumeAt > cycle && !o.fetchBlocked && !o.fetchDone && !o.haltOnBranch {
-		if !ok || o.fetchResumeAt < t {
-			t, ok = o.fetchResumeAt, true
+	if o.st.FetchResumeAt > cycle && !o.st.FetchBlocked && !o.st.FetchDone && !o.st.HaltOnBranch {
+		if !ok || o.st.FetchResumeAt < t {
+			t, ok = o.st.FetchResumeAt, true
 		}
 	}
 	if capAt > cycle && (!ok || capAt < t) {
@@ -414,31 +383,31 @@ func (o *OoO) stallTarget(cycle uint64) (uint64, bool) {
 //
 //ml:hotpath
 func (o *OoO) commit() (committed int) {
-	for n := 0; n < o.cfg.CommitWidth && o.head < o.tail; n++ {
-		e := o.slot(o.head)
-		if e.state != stDone {
+	for n := 0; n < o.cfg.CommitWidth && o.st.Head < o.st.Tail; n++ {
+		e := o.slot(o.st.Head)
+		if e.State != stDone {
 			return committed
 		}
-		if e.isStore {
-			o.storeAcc.Addr, o.storeAcc.PC = e.addr, e.pc
+		if e.IsStore {
+			o.storeAcc.Addr, o.storeAcc.PC = e.Addr, e.PC
 			if r := o.h.L1D.Access(&o.storeAcc); !r.Accepted() {
 				o.headRefuse = r
-				o.res.noteRetry(r.Reason)
+				o.st.Res.noteRetry(r.Reason)
 				return committed // retry per the refusal reason
 			}
-			o.res.Stores++
+			o.st.Res.Stores++
 		}
-		if e.class == trace.Load {
-			o.res.Loads++
+		if e.Class == trace.Load {
+			o.st.Res.Loads++
 		}
-		if e.class.IsMem() {
-			o.lsqUsed--
+		if e.Class.IsMem() {
+			o.st.LSQUsed--
 		}
-		e.waiters = e.waiters[:0]
-		o.head++
+		e.Waiters = e.Waiters[:0]
+		o.st.Head++
 		committed++
-		o.res.Insts++
-		if o.onWarm != nil && o.res.Insts == o.warmInsts {
+		o.st.Res.Insts++
+		if o.onWarm != nil && o.st.Res.Insts == o.warmInsts {
 			o.onWarm(o.eng.Now())
 			o.onWarm = nil
 		}
@@ -453,50 +422,50 @@ func (o *OoO) commit() (committed int) {
 //
 //ml:hotpath
 func (o *OoO) issue(cycle uint64) int {
-	if cycle != o.fuCycle {
-		o.fuCycle = cycle
-		o.intALU, o.intMD, o.fpALU, o.fpMD, o.ls = 0, 0, 0, 0, 0
+	if cycle != o.st.FuCycle {
+		o.st.FuCycle = cycle
+		o.st.IntALU, o.st.IntMD, o.st.FPALU, o.st.FPMD, o.st.LS = 0, 0, 0, 0, 0
 	}
 	issued := 0
-	kept := o.readyQ[:0]
-	for i := 0; i < len(o.readyQ); i++ {
-		seq := o.readyQ[i]
+	kept := o.st.ReadyQ[:0]
+	for i := 0; i < len(o.st.ReadyQ); i++ {
+		seq := o.st.ReadyQ[i]
 		if issued >= o.cfg.IssueWidth {
-			kept = append(kept, o.readyQ[i:]...)
+			kept = append(kept, o.st.ReadyQ[i:]...)
 			break
 		}
 		e := o.slot(seq)
-		if e.state != stReady {
+		if e.State != stReady {
 			continue // defensive: already handled
 		}
-		if !o.fuAvailable(e.class) {
+		if !o.fuAvailable(e.Class) {
 			kept = append(kept, seq)
 			continue
 		}
-		if e.class == trace.Load {
+		if e.Class == trace.Load {
 			lr := o.getLoad(seq)
-			lr.acc.Addr = e.addr
-			lr.acc.PC = e.pc
+			lr.acc.Addr = e.Addr
+			lr.acc.PC = e.PC
 			if r := o.h.L1D.Access(&lr.acc); !r.Accepted() {
-				o.res.noteRetry(r.Reason)
+				o.st.Res.noteRetry(r.Reason)
 				o.putLoad(lr)
 				kept = append(kept, seq)
 				continue
 			}
-			o.takeFU(e.class)
-			e.state = stIssued
+			o.takeFU(e.Class)
+			e.State = stIssued
 			issued++
 			continue
 		}
 		// Stores compute their address in one cycle; the memory write
 		// happens at commit. ALU/branch classes complete after their
 		// latency.
-		o.takeFU(e.class)
-		e.state = stIssued
+		o.takeFU(e.Class)
+		e.State = stIssued
 		issued++
-		o.eng.AfterFunc(e.class.Latency(), oooComplete, o, nil, seq, 0)
+		o.eng.AfterFunc(e.Class.Latency(), oooComplete, o, nil, seq, 0)
 	}
-	o.readyQ = kept
+	o.st.ReadyQ = kept
 	return issued
 }
 
@@ -509,15 +478,15 @@ func oooComplete(_ uint64, o1, _ any, seq, _ uint64) {
 func (o *OoO) fuAvailable(c trace.Class) bool {
 	switch c {
 	case trace.IntALU, trace.Branch:
-		return o.intALU < o.cfg.IntALU
+		return o.st.IntALU < o.cfg.IntALU
 	case trace.IntMult, trace.IntDiv:
-		return o.intMD < o.cfg.IntMultDiv
+		return o.st.IntMD < o.cfg.IntMultDiv
 	case trace.FPALU:
-		return o.fpALU < o.cfg.FPALU
+		return o.st.FPALU < o.cfg.FPALU
 	case trace.FPMult, trace.FPDiv:
-		return o.fpMD < o.cfg.FPMultDiv
+		return o.st.FPMD < o.cfg.FPMultDiv
 	case trace.Load, trace.Store:
-		return o.ls < o.cfg.LoadStore
+		return o.st.LS < o.cfg.LoadStore
 	}
 	return true
 }
@@ -525,46 +494,46 @@ func (o *OoO) fuAvailable(c trace.Class) bool {
 func (o *OoO) takeFU(c trace.Class) {
 	switch c {
 	case trace.IntALU, trace.Branch:
-		o.intALU++
+		o.st.IntALU++
 	case trace.IntMult, trace.IntDiv:
-		o.intMD++
+		o.st.IntMD++
 	case trace.FPALU:
-		o.fpALU++
+		o.st.FPALU++
 	case trace.FPMult, trace.FPDiv:
-		o.fpMD++
+		o.st.FPMD++
 	case trace.Load, trace.Store:
-		o.ls++
+		o.st.LS++
 	}
 }
 
 // complete marks seq done and wakes its consumers.
 func (o *OoO) complete(seq uint64) {
 	e := o.slot(seq)
-	if e.state == stDone {
+	if e.State == stDone {
 		return
 	}
-	e.state = stDone
-	for _, w := range e.waiters {
+	e.State = stDone
+	for _, w := range e.Waiters {
 		we := o.slot(w)
-		we.pending--
-		if we.pending == 0 && we.state == stWaiting {
-			we.state = stReady
-			o.readyQ = append(o.readyQ, w)
+		we.Pending--
+		if we.Pending == 0 && we.State == stWaiting {
+			we.State = stReady
+			o.st.ReadyQ = append(o.st.ReadyQ, w)
 		}
 	}
-	e.waiters = e.waiters[:0]
-	if e.class == trace.Branch && e.mispredict && o.haltOnBranch && o.haltBranchSeq == seq {
-		o.haltOnBranch = false
-		o.fetchResumeAt = o.eng.Now() + o.cfg.MispredictPenalty
-		o.res.Mispredicts++
+	e.Waiters = e.Waiters[:0]
+	if e.Class == trace.Branch && e.Mispredict && o.st.HaltOnBranch && o.st.HaltBranchSeq == seq {
+		o.st.HaltOnBranch = false
+		o.st.FetchResumeAt = o.eng.Now() + o.cfg.MispredictPenalty
+		o.st.Res.Mispredicts++
 	}
 }
 
 // nextInst pulls the next instruction, honouring the staging slot.
 func (o *OoO) nextInst(inst *trace.Inst) bool {
-	if o.hasStaged {
-		*inst = o.staged
-		o.hasStaged = false
+	if o.st.HasStaged {
+		*inst = o.st.Staged
+		o.st.HasStaged = false
 		return true
 	}
 	return o.stream.Next(inst)
@@ -572,45 +541,45 @@ func (o *OoO) nextInst(inst *trace.Inst) bool {
 
 // stage parks an instruction that could not be placed this cycle.
 func (o *OoO) stage(inst *trace.Inst) {
-	o.staged = *inst
-	o.hasStaged = true
+	o.st.Staged = *inst
+	o.st.HasStaged = true
 }
 
 // fetch brings up to FetchWidth instructions into the window,
 // modeling an I-cache access per line transition and halting on
 // unresolved mispredicted branches. It returns the number of
-// instructions placed, and flags (via fetchRetry) bail-outs that a
+// instructions placed, and flags (via FetchRetry) bail-outs that a
 // plain next cycle could unblock — the idle-skip logic must not jump
 // over those.
 //
 //ml:hotpath
 func (o *OoO) fetch(cycle uint64) (placed int) {
-	o.fetchRetry = false
+	o.st.FetchRetry = false
 	o.fetchRefuse = cache.Refusal{}
-	if o.fetchDone || o.haltOnBranch || o.fetchBlocked || cycle < o.fetchResumeAt {
+	if o.st.FetchDone || o.st.HaltOnBranch || o.st.FetchBlocked || cycle < o.st.FetchResumeAt {
 		return 0
 	}
 	inst := &o.fetchScratch
 	for n := 0; n < o.cfg.FetchWidth; n++ {
-		if o.fetched >= o.maxFetch {
-			o.fetchDone = true
+		if o.st.Fetched >= o.maxFetch {
+			o.st.FetchDone = true
 			return placed
 		}
-		if o.tail-o.head >= uint64(o.cfg.RUUSize) {
+		if o.st.Tail-o.st.Head >= uint64(o.cfg.RUUSize) {
 			return placed // window full
 		}
 		if !o.nextInst(inst) {
-			o.fetchDone = true
+			o.st.FetchDone = true
 			return placed
 		}
-		if inst.Class.IsMem() && o.lsqUsed >= o.cfg.LSQSize {
+		if inst.Class.IsMem() && o.st.LSQUsed >= o.cfg.LSQSize {
 			o.stage(inst)
 			return placed // LSQ full
 		}
 
 		// Instruction cache: one access per line transition.
 		lineAddr := inst.PC &^ 31
-		if lineAddr != o.curFetchLine {
+		if lineAddr != o.st.CurFetchLine {
 			present, _, _ := o.h.L1I.Probe(lineAddr)
 			if present {
 				acc := cache.Access{Addr: lineAddr, PC: inst.PC}
@@ -619,12 +588,12 @@ func (o *OoO) fetch(cycle uint64) (placed int) {
 					o.noteFetchRefusal(r)
 					return placed // I-cache refused the hit access
 				}
-				o.curFetchLine = lineAddr
+				o.st.CurFetchLine = lineAddr
 			} else {
 				acc := cache.Access{Addr: lineAddr, PC: inst.PC, Done: o}
 				if r := o.h.L1I.Access(&acc); r.Accepted() {
-					o.fetchBlocked = true
-					o.curFetchLine = lineAddr
+					o.st.FetchBlocked = true
+					o.st.CurFetchLine = lineAddr
 				} else {
 					o.noteFetchRefusal(r) // I-cache refused the miss
 				}
@@ -635,10 +604,10 @@ func (o *OoO) fetch(cycle uint64) (placed int) {
 
 		o.place(inst)
 		placed++
-		o.fetched++
+		o.st.Fetched++
 		if inst.Class == trace.Branch && inst.Mispredict {
-			o.haltOnBranch = true
-			o.haltBranchSeq = o.tail - 1
+			o.st.HaltOnBranch = true
+			o.st.HaltBranchSeq = o.st.Tail - 1
 			return placed
 		}
 	}
@@ -646,7 +615,7 @@ func (o *OoO) fetch(cycle uint64) (placed int) {
 }
 
 // noteFetchRefusal records an I-cache refusal for the idle-skip
-// logic. Stall/MSHR refusals are timer-/event-bound: fetchRetry stays
+// logic. Stall/MSHR refusals are timer-/event-bound: FetchRetry stays
 // clear so stallTarget may jump (bounded by fetchRefuse.RetryAt for
 // stalls). Port refusals free again next cycle with no calendar event
 // involved, so they must keep blocking the skip, as before.
@@ -654,46 +623,46 @@ func (o *OoO) fetch(cycle uint64) (placed int) {
 //ml:hotpath
 func (o *OoO) noteFetchRefusal(r cache.Refusal) {
 	o.fetchRefuse = r
-	o.res.noteRetry(r.Reason)
+	o.st.Res.noteRetry(r.Reason)
 	if r.Reason != cache.RefuseStall && r.Reason != cache.RefuseMSHR {
-		o.fetchRetry = true
+		o.st.FetchRetry = true
 	}
 }
 
 // place allocates a window entry and resolves its dependences.
 func (o *OoO) place(inst *trace.Inst) {
-	seq := o.tail
-	o.tail++
+	seq := o.st.Tail
+	o.st.Tail++
 	e := o.slot(seq)
-	*e = robEntry{
-		class:      inst.Class,
-		pc:         inst.MemPC(),
-		addr:       inst.Addr,
-		isStore:    inst.Class == trace.Store,
-		mispredict: inst.Mispredict,
-		state:      stWaiting,
-		waiters:    e.waiters[:0],
+	*e = ROBEntryState{
+		Class:      inst.Class,
+		PC:         inst.MemPC(),
+		Addr:       inst.Addr,
+		IsStore:    inst.Class == trace.Store,
+		Mispredict: inst.Mispredict,
+		State:      stWaiting,
+		Waiters:    e.Waiters[:0],
 	}
 	if inst.Class.IsMem() {
-		o.lsqUsed++
+		o.st.LSQUsed++
 	}
 	for _, d := range [2]uint16{inst.Dep1, inst.Dep2} {
 		if d == 0 || uint64(d) > seq {
 			continue
 		}
 		prod := seq - uint64(d)
-		if prod < o.head {
+		if prod < o.st.Head {
 			continue // producer already committed: value available
 		}
 		pe := o.slot(prod)
-		if pe.state == stDone {
+		if pe.State == stDone {
 			continue
 		}
-		pe.waiters = append(pe.waiters, seq)
-		e.pending++
+		pe.Waiters = append(pe.Waiters, seq)
+		e.Pending++
 	}
-	if e.pending == 0 {
-		e.state = stReady
-		o.readyQ = append(o.readyQ, seq)
+	if e.Pending == 0 {
+		e.State = stReady
+		o.st.ReadyQ = append(o.st.ReadyQ, seq)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microlib/internal/sim"
+	"microlib/internal/statecopy"
 	"microlib/internal/trace"
 )
 
@@ -14,7 +15,7 @@ import (
 // referenced from cache MSHRs and calendar events; they serialize
 // through the Load{Resolver,Restorer} operand domain.
 
-// ROBEntryState is one reorder-buffer slot in serializable form.
+// ROBEntryState is one reorder-buffer slot.
 type ROBEntryState struct {
 	Class      trace.Class
 	PC         uint64
@@ -23,101 +24,51 @@ type ROBEntryState struct {
 	Mispredict bool
 	State      uint8
 	Pending    int
-	Waiters    []uint64
+	Waiters    []uint64 // absolute sequence numbers of consumers
 }
 
-// OoOState is the full mutable state of the out-of-order core.
+// OoOState is the full mutable state of the out-of-order core: the
+// core keeps it in this form while it runs.
 type OoOState struct {
-	Win           []ROBEntryState
-	Head          uint64
-	Tail          uint64
-	ReadyQ        []uint64
-	LSQUsed       int
-	FetchDone     bool
-	FetchBlocked  bool
-	FetchRetry    bool
-	FetchResumeAt uint64
-	HaltOnBranch  bool
+	Win  []ROBEntryState
+	Head uint64 // oldest in-flight sequence number
+	Tail uint64 // next sequence number to allocate
+
+	ReadyQ  []uint64
+	LSQUsed int
+
+	// Front end.
+	FetchDone     bool   // stream exhausted or budget reached
+	FetchBlocked  bool   // waiting on an I-cache fill
+	FetchRetry    bool   // fetch bailed on a next-cycle-retriable resource
+	FetchResumeAt uint64 // earliest fetch cycle after redirect
+	HaltOnBranch  bool   // a mispredicted branch is unresolved
 	HaltBranchSeq uint64
 	CurFetchLine  uint64
-	Staged        trace.Inst
+	Staged        trace.Inst // one-instruction fetch stage
 	HasStaged     bool
 	Fetched       uint64
-	FuCycle       uint64
-	IntALU        int
-	IntMD         int
-	FPALU         int
-	FPMD          int
-	LS            int
-	Res           Result
+
+	// Per-cycle functional-unit usage.
+	FuCycle                        uint64
+	IntALU, IntMD, FPALU, FPMD, LS int
+
+	Res Result
 }
 
 // State captures the core's mutable state (in-flight load nodes are
 // captured separately, by the LoadResolver, as they surface from the
 // calendar and MSHR snapshots).
-func (o *OoO) State() OoOState {
-	st := OoOState{
-		Head: o.head, Tail: o.tail, LSQUsed: o.lsqUsed,
-		FetchDone: o.fetchDone, FetchBlocked: o.fetchBlocked,
-		FetchRetry: o.fetchRetry, FetchResumeAt: o.fetchResumeAt,
-		HaltOnBranch: o.haltOnBranch, HaltBranchSeq: o.haltBranchSeq,
-		CurFetchLine: o.curFetchLine, Staged: o.staged, HasStaged: o.hasStaged,
-		Fetched: o.fetched, FuCycle: o.fuCycle,
-		IntALU: o.intALU, IntMD: o.intMD, FPALU: o.fpALU, FPMD: o.fpMD, LS: o.ls,
-		Res: o.res,
-	}
-	st.Win = make([]ROBEntryState, len(o.win))
-	for i := range o.win {
-		e := &o.win[i]
-		w := ROBEntryState{
-			Class: e.class, PC: e.pc, Addr: e.addr, IsStore: e.isStore,
-			Mispredict: e.mispredict, State: e.state, Pending: e.pending,
-		}
-		if len(e.waiters) > 0 {
-			w.Waiters = append([]uint64(nil), e.waiters...)
-		}
-		st.Win[i] = w
-	}
-	if len(o.readyQ) > 0 {
-		st.ReadyQ = append([]uint64(nil), o.readyQ...)
-	}
-	return st
-}
+func (o *OoO) State() OoOState { return statecopy.Clone(o.st) }
 
 // SetState overwrites the core's mutable state from a snapshot taken
 // on an identically-configured core. Backing arrays (window waiter
 // slices, the ready queue) are reused.
 func (o *OoO) SetState(st OoOState) error {
-	if len(st.Win) != len(o.win) {
-		return fmt.Errorf("cpu: snapshot window has %d slots, config needs %d", len(st.Win), len(o.win))
+	if len(st.Win) != len(o.st.Win) {
+		return fmt.Errorf("cpu: snapshot window has %d slots, config needs %d", len(st.Win), len(o.st.Win))
 	}
-	for i := range st.Win {
-		w := &st.Win[i]
-		e := &o.win[i]
-		keep := e.waiters[:0]
-		*e = robEntry{
-			class: w.Class, pc: w.PC, addr: w.Addr, isStore: w.IsStore,
-			mispredict: w.Mispredict, state: w.State, pending: w.Pending,
-			waiters: append(keep, w.Waiters...),
-		}
-	}
-	o.head = st.Head
-	o.tail = st.Tail
-	o.readyQ = append(o.readyQ[:0], st.ReadyQ...)
-	o.lsqUsed = st.LSQUsed
-	o.fetchDone = st.FetchDone
-	o.fetchBlocked = st.FetchBlocked
-	o.fetchRetry = st.FetchRetry
-	o.fetchResumeAt = st.FetchResumeAt
-	o.haltOnBranch = st.HaltOnBranch
-	o.haltBranchSeq = st.HaltBranchSeq
-	o.curFetchLine = st.CurFetchLine
-	o.staged = st.Staged
-	o.hasStaged = st.HasStaged
-	o.fetched = st.Fetched
-	o.fuCycle = st.FuCycle
-	o.intALU, o.intMD, o.fpALU, o.fpMD, o.ls = st.IntALU, st.IntMD, st.FPALU, st.FPMD, st.LS
-	o.res = st.Res
+	statecopy.CopyInto(&o.st, st)
 	return nil
 }
 

@@ -26,8 +26,7 @@ type EWB struct {
 	interval uint64
 	batch    int
 
-	Eager uint64 // lines written back early
-	scans uint64
+	st State // all mutable state, snapshotted whole
 }
 
 // New builds an eager-writeback engine scanning every interval
@@ -76,9 +75,9 @@ func ewbFireScan(_ uint64, o1, _ any, _, _ uint64) {
 // queueing still apply — the win is in the timing, not in skipping
 // the work.
 func (e *EWB) scan() {
-	e.scans++
+	e.st.Scans++
 	for _, la := range e.l2.DrainDirtyLRU(e.batch) {
-		e.Eager++
+		e.st.Eager++
 		e.l2.WriteBackLine(la)
 	}
 }
@@ -89,6 +88,6 @@ func (e *EWB) scan() {
 func (e *EWB) Hardware() []core.HWTable {
 	return []core.HWTable{{
 		Label: "ewb-scanptr", Bytes: 8, Assoc: 1, Ports: 1,
-		Reads: e.scans, Writes: e.Eager,
+		Reads: e.st.Scans, Writes: e.st.Eager,
 	}}
 }

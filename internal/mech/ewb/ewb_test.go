@@ -20,7 +20,7 @@ func TestEagerWritebackCleansDirtyLRU(t *testing.T) {
 		s.Settle(60)
 	}
 	s.Settle(1000) // several scan intervals
-	if e.Eager == 0 {
+	if e.st.Eager == 0 {
 		t.Fatal("no eager writebacks")
 	}
 	if len(s.Back.WBacks) == 0 {

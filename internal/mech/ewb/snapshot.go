@@ -5,20 +5,19 @@ import (
 	"fmt"
 
 	"microlib/internal/sim"
+	"microlib/internal/statecopy"
 )
 
 // State is the EWB's full mutable state: the pending sweep is a
 // calendar event and travels with the engine snapshot, the dirty bits
 // it scans live in the cache.
 type State struct {
-	Eager uint64
+	Eager uint64 // lines written back early
 	Scans uint64
 }
 
 // SnapState implements core.Snapshotter.
-func (e *EWB) SnapState() any {
-	return State{Eager: e.Eager, Scans: e.scans}
-}
+func (e *EWB) SnapState() any { return statecopy.Clone(e.st) }
 
 // RestoreState implements core.Snapshotter.
 func (e *EWB) RestoreState(v any) error {
@@ -26,7 +25,7 @@ func (e *EWB) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("ewb: snapshot is %T, not ewb.State", v)
 	}
-	e.Eager, e.scans = st.Eager, st.Scans
+	statecopy.CopyInto(&e.st, st)
 	return nil
 }
 

@@ -20,15 +20,10 @@ type FVC struct {
 	values core.ValueSource
 	freq   map[uint64]struct{}
 
-	lines map[uint64]int // lineAddr -> ring slot
-	ring  []uint64
-	pos   int
-
-	Inserts  uint64
-	Rejected uint64 // evictions that were not compressible
-	Hits     uint64
-	Probes   uint64
 	lineSize int
+
+	st    State          // all mutable state but lines, snapshotted whole
+	lines map[uint64]int // derived index lineAddr -> st.Ring slot, rebuilt on restore
 }
 
 // New builds an FVC with nLines entries using the frequent-value set
@@ -38,9 +33,9 @@ func New(l1 *cache.Cache, values core.ValueSource, fv []uint64, nLines int) *FVC
 		l1:       l1,
 		values:   values,
 		freq:     make(map[uint64]struct{}, len(fv)),
-		lines:    make(map[uint64]int, nLines),
-		ring:     make([]uint64, nLines),
 		lineSize: l1.Config().LineSize,
+		st:       State{Ring: make([]uint64, nLines)},
+		lines:    make(map[uint64]int, nLines),
 	}
 	for _, v := range fv {
 		f.freq[v] = struct{}{}
@@ -95,25 +90,25 @@ func (f *FVC) compressible(lineAddr uint64) bool {
 // write-back proceeds normally) — the compressed copy would be stale.
 func (f *FVC) OnEvict(lineAddr uint64, dirty bool, now uint64) {
 	if dirty || !f.compressible(lineAddr) {
-		f.Rejected++
+		f.st.Rejected++
 		return
 	}
-	f.Inserts++
-	if old := f.ring[f.pos]; old != 0 {
+	f.st.Inserts++
+	if old := f.st.Ring[f.st.Pos]; old != 0 {
 		delete(f.lines, old)
 	}
-	f.ring[f.pos] = lineAddr
-	f.lines[lineAddr] = f.pos
-	f.pos = (f.pos + 1) % len(f.ring)
+	f.st.Ring[f.st.Pos] = lineAddr
+	f.lines[lineAddr] = f.st.Pos
+	f.st.Pos = (f.st.Pos + 1) % len(f.st.Ring)
 }
 
 // ProbeAux implements cache.AuxProber.
 func (f *FVC) ProbeAux(lineAddr uint64, now uint64) bool {
-	f.Probes++
+	f.st.Probes++
 	if i, ok := f.lines[lineAddr]; ok {
 		delete(f.lines, lineAddr)
-		f.ring[i] = 0
-		f.Hits++
+		f.st.Ring[i] = 0
+		f.st.Hits++
 		return true
 	}
 	return false
@@ -121,13 +116,13 @@ func (f *FVC) ProbeAux(lineAddr uint64, now uint64) bool {
 
 // RepeatMisses implements cache.AuxProber: a missing probe only
 // counts.
-func (f *FVC) RepeatMisses(n uint64) { f.Probes += n }
+func (f *FVC) RepeatMisses(n uint64) { f.st.Probes += n }
 
 // Hardware implements core.CostModeler: 1024 lines, each stored as
 // 3-bit codes per word plus a tag — about 8 bytes per line.
 func (f *FVC) Hardware() []core.HWTable {
 	return []core.HWTable{{
-		Label: "fvc", Bytes: len(f.ring) * 8, Assoc: 0, Ports: 1,
-		Reads: f.Probes, Writes: f.Inserts,
+		Label: "fvc", Bytes: len(f.st.Ring) * 8, Assoc: 0, Ports: 1,
+		Reads: f.st.Probes, Writes: f.st.Inserts,
 	}}
 }

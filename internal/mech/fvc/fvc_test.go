@@ -35,14 +35,14 @@ func TestCompressibleLinesRetained(t *testing.T) {
 	a, b := uint64(0x10000), uint64(0x10000+1024) // FV region, same set
 	s.Access(a, 1)
 	s.Access(b, 1) // evicts a; compressible -> stored
-	if f.Inserts != 1 {
-		t.Fatalf("inserts %d", f.Inserts)
+	if f.st.Inserts != 1 {
+		t.Fatalf("inserts %d", f.st.Inserts)
 	}
 	if !s.Access(a, 1) {
 		t.Fatal("FVC did not service the compressible line")
 	}
-	if f.Hits != 1 {
-		t.Fatalf("hits %d", f.Hits)
+	if f.st.Hits != 1 {
+		t.Fatalf("hits %d", f.st.Hits)
 	}
 }
 
@@ -51,8 +51,8 @@ func TestIncompressibleRejected(t *testing.T) {
 	a, b := uint64(0x40000), uint64(0x40000+1024) // outside FV region
 	s.Access(a, 1)
 	s.Access(b, 1)
-	if f.Inserts != 0 || f.Rejected == 0 {
-		t.Fatalf("incompressible line stored: inserts=%d rejected=%d", f.Inserts, f.Rejected)
+	if f.st.Inserts != 0 || f.st.Rejected == 0 {
+		t.Fatalf("incompressible line stored: inserts=%d rejected=%d", f.st.Inserts, f.st.Rejected)
 	}
 	fetches := len(s.Back.Fetches)
 	s.Access(a, 1) // must refetch downstream
@@ -72,7 +72,7 @@ func TestDirtyNotRetained(t *testing.T) {
 	}
 	s.Settle(50)
 	s.Access(b, 1)
-	if f.Inserts != 0 {
+	if f.st.Inserts != 0 {
 		t.Fatal("dirty line retained in compressed form")
 	}
 }

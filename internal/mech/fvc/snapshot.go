@@ -3,6 +3,8 @@ package fvc
 import (
 	"encoding/gob"
 	"fmt"
+
+	"microlib/internal/statecopy"
 )
 
 // State is the FVC's full mutable state. The lineAddr->slot map is
@@ -12,18 +14,13 @@ type State struct {
 	Ring     []uint64
 	Pos      int
 	Inserts  uint64
-	Rejected uint64
+	Rejected uint64 // evictions that were not compressible
 	Hits     uint64
 	Probes   uint64
 }
 
 // SnapState implements core.Snapshotter.
-func (f *FVC) SnapState() any {
-	return State{
-		Ring: append([]uint64(nil), f.ring...), Pos: f.pos,
-		Inserts: f.Inserts, Rejected: f.Rejected, Hits: f.Hits, Probes: f.Probes,
-	}
-}
+func (f *FVC) SnapState() any { return statecopy.Clone(f.st) }
 
 // RestoreState implements core.Snapshotter.
 func (f *FVC) RestoreState(v any) error {
@@ -31,18 +28,16 @@ func (f *FVC) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("fvc: snapshot is %T, not fvc.State", v)
 	}
-	if len(st.Ring) != len(f.ring) {
-		return fmt.Errorf("fvc: snapshot has %d lines, ring holds %d", len(st.Ring), len(f.ring))
+	if len(st.Ring) != len(f.st.Ring) {
+		return fmt.Errorf("fvc: snapshot has %d lines, ring holds %d", len(st.Ring), len(f.st.Ring))
 	}
-	copy(f.ring, st.Ring)
+	statecopy.CopyInto(&f.st, st)
 	clear(f.lines)
-	for i, la := range f.ring {
+	for i, la := range f.st.Ring {
 		if la != 0 {
 			f.lines[la] = i
 		}
 	}
-	f.pos = st.Pos
-	f.Inserts, f.Rejected, f.Hits, f.Probes = st.Inserts, st.Rejected, st.Hits, st.Probes
 	return nil
 }
 

@@ -18,30 +18,16 @@ import (
 	"microlib/internal/core"
 )
 
-type bufEntry struct {
-	addr uint64
-	prev int32 // index of this PC's previous miss, -1 if none
-	seq  uint64
-}
-
 // GHB is the global-history-buffer prefetcher.
 type GHB struct {
 	l2 *cache.Cache
 
-	it     []int32 // index table: PC hash -> buffer index
-	itTags []uint64
 	itMask uint32
-
-	buf    []bufEntry
-	bufPos int
-	seq    uint64
 
 	degree  int
 	maxWalk int
 
-	reads, writes uint64
-	issued        uint64
-	walks         uint64
+	st State // all mutable state, snapshotted whole
 }
 
 // New builds a GHB with itEntries index-table entries and bufEntries
@@ -53,18 +39,20 @@ func New(l2 *cache.Cache, itEntries, bufEntries, degree int) *GHB {
 	}
 	g := &GHB{
 		l2:      l2,
-		it:      make([]int32, n),
-		itTags:  make([]uint64, n),
 		itMask:  uint32(n - 1),
-		buf:     make([]bufEntry, bufEntries),
 		degree:  degree,
 		maxWalk: 8,
+		st: State{
+			IT:     make([]int32, n),
+			ITTags: make([]uint64, n),
+			Buf:    make([]BufEntryState, bufEntries),
+		},
 	}
-	for i := range g.it {
-		g.it[i] = -1
+	for i := range g.st.IT {
+		g.st.IT[i] = -1
 	}
-	for i := range g.buf {
-		g.buf[i].prev = -1
+	for i := range g.st.Buf {
+		g.st.Buf[i].Prev = -1
 	}
 	return g
 }
@@ -96,37 +84,37 @@ func (g *GHB) OnMiss(lineAddr, pc uint64, now uint64) {
 	idx := (uint32(pc>>2) ^ uint32(pc>>11)) & g.itMask
 
 	// Link the new miss into this PC's chain.
-	g.seq++
-	pos := g.bufPos
+	g.st.Seq++
+	pos := g.st.BufPos
 	prev := int32(-1)
-	if g.itTags[idx] == pc && g.it[idx] >= 0 {
-		prev = g.it[idx]
+	if g.st.ITTags[idx] == pc && g.st.IT[idx] >= 0 {
+		prev = g.st.IT[idx]
 	}
-	g.buf[pos] = bufEntry{addr: lineAddr, prev: prev, seq: g.seq}
-	g.it[idx] = int32(pos)
-	g.itTags[idx] = pc
-	g.bufPos = (g.bufPos + 1) % len(g.buf)
-	g.writes += 2 // IT update + GHB push
+	g.st.Buf[pos] = BufEntryState{Addr: lineAddr, Prev: prev, Seq: g.st.Seq}
+	g.st.IT[idx] = int32(pos)
+	g.st.ITTags[idx] = pc
+	g.st.BufPos = (g.st.BufPos + 1) % len(g.st.Buf)
+	g.st.Writes += 2 // IT update + GHB push
 
 	// Walk the chain to collect the recent addresses, newest first.
 	var hist [9]uint64
 	n := 0
 	cur := int32(pos)
-	lastSeq := g.seq + 1
+	lastSeq := g.st.Seq + 1
 	for cur >= 0 && n < g.maxWalk+1 {
-		e := &g.buf[cur]
+		e := &g.st.Buf[cur]
 		// Stop if the entry was overwritten since it was linked (the
 		// circular buffer reuses slots).
-		if e.seq >= lastSeq {
+		if e.Seq >= lastSeq {
 			break
 		}
-		lastSeq = e.seq
-		hist[n] = e.addr
+		lastSeq = e.Seq
+		hist[n] = e.Addr
 		n++
-		cur = e.prev
-		g.reads++
+		cur = e.Prev
+		g.st.Reads++
 	}
-	g.walks++
+	g.st.Walks++
 	if n < 3 {
 		return
 	}
@@ -140,7 +128,7 @@ func (g *GHB) OnMiss(lineAddr, pc uint64, now uint64) {
 	if d1 == d2 {
 		// Constant stride: prefetch degree lines ahead.
 		for k := 1; k <= g.degree; k++ {
-			g.issued++
+			g.st.Issued++
 			g.l2.Prefetch(uint64(int64(lineAddr) + d1*int64(k)))
 		}
 		return
@@ -151,7 +139,7 @@ func (g *GHB) OnMiss(lineAddr, pc uint64, now uint64) {
 	for i := 1; i+2 < n; i++ {
 		e1 := int64(hist[i]) - int64(hist[i+1])
 		e2 := int64(hist[i+1]) - int64(hist[i+2])
-		g.reads++
+		g.st.Reads++
 		if e1 == d1 && e2 == d2 {
 			addr := int64(lineAddr)
 			issued := 0
@@ -164,7 +152,7 @@ func (g *GHB) OnMiss(lineAddr, pc uint64, now uint64) {
 					continue
 				}
 				addr += delta
-				g.issued++
+				g.st.Issued++
 				issued++
 				g.l2.Prefetch(uint64(addr))
 			}
@@ -177,12 +165,12 @@ func (g *GHB) OnMiss(lineAddr, pc uint64, now uint64) {
 // power comes from activity, not capacity.
 func (g *GHB) Hardware() []core.HWTable {
 	return []core.HWTable{
-		{Label: "ghb-it", Bytes: len(g.it) * 12, Assoc: 1, Ports: 1,
-			Reads: g.walks, Writes: g.writes / 2},
-		{Label: "ghb-buffer", Bytes: len(g.buf) * 12, Assoc: 0, Ports: 1,
-			Reads: g.reads, Writes: g.writes / 2},
+		{Label: "ghb-it", Bytes: len(g.st.IT) * 12, Assoc: 1, Ports: 1,
+			Reads: g.st.Walks, Writes: g.st.Writes / 2},
+		{Label: "ghb-buffer", Bytes: len(g.st.Buf) * 12, Assoc: 0, Ports: 1,
+			Reads: g.st.Reads, Writes: g.st.Writes / 2},
 	}
 }
 
 // Issued reports attempted prefetches (tests).
-func (g *GHB) Issued() uint64 { return g.issued }
+func (g *GHB) Issued() uint64 { return g.st.Issued }

@@ -3,18 +3,20 @@ package ghb
 import (
 	"encoding/gob"
 	"fmt"
+
+	"microlib/internal/statecopy"
 )
 
-// BufEntryState is one history-buffer entry in serializable form.
+// BufEntryState is one history-buffer entry.
 type BufEntryState struct {
 	Addr uint64
-	Prev int32
+	Prev int32 // index of this PC's previous miss, -1 if none
 	Seq  uint64
 }
 
 // State is the GHB's full mutable state.
 type State struct {
-	IT     []int32
+	IT     []int32 // index table: PC hash -> buffer index
 	ITTags []uint64
 	Buf    []BufEntryState
 	BufPos int
@@ -26,19 +28,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (g *GHB) SnapState() any {
-	st := State{
-		BufPos: g.bufPos, Seq: g.seq,
-		Reads: g.reads, Writes: g.writes, Issued: g.issued, Walks: g.walks,
-	}
-	st.IT = append([]int32(nil), g.it...)
-	st.ITTags = append([]uint64(nil), g.itTags...)
-	st.Buf = make([]BufEntryState, len(g.buf))
-	for i, e := range g.buf {
-		st.Buf[i] = BufEntryState{Addr: e.addr, Prev: e.prev, Seq: e.seq}
-	}
-	return st
-}
+func (g *GHB) SnapState() any { return statecopy.Clone(g.st) }
 
 // RestoreState implements core.Snapshotter.
 func (g *GHB) RestoreState(v any) error {
@@ -46,17 +36,11 @@ func (g *GHB) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("ghb: snapshot is %T, not ghb.State", v)
 	}
-	if len(st.IT) != len(g.it) || len(st.Buf) != len(g.buf) {
+	if len(st.IT) != len(g.st.IT) || len(st.ITTags) != len(g.st.ITTags) || len(st.Buf) != len(g.st.Buf) {
 		return fmt.Errorf("ghb: snapshot geometry %d/%d, table holds %d/%d",
-			len(st.IT), len(st.Buf), len(g.it), len(g.buf))
+			len(st.IT), len(st.Buf), len(g.st.IT), len(g.st.Buf))
 	}
-	copy(g.it, st.IT)
-	copy(g.itTags, st.ITTags)
-	for i, e := range st.Buf {
-		g.buf[i] = bufEntry{addr: e.Addr, prev: e.Prev, seq: e.Seq}
-	}
-	g.bufPos, g.seq = st.BufPos, st.Seq
-	g.reads, g.writes, g.issued, g.walks = st.Reads, st.Writes, st.Issued, st.Walks
+	statecopy.CopyInto(&g.st, st)
 	return nil
 }
 

@@ -12,27 +12,13 @@ import (
 
 const predsPerEntry = 4
 
-type entryT struct {
-	tag   uint64
-	preds [predsPerEntry]uint64
-}
-
 // Markov is the Markov prefetcher.
 type Markov struct {
-	l1    *cache.Cache
-	table []entryT
-	mask  uint64
+	l1   *cache.Cache
+	mask uint64
 
-	// prefetch buffer: FIFO of bufSize lines.
-	buffer  map[uint64]int // lineAddr -> ring index
-	ring    []uint64
-	ringPos int
-
-	prevMiss uint64
-
-	reads, writes uint64
-	bufHits       uint64
-	issued        uint64
+	st     State          // all mutable state but buffer, snapshotted whole
+	buffer map[uint64]int // derived index lineAddr -> st.Ring slot, rebuilt on restore
 }
 
 // New builds the prefetcher: tableBytes of correlation storage and a
@@ -44,11 +30,13 @@ func New(l1 *cache.Cache, tableBytes, bufLines int) *Markov {
 		n <<= 1
 	}
 	return &Markov{
-		l1:     l1,
-		table:  make([]entryT, n),
-		mask:   uint64(n - 1),
+		l1:   l1,
+		mask: uint64(n - 1),
+		st: State{
+			Table: make([]EntryState, n),
+			Ring:  make([]uint64, bufLines),
+		},
 		buffer: make(map[uint64]int, bufLines),
-		ring:   make([]uint64, bufLines),
 	}
 }
 
@@ -71,23 +59,23 @@ func (m *Markov) Name() string { return "Markov" }
 // OnMiss implements cache.MissObserver: learn prev->cur transition,
 // then prefetch cur's predicted successors into the buffer.
 func (m *Markov) OnMiss(lineAddr, pc uint64, now uint64) {
-	if m.prevMiss != 0 {
-		m.learn(m.prevMiss, lineAddr)
+	if m.st.PrevMiss != 0 {
+		m.learn(m.st.PrevMiss, lineAddr)
 	}
-	m.prevMiss = lineAddr
+	m.st.PrevMiss = lineAddr
 	e := m.lookup(lineAddr)
-	m.reads++
+	m.st.Reads++
 	if e == nil {
 		return
 	}
-	for _, p := range e.preds {
+	for _, p := range e.Preds {
 		if p == 0 {
 			continue
 		}
 		if _, in := m.buffer[p]; in {
 			continue
 		}
-		m.issued++
+		m.st.Issued++
 		m.l1.PrefetchInto(p, m)
 	}
 }
@@ -96,9 +84,9 @@ func (m *Markov) idx(lineAddr uint64) uint64 {
 	return (lineAddr >> 5) & m.mask
 }
 
-func (m *Markov) lookup(lineAddr uint64) *entryT {
-	e := &m.table[m.idx(lineAddr)]
-	if e.tag == lineAddr {
+func (m *Markov) lookup(lineAddr uint64) *EntryState {
+	e := &m.st.Table[m.idx(lineAddr)]
+	if e.Tag == lineAddr {
 		return e
 	}
 	return nil
@@ -107,34 +95,34 @@ func (m *Markov) lookup(lineAddr uint64) *entryT {
 // learn records "after a miss on prev, a miss on next follows",
 // most-recent-first with the remaining predictions shifted down.
 func (m *Markov) learn(prev, next uint64) {
-	e := &m.table[m.idx(prev)]
-	m.writes++
-	if e.tag != prev {
-		*e = entryT{tag: prev}
-		e.preds[0] = next
+	e := &m.st.Table[m.idx(prev)]
+	m.st.Writes++
+	if e.Tag != prev {
+		*e = EntryState{Tag: prev}
+		e.Preds[0] = next
 		return
 	}
-	for i, p := range e.preds {
+	for i, p := range e.Preds {
 		if p == next {
 			// Move to front.
-			copy(e.preds[1:i+1], e.preds[:i])
-			e.preds[0] = next
+			copy(e.Preds[1:i+1], e.Preds[:i])
+			e.Preds[0] = next
 			return
 		}
 	}
-	copy(e.preds[1:], e.preds[:predsPerEntry-1])
-	e.preds[0] = next
+	copy(e.Preds[1:], e.Preds[:predsPerEntry-1])
+	e.Preds[0] = next
 }
 
 // RedirectFill implements cache.RedirectSink: prefetched lines land
 // in the buffer (not in the L1).
 func (m *Markov) RedirectFill(lineAddr uint64, now uint64) {
-	if old := m.ring[m.ringPos]; old != 0 {
+	if old := m.st.Ring[m.st.RingPos]; old != 0 {
 		delete(m.buffer, old)
 	}
-	m.ring[m.ringPos] = lineAddr
-	m.buffer[lineAddr] = m.ringPos
-	m.ringPos = (m.ringPos + 1) % len(m.ring)
+	m.st.Ring[m.st.RingPos] = lineAddr
+	m.buffer[lineAddr] = m.st.RingPos
+	m.st.RingPos = (m.st.RingPos + 1) % len(m.st.Ring)
 }
 
 // ProbeAux implements cache.AuxProber: a buffer hit promotes the line
@@ -142,8 +130,8 @@ func (m *Markov) RedirectFill(lineAddr uint64, now uint64) {
 func (m *Markov) ProbeAux(lineAddr uint64, now uint64) bool {
 	if i, ok := m.buffer[lineAddr]; ok {
 		delete(m.buffer, lineAddr)
-		m.ring[i] = 0
-		m.bufHits++
+		m.st.Ring[i] = 0
+		m.st.BufHits++
 		return true
 	}
 	return false
@@ -158,18 +146,18 @@ func (m *Markov) RepeatMisses(n uint64) {}
 // others.
 func (m *Markov) Hardware() []core.HWTable {
 	return []core.HWTable{
-		{Label: "markov-table", Bytes: len(m.table) * 8 * (predsPerEntry + 1), Assoc: 1, Ports: 1,
-			Reads: m.reads, Writes: m.writes},
-		{Label: "markov-buffer", Bytes: len(m.ring) * 32, Assoc: 0, Ports: 1,
-			Reads: m.bufHits + m.issued, Writes: m.issued},
+		{Label: "markov-table", Bytes: len(m.st.Table) * 8 * (predsPerEntry + 1), Assoc: 1, Ports: 1,
+			Reads: m.st.Reads, Writes: m.st.Writes},
+		{Label: "markov-buffer", Bytes: len(m.st.Ring) * 32, Assoc: 0, Ports: 1,
+			Reads: m.st.BufHits + m.st.Issued, Writes: m.st.Issued},
 	}
 }
 
 // BufferHits reports prefetch-buffer hits (tests).
-func (m *Markov) BufferHits() uint64 { return m.bufHits }
+func (m *Markov) BufferHits() uint64 { return m.st.BufHits }
 
 // Reads reports correlation-table lookups (diagnostics).
-func (m *Markov) Reads() uint64 { return m.reads }
+func (m *Markov) Reads() uint64 { return m.st.Reads }
 
 // Issued reports attempted prefetches (diagnostics).
-func (m *Markov) Issued() uint64 { return m.issued }
+func (m *Markov) Issued() uint64 { return m.st.Issued }

@@ -43,11 +43,11 @@ func TestMarkovLearnsRepeatingTour(t *testing.T) {
 			access(a)
 		}
 	}
-	if m.issued == 0 {
-		t.Fatalf("markov never issued a prefetch (reads=%d writes=%d)", m.reads, m.writes)
+	if m.st.Issued == 0 {
+		t.Fatalf("markov never issued a prefetch (reads=%d writes=%d)", m.st.Reads, m.st.Writes)
 	}
 	if m.BufferHits() == 0 {
-		t.Fatalf("markov never hit its buffer (issued=%d)", m.issued)
+		t.Fatalf("markov never hit its buffer (issued=%d)", m.st.Issued)
 	}
-	t.Logf("issued=%d bufHits=%d reads=%d writes=%d", m.issued, m.BufferHits(), m.reads, m.writes)
+	t.Logf("issued=%d bufHits=%d reads=%d writes=%d", m.st.Issued, m.BufferHits(), m.st.Reads, m.st.Writes)
 }

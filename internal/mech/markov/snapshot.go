@@ -3,17 +3,21 @@ package markov
 import (
 	"encoding/gob"
 	"fmt"
+
+	"microlib/internal/statecopy"
 )
 
-// EntryState is one correlation-table entry in serializable form.
+// EntryState is one correlation-table entry: a miss address and its
+// most likely successors, most recent first.
 type EntryState struct {
 	Tag   uint64
 	Preds [predsPerEntry]uint64
 }
 
 // State is the Markov prefetcher's full mutable state. The prefetch
-// buffer's lineAddr->slot map is derivable from the ring (nonzero
-// slots are resident), so only the ring travels.
+// buffer is a FIFO ring of lines; its lineAddr->slot map is derivable
+// from the ring (nonzero slots are resident), so only the ring
+// travels.
 type State struct {
 	Table    []EntryState
 	Ring     []uint64
@@ -26,18 +30,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (m *Markov) SnapState() any {
-	st := State{
-		Ring: append([]uint64(nil), m.ring...), RingPos: m.ringPos,
-		PrevMiss: m.prevMiss,
-		Reads:    m.reads, Writes: m.writes, BufHits: m.bufHits, Issued: m.issued,
-	}
-	st.Table = make([]EntryState, len(m.table))
-	for i, e := range m.table {
-		st.Table[i] = EntryState{Tag: e.tag, Preds: e.preds}
-	}
-	return st
-}
+func (m *Markov) SnapState() any { return statecopy.Clone(m.st) }
 
 // RestoreState implements core.Snapshotter.
 func (m *Markov) RestoreState(v any) error {
@@ -45,23 +38,17 @@ func (m *Markov) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("markov: snapshot is %T, not markov.State", v)
 	}
-	if len(st.Table) != len(m.table) || len(st.Ring) != len(m.ring) {
+	if len(st.Table) != len(m.st.Table) || len(st.Ring) != len(m.st.Ring) {
 		return fmt.Errorf("markov: snapshot geometry %d/%d, config holds %d/%d",
-			len(st.Table), len(st.Ring), len(m.table), len(m.ring))
+			len(st.Table), len(st.Ring), len(m.st.Table), len(m.st.Ring))
 	}
-	for i, e := range st.Table {
-		m.table[i] = entryT{tag: e.Tag, preds: e.Preds}
-	}
-	copy(m.ring, st.Ring)
+	statecopy.CopyInto(&m.st, st)
 	clear(m.buffer)
-	for i, la := range m.ring {
+	for i, la := range m.st.Ring {
 		if la != 0 {
 			m.buffer[la] = i
 		}
 	}
-	m.ringPos = st.RingPos
-	m.prevMiss = st.PrevMiss
-	m.reads, m.writes, m.bufHits, m.issued = st.Reads, st.Writes, st.BufHits, st.Issued
 	return nil
 }
 

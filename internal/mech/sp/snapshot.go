@@ -3,9 +3,11 @@ package sp
 import (
 	"encoding/gob"
 	"fmt"
+
+	"microlib/internal/statecopy"
 )
 
-// EntryState is one stride-table entry in serializable form.
+// EntryState is one stride-table entry.
 type EntryState struct {
 	PCTag    uint32
 	LastAddr uint64
@@ -22,14 +24,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (s *SP) SnapState() any {
-	st := State{Reads: s.reads, Writes: s.writes, Issued: s.issued}
-	st.Table = make([]EntryState, len(s.table))
-	for i, e := range s.table {
-		st.Table[i] = EntryState{PCTag: e.pcTag, LastAddr: e.lastAddr, Stride: e.stride, State: e.state}
-	}
-	return st
-}
+func (s *SP) SnapState() any { return statecopy.Clone(s.st) }
 
 // RestoreState implements core.Snapshotter.
 func (s *SP) RestoreState(v any) error {
@@ -37,13 +32,10 @@ func (s *SP) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("sp: snapshot is %T, not sp.State", v)
 	}
-	if len(st.Table) != len(s.table) {
-		return fmt.Errorf("sp: snapshot has %d entries, table holds %d", len(st.Table), len(s.table))
+	if len(st.Table) != len(s.st.Table) {
+		return fmt.Errorf("sp: snapshot has %d entries, table holds %d", len(st.Table), len(s.st.Table))
 	}
-	for i, e := range st.Table {
-		s.table[i] = entryT{pcTag: e.PCTag, lastAddr: e.LastAddr, stride: e.Stride, state: e.State}
-	}
-	s.reads, s.writes, s.issued = st.Reads, st.Writes, st.Issued
+	statecopy.CopyInto(&s.st, st)
 	return nil
 }
 

@@ -19,22 +19,13 @@ const (
 	stSteady
 )
 
-type entryT struct {
-	pcTag    uint32
-	lastAddr uint64
-	stride   int64
-	state    uint8
-}
-
 // SP is the stride prefetcher.
 type SP struct {
 	l2     *cache.Cache
-	table  []entryT
 	mask   uint32
 	degree int
 
-	reads, writes uint64
-	issued        uint64
+	st State // all mutable state, snapshotted whole
 }
 
 // New builds a stride prefetcher with nEntries table entries
@@ -44,7 +35,7 @@ func New(l2 *cache.Cache, nEntries int) *SP {
 	for n < nEntries {
 		n <<= 1
 	}
-	return &SP{l2: l2, table: make([]entryT, n), mask: uint32(n - 1), degree: 1}
+	return &SP{l2: l2, mask: uint32(n - 1), degree: 1, st: State{Table: make([]EntryState, n)}}
 }
 
 func init() {
@@ -71,36 +62,36 @@ func (s *SP) OnAccess(ev cache.AccessEvent) {
 		return
 	}
 	idx := (uint32(ev.PC>>2) ^ uint32(ev.PC>>13)) & s.mask
-	e := &s.table[idx]
-	s.reads++
+	e := &s.st.Table[idx]
+	s.st.Reads++
 	tag := uint32(ev.PC >> 2)
-	if e.pcTag != tag {
-		*e = entryT{pcTag: tag, lastAddr: ev.Addr, state: stInit}
-		s.writes++
+	if e.PCTag != tag {
+		*e = EntryState{PCTag: tag, LastAddr: ev.Addr, State: stInit}
+		s.st.Writes++
 		return
 	}
-	delta := int64(ev.Addr) - int64(e.lastAddr)
+	delta := int64(ev.Addr) - int64(e.LastAddr)
 	switch {
 	case delta == 0:
 		// Same address again: no information.
-	case delta == e.stride:
-		if e.state < stSteady {
-			e.state++
+	case delta == e.Stride:
+		if e.State < stSteady {
+			e.State++
 		}
 	default:
-		e.stride = delta
-		if e.state == stSteady {
-			e.state = stTransient
+		e.Stride = delta
+		if e.State == stSteady {
+			e.State = stTransient
 		} else {
-			e.state = stInit
+			e.State = stInit
 		}
 	}
-	e.lastAddr = ev.Addr
-	s.writes++
-	if e.state == stSteady && e.stride != 0 {
+	e.LastAddr = ev.Addr
+	s.st.Writes++
+	if e.State == stSteady && e.Stride != 0 {
 		for d := 1; d <= s.degree; d++ {
-			target := uint64(int64(ev.Addr) + e.stride*int64(d))
-			s.issued++
+			target := uint64(int64(ev.Addr) + e.Stride*int64(d))
+			s.st.Issued++
 			s.l2.Prefetch(target)
 		}
 	}
@@ -110,10 +101,10 @@ func (s *SP) OnAccess(ev cache.AccessEvent) {
 // 16 bytes.
 func (s *SP) Hardware() []core.HWTable {
 	return []core.HWTable{{
-		Label: "sp-table", Bytes: len(s.table) * 16, Assoc: 1, Ports: 1,
-		Reads: s.reads, Writes: s.writes,
+		Label: "sp-table", Bytes: len(s.st.Table) * 16, Assoc: 1, Ports: 1,
+		Reads: s.st.Reads, Writes: s.st.Writes,
 	}}
 }
 
 // Issued reports attempted prefetches (tests).
-func (s *SP) Issued() uint64 { return s.issued }
+func (s *SP) Issued() uint64 { return s.st.Issued }

@@ -82,7 +82,7 @@ func TestIgnoresWritesAndZeroPC(t *testing.T) {
 	s.Cache.Access(&cache.Access{Addr: 0x1000, Write: true, PC: 0x400000})
 	s.Cache.Access(&cache.Access{Addr: 0x2000, PC: 0})
 	s.Settle(100)
-	if m.reads != 0 {
+	if m.st.Reads != 0 {
 		t.Fatal("SP observed writes or PC-less accesses")
 	}
 }

@@ -3,14 +3,17 @@ package tcp
 import (
 	"encoding/gob"
 	"fmt"
+
+	"microlib/internal/statecopy"
 )
 
-// THTEntryState is one tag-history entry in serializable form.
+// THTEntryState is one tag-history entry: the set's last two miss
+// tags, newest first.
 type THTEntryState struct {
 	Tags [2]uint64
 }
 
-// PHTEntryState is one pattern-history entry in serializable form.
+// PHTEntryState is one pattern-history entry.
 type PHTEntryState struct {
 	Key  uint64
 	Next uint64
@@ -27,18 +30,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (t *TCP) SnapState() any {
-	st := State{Reads: t.reads, Writes: t.writes, Issued: t.issued}
-	st.THT = make([]THTEntryState, len(t.tht))
-	for i, e := range t.tht {
-		st.THT[i] = THTEntryState{Tags: e.tags}
-	}
-	st.PHT = make([]PHTEntryState, len(t.pht))
-	for i, e := range t.pht {
-		st.PHT[i] = PHTEntryState{Key: e.key, Next: e.next, Conf: e.conf}
-	}
-	return st
-}
+func (t *TCP) SnapState() any { return statecopy.Clone(t.st) }
 
 // RestoreState implements core.Snapshotter.
 func (t *TCP) RestoreState(v any) error {
@@ -46,17 +38,11 @@ func (t *TCP) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("tcp: snapshot is %T, not tcp.State", v)
 	}
-	if len(st.THT) != len(t.tht) || len(st.PHT) != len(t.pht) {
+	if len(st.THT) != len(t.st.THT) || len(st.PHT) != len(t.st.PHT) {
 		return fmt.Errorf("tcp: snapshot geometry %d/%d, tables hold %d/%d",
-			len(st.THT), len(st.PHT), len(t.tht), len(t.pht))
+			len(st.THT), len(st.PHT), len(t.st.THT), len(t.st.PHT))
 	}
-	for i, e := range st.THT {
-		t.tht[i] = thtEntry{tags: e.Tags}
-	}
-	for i, e := range st.PHT {
-		t.pht[i] = phtEntry{key: e.Key, next: e.Next, conf: e.Conf}
-	}
-	t.reads, t.writes, t.issued = st.Reads, st.Writes, st.Issued
+	statecopy.CopyInto(&t.st, st)
 	return nil
 }
 

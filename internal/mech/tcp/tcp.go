@@ -17,24 +17,11 @@ import (
 	"microlib/internal/core"
 )
 
-type thtEntry struct {
-	tags [2]uint64
-}
-
-type phtEntry struct {
-	key  uint64
-	next uint64
-	conf int8
-}
-
 // TCP is the tag-correlating prefetcher.
 type TCP struct {
 	l2 *cache.Cache
 
-	tht     []thtEntry
 	thtMask uint64
-
-	pht     []phtEntry
 	phtSets int
 	phtWays int
 
@@ -42,8 +29,7 @@ type TCP struct {
 	setBits   uint
 	setMask   uint64
 
-	reads, writes uint64
-	issued        uint64
+	st State // all mutable state, snapshotted whole
 }
 
 // New builds a TCP attached to l2.
@@ -59,14 +45,16 @@ func New(l2 *cache.Cache, thtSets, phtSets, phtWays int) *TCP {
 	}
 	return &TCP{
 		l2:        l2,
-		tht:       make([]thtEntry, thtSets),
 		thtMask:   uint64(thtSets - 1),
-		pht:       make([]phtEntry, phtSets*phtWays),
 		phtSets:   phtSets,
 		phtWays:   phtWays,
 		lineShift: ls,
 		setBits:   sb,
 		setMask:   uint64(cfg.NumSets() - 1),
+		st: State{
+			THT: make([]THTEntryState, thtSets),
+			PHT: make([]PHTEntryState, phtSets*phtWays),
+		},
 	}
 }
 
@@ -105,18 +93,18 @@ func (t *TCP) compose(set, tag uint64) uint64 {
 // (t1,t0) pair.
 func (t *TCP) OnMiss(lineAddr, pc uint64, now uint64) {
 	set, tag := t.decompose(lineAddr)
-	h := &t.tht[set&t.thtMask]
-	t.reads++
+	h := &t.st.THT[set&t.thtMask]
+	t.st.Reads++
 
-	prev1, prev0 := h.tags[1], h.tags[0]
+	prev1, prev0 := h.Tags[1], h.Tags[0]
 	if prev0 != 0 {
 		t.learn(set, prev1, prev0, tag)
 	}
-	h.tags[1], h.tags[0] = prev0, tag
-	t.writes++
+	h.Tags[1], h.Tags[0] = prev0, tag
+	t.st.Writes++
 
 	if next, ok := t.predict(set, prev0, tag); ok && next != tag {
-		t.issued++
+		t.st.Issued++
 		t.l2.Prefetch(t.compose(set, next))
 	}
 }
@@ -125,43 +113,43 @@ func (t *TCP) phtKey(set, t1, t0 uint64) uint64 {
 	return set ^ (t1 << 7) ^ (t0 << 29) ^ 0x9e3779b97f4a7c15
 }
 
-func (t *TCP) phtSet(key uint64) []phtEntry {
+func (t *TCP) phtSet(key uint64) []PHTEntryState {
 	s := int(key>>5) % t.phtSets
-	return t.pht[s*t.phtWays : (s+1)*t.phtWays]
+	return t.st.PHT[s*t.phtWays : (s+1)*t.phtWays]
 }
 
 func (t *TCP) learn(set, t1, t0, next uint64) {
 	key := t.phtKey(set, t1, t0)
 	entries := t.phtSet(key)
-	t.writes++
-	var victim *phtEntry
+	t.st.Writes++
+	var victim *PHTEntryState
 	for i := range entries {
 		e := &entries[i]
-		if e.key == key {
-			if e.next == next {
-				if e.conf < 3 {
-					e.conf++
+		if e.Key == key {
+			if e.Next == next {
+				if e.Conf < 3 {
+					e.Conf++
 				}
 			} else {
-				e.next = next
-				e.conf = 1
+				e.Next = next
+				e.Conf = 1
 			}
 			return
 		}
-		if victim == nil || e.conf < victim.conf {
+		if victim == nil || e.Conf < victim.Conf {
 			victim = e
 		}
 	}
-	*victim = phtEntry{key: key, next: next, conf: 1}
+	*victim = PHTEntryState{Key: key, Next: next, Conf: 1}
 }
 
 func (t *TCP) predict(set, t1, t0 uint64) (uint64, bool) {
 	key := t.phtKey(set, t1, t0)
-	t.reads++
+	t.st.Reads++
 	for i := range t.phtSet(key) {
 		e := &t.phtSet(key)[i]
-		if e.key == key && e.conf >= 2 {
-			return e.next, true
+		if e.Key == key && e.Conf >= 2 {
+			return e.Next, true
 		}
 	}
 	return 0, false
@@ -171,12 +159,12 @@ func (t *TCP) predict(set, t1, t0 uint64) (uint64, bool) {
 // the 8 KB PHT.
 func (t *TCP) Hardware() []core.HWTable {
 	return []core.HWTable{
-		{Label: "tcp-tht", Bytes: len(t.tht) * 16, Assoc: 1, Ports: 1,
-			Reads: t.reads, Writes: t.writes},
+		{Label: "tcp-tht", Bytes: len(t.st.THT) * 16, Assoc: 1, Ports: 1,
+			Reads: t.st.Reads, Writes: t.st.Writes},
 		{Label: "tcp-pht", Bytes: 8 << 10, Assoc: t.phtWays, Ports: 1,
-			Reads: t.reads, Writes: t.writes},
+			Reads: t.st.Reads, Writes: t.st.Writes},
 	}
 }
 
 // Issued reports attempted prefetches (tests).
-func (t *TCP) Issued() uint64 { return t.issued }
+func (t *TCP) Issued() uint64 { return t.st.Issued }

@@ -240,7 +240,7 @@ func (t *TKVC) Hardware() []core.HWTable {
 	lines := t.l1.Config().NumLines()
 	hw = append(hw, core.HWTable{
 		Label: "tkvc-decay", Bytes: lines, Assoc: 1, Ports: 1,
-		Reads: t.VC.Inserts + t.Filtered, Writes: t.VC.Inserts + t.Filtered,
+		Reads: t.VC.Inserts() + t.Filtered, Writes: t.VC.Inserts() + t.Filtered,
 	})
 	return hw
 }

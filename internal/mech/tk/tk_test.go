@@ -61,12 +61,12 @@ func TestTKVCFiltersDeadVictims(t *testing.T) {
 	if v.Filtered == 0 {
 		t.Fatal("dead victim not filtered")
 	}
-	if v.VC.Inserts != 0 {
+	if v.VC.Inserts() != 0 {
 		t.Fatal("dead victim inserted anyway")
 	}
 	// A freshly-touched victim must be kept.
 	s.Access(a, 1) // evicts b (b was just touched -> kept)
-	if v.VC.Inserts == 0 {
+	if v.VC.Inserts() == 0 {
 		t.Fatal("live victim filtered")
 	}
 }

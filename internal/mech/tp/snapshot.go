@@ -3,6 +3,8 @@ package tp
 import (
 	"encoding/gob"
 	"fmt"
+
+	"microlib/internal/statecopy"
 )
 
 // State is the TP's full mutable state: the per-line tag bits live in
@@ -14,9 +16,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (t *TP) SnapState() any {
-	return State{Triggers: t.triggers, Reads: t.reads, Writes: t.writes}
-}
+func (t *TP) SnapState() any { return statecopy.Clone(t.st) }
 
 // RestoreState implements core.Snapshotter.
 func (t *TP) RestoreState(v any) error {
@@ -24,7 +24,7 @@ func (t *TP) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("tp: snapshot is %T, not tp.State", v)
 	}
-	t.triggers, t.reads, t.writes = st.Triggers, st.Reads, st.Writes
+	statecopy.CopyInto(&t.st, st)
 	return nil
 }
 

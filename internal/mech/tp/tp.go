@@ -16,9 +16,7 @@ type TP struct {
 	l2       *cache.Cache
 	lineSize uint64
 
-	triggers uint64
-	reads    uint64
-	writes   uint64
+	st State // all mutable state, snapshotted whole
 }
 
 func init() {
@@ -40,13 +38,13 @@ func (t *TP) Name() string { return "TP" }
 // OnAccess implements cache.AccessObserver: the tagged-prefetch
 // trigger condition.
 func (t *TP) OnAccess(ev cache.AccessEvent) {
-	t.reads++
+	t.st.Reads++
 	if ev.Write {
 		return
 	}
 	if !ev.Hit || ev.PrefetchedLine {
-		t.triggers++
-		t.writes++
+		t.st.Triggers++
+		t.st.Writes++
 		t.l2.Prefetch(ev.LineAddr + t.lineSize)
 	}
 }
@@ -56,10 +54,10 @@ func (t *TP) OnAccess(ev cache.AccessEvent) {
 func (t *TP) Hardware() []core.HWTable {
 	lines := t.l2.Config().NumLines()
 	return []core.HWTable{
-		{Label: "tp-tagbits", Bytes: lines / 8, Assoc: 1, Ports: 1, Reads: t.reads, Writes: t.writes},
-		{Label: "tp-queue", Bytes: 16 * 8, Assoc: 0, Ports: 1, Reads: t.triggers, Writes: t.triggers},
+		{Label: "tp-tagbits", Bytes: lines / 8, Assoc: 1, Ports: 1, Reads: t.st.Reads, Writes: t.st.Writes},
+		{Label: "tp-queue", Bytes: 16 * 8, Assoc: 0, Ports: 1, Reads: t.st.Triggers, Writes: t.st.Triggers},
 	}
 }
 
 // Triggers reports how many prefetches were requested (tests).
-func (t *TP) Triggers() uint64 { return t.triggers }
+func (t *TP) Triggers() uint64 { return t.st.Triggers }

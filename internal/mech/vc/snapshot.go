@@ -5,9 +5,10 @@ import (
 	"fmt"
 
 	"microlib/internal/sim"
+	"microlib/internal/statecopy"
 )
 
-// EntryState is one victim-cache entry in serializable form.
+// EntryState is one victim-cache entry.
 type EntryState struct {
 	LineAddr uint64
 	Dirty    bool
@@ -25,16 +26,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (v *VC) SnapState() any {
-	st := State{
-		Tick: v.tick, Inserts: v.Inserts, Hits: v.Hits, Probes: v.Probes, WBacks: v.wbacks,
-	}
-	st.Entries = make([]EntryState, len(v.entries))
-	for i, e := range v.entries {
-		st.Entries[i] = EntryState{LineAddr: e.lineAddr, Dirty: e.dirty, LastUse: e.lastUse}
-	}
-	return st
-}
+func (v *VC) SnapState() any { return statecopy.Clone(v.st) }
 
 // RestoreState implements core.Snapshotter.
 func (v *VC) RestoreState(x any) error {
@@ -42,14 +34,10 @@ func (v *VC) RestoreState(x any) error {
 	if !ok {
 		return fmt.Errorf("vc: snapshot is %T, not vc.State", x)
 	}
-	if len(st.Entries) != len(v.entries) {
-		return fmt.Errorf("vc: snapshot has %d entries, cache holds %d", len(st.Entries), len(v.entries))
+	if len(st.Entries) != len(v.st.Entries) {
+		return fmt.Errorf("vc: snapshot has %d entries, cache holds %d", len(st.Entries), len(v.st.Entries))
 	}
-	for i, e := range st.Entries {
-		v.entries[i] = entry{lineAddr: e.LineAddr, dirty: e.Dirty, lastUse: e.LastUse}
-	}
-	v.tick = st.Tick
-	v.Inserts, v.Hits, v.Probes, v.wbacks = st.Inserts, st.Hits, st.Probes, st.WBacks
+	statecopy.CopyInto(&v.st, st)
 	return nil
 }
 

@@ -10,24 +10,13 @@ import (
 	"microlib/internal/sim"
 )
 
-type entry struct {
-	lineAddr uint64
-	dirty    bool
-	lastUse  uint64
-}
-
 // VC is the victim cache proper. It is also embedded by the TKVC
 // mechanism, which filters insertions.
 type VC struct {
-	eng     *sim.Engine
-	l1      *cache.Cache
-	entries []entry
-	tick    uint64
+	eng *sim.Engine
+	l1  *cache.Cache
 
-	Inserts uint64
-	Hits    uint64
-	Probes  uint64
-	wbacks  uint64
+	st State // all mutable state, snapshotted whole
 }
 
 // NewVC builds a victim cache of sizeBytes beside l1.
@@ -36,7 +25,7 @@ func NewVC(eng *sim.Engine, l1 *cache.Cache, sizeBytes int) *VC {
 	if n < 1 {
 		n = 1
 	}
-	return &VC{eng: eng, l1: l1, entries: make([]entry, n)}
+	return &VC{eng: eng, l1: l1, st: State{Entries: make([]EntryState, n)}}
 }
 
 func init() {
@@ -57,23 +46,23 @@ func (v *VC) Name() string { return "VC" }
 // Insert places an evicted line in the victim cache, retiring the
 // LRU victim-of-the-victim (writing it back if dirty).
 func (v *VC) Insert(lineAddr uint64, dirty bool) {
-	v.Inserts++
+	v.st.Inserts++
 	victim := 0
-	for i := range v.entries {
-		if v.entries[i].lineAddr == 0 {
+	for i := range v.st.Entries {
+		if v.st.Entries[i].LineAddr == 0 {
 			victim = i
 			break
 		}
-		if v.entries[i].lastUse < v.entries[victim].lastUse {
+		if v.st.Entries[i].LastUse < v.st.Entries[victim].LastUse {
 			victim = i
 		}
 	}
-	if old := &v.entries[victim]; old.lineAddr != 0 && old.dirty {
-		v.wbacks++
-		v.l1.WriteBackLine(old.lineAddr)
+	if old := &v.st.Entries[victim]; old.LineAddr != 0 && old.Dirty {
+		v.st.WBacks++
+		v.l1.WriteBackLine(old.LineAddr)
 	}
-	v.tick++
-	v.entries[victim] = entry{lineAddr: lineAddr, dirty: dirty, lastUse: v.tick}
+	v.st.Tick++
+	v.st.Entries[victim] = EntryState{LineAddr: lineAddr, Dirty: dirty, LastUse: v.st.Tick}
 }
 
 // OnEvict implements cache.EvictObserver.
@@ -84,12 +73,12 @@ func (v *VC) OnEvict(lineAddr uint64, dirty bool, now uint64) {
 // ProbeAux implements cache.AuxProber: on an L1 miss, a victim-cache
 // hit swaps the line back into the L1.
 func (v *VC) ProbeAux(lineAddr uint64, now uint64) bool {
-	v.Probes++
-	for i := range v.entries {
-		if v.entries[i].lineAddr == lineAddr {
-			dirty := v.entries[i].dirty
-			v.entries[i] = entry{}
-			v.Hits++
+	v.st.Probes++
+	for i := range v.st.Entries {
+		if v.st.Entries[i].LineAddr == lineAddr {
+			dirty := v.st.Entries[i].Dirty
+			v.st.Entries[i] = EntryState{}
+			v.st.Hits++
 			if dirty {
 				// The line re-enters L1 clean from the array's point
 				// of view; restore its dirtiness right after install.
@@ -103,7 +92,7 @@ func (v *VC) ProbeAux(lineAddr uint64, now uint64) bool {
 
 // RepeatMisses implements cache.AuxProber: a missing probe only
 // counts.
-func (v *VC) RepeatMisses(n uint64) { v.Probes += n }
+func (v *VC) RepeatMisses(n uint64) { v.st.Probes += n }
 
 // callMarkDirty is the packed trampoline for the post-swap dirtiness
 // restore: o1 is the L1, a0 the line address. The static shape keeps
@@ -113,11 +102,14 @@ func callMarkDirty(_ uint64, o1, _ any, lineAddr, _ uint64) {
 	o1.(*cache.Cache).MarkDirty(lineAddr)
 }
 
+// Inserts reports lines placed in the victim cache.
+func (v *VC) Inserts() uint64 { return v.st.Inserts }
+
 // Hardware implements core.CostModeler.
 func (v *VC) Hardware() []core.HWTable {
-	bytes := len(v.entries) * v.l1.Config().LineSize
+	bytes := len(v.st.Entries) * v.l1.Config().LineSize
 	return []core.HWTable{{
 		Label: "victim-cache", Bytes: bytes, Assoc: 0, Ports: 1,
-		Reads: v.Probes, Writes: v.Inserts,
+		Reads: v.st.Probes, Writes: v.st.Inserts,
 	}}
 }

@@ -15,15 +15,15 @@ func TestConflictRescue(t *testing.T) {
 	a, b := uint64(0x10000), uint64(0x10000+1024) // same set
 	s.Access(a, 1)
 	s.Access(b, 1) // evicts a into the VC
-	if v.Inserts == 0 {
+	if v.st.Inserts == 0 {
 		t.Fatal("eviction did not reach the VC")
 	}
 	fetchesBefore := len(s.Back.Fetches)
 	if !s.Access(a, 1) { // VC hit: swap back, no downstream fetch
 		t.Fatal("victim-cache rescue not reported as hit")
 	}
-	if v.Hits != 1 {
-		t.Fatalf("VC hits %d", v.Hits)
+	if v.st.Hits != 1 {
+		t.Fatalf("VC hits %d", v.st.Hits)
 	}
 	if len(s.Back.Fetches) != fetchesBefore {
 		t.Fatal("VC hit still fetched downstream")
@@ -81,8 +81,8 @@ func TestVCCapacity(t *testing.T) {
 		t.Fatalf("recent victims not retained: %d of 8", recent)
 	}
 	// The very first victims must be long gone (capacity 16).
-	if v.Hits > uint64(recent)+16 {
-		t.Fatalf("VC retained more than its capacity allows: %d hits", v.Hits)
+	if v.st.Hits > uint64(recent)+16 {
+		t.Fatalf("VC retained more than its capacity allows: %d hits", v.st.Hits)
 	}
 }
 

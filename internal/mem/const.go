@@ -9,7 +9,8 @@ import "microlib/internal/sim"
 type ConstLatency struct {
 	eng     *sim.Engine
 	latency uint64
-	stats   Stats
+
+	st Stats // all mutable state, snapshotted whole
 }
 
 // NewConstLatency returns a constant-latency memory.
@@ -25,13 +26,13 @@ func (m *ConstLatency) Name() string { return "const" }
 //ml:hotpath
 func (m *ConstLatency) Enqueue(r *Req) bool {
 	if r.Write {
-		m.stats.Writes++
+		m.st.Writes++
 	} else {
-		m.stats.Reads++
-		m.stats.TotalReadLatency += m.latency
+		m.st.Reads++
+		m.st.TotalReadLatency += m.latency
 	}
 	if r.Prefetch {
-		m.stats.Prefetches++
+		m.st.Prefetches++
 	}
 	if r.Done != nil {
 		m.eng.AfterFunc(m.latency, callReqDone, r.Done, nil, 0, 0)
@@ -44,4 +45,4 @@ func callReqDone(now uint64, o1, _ any, _, _ uint64) {
 }
 
 // Stats implements Model.
-func (m *ConstLatency) Stats() Stats { return m.stats }
+func (m *ConstLatency) Stats() Stats { return m.st }

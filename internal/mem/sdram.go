@@ -166,14 +166,6 @@ func ScaledSDRAMConfig() SDRAMConfig {
 	return c
 }
 
-type bank struct {
-	openRow     int64 // -1 when closed
-	readyAt     uint64
-	lastActAt   uint64
-	hasActed    bool
-	actReadyMin uint64 // earliest next ACT honouring tRC
-}
-
 type sdramReq struct {
 	req     *Req
 	arrival uint64
@@ -187,7 +179,7 @@ type sdramReq struct {
 type SDRAM struct {
 	cfg   SDRAMConfig
 	eng   *sim.Engine
-	banks []bank
+	banks []BankState
 	queue []sdramReq
 	stats Stats
 
@@ -204,9 +196,9 @@ func NewSDRAM(eng *sim.Engine, cfg SDRAMConfig) *SDRAM {
 	if cfg.Banks <= 0 || cfg.QueueSize <= 0 || cfg.LineSize == 0 {
 		panic("mem: invalid SDRAM config")
 	}
-	s := &SDRAM{cfg: cfg, eng: eng, banks: make([]bank, cfg.Banks), name: "sdram"}
+	s := &SDRAM{cfg: cfg, eng: eng, banks: make([]BankState, cfg.Banks), name: "sdram"}
 	for i := range s.banks {
-		s.banks[i].openRow = -1
+		s.banks[i].OpenRow = -1
 	}
 	return s
 }
@@ -273,7 +265,7 @@ func (s *SDRAM) pick() int {
 		if s.cfg.Policy == RowHitFirst {
 			for i := range s.queue {
 				q := &s.queue[i]
-				if q.req.Prefetch == wantPrefetch && s.banks[q.bank].openRow == q.row {
+				if q.req.Prefetch == wantPrefetch && s.banks[q.bank].OpenRow == q.row {
 					return i
 				}
 			}
@@ -307,24 +299,24 @@ func (s *SDRAM) kick() {
 		b := &s.banks[q.bank]
 
 		start := now
-		if b.readyAt > start {
-			start = b.readyAt
+		if b.ReadyAt > start {
+			start = b.ReadyAt
 		}
 
 		var dataAt uint64
 		switch {
-		case b.openRow == q.row:
+		case b.OpenRow == q.row:
 			// Row hit: column access only.
 			s.stats.RowHits++
 			dataAt = start + s.cfg.CASLatency
-		case b.openRow == -1:
+		case b.OpenRow == -1:
 			// Row closed: activate then column access.
 			s.stats.RowMisses++
 			actAt := s.actTime(start, b)
 			dataAt = actAt + s.cfg.RASToCAS + s.cfg.CASLatency
-			b.openRow = q.row
-			b.lastActAt = actAt
-			b.hasActed = true
+			b.OpenRow = q.row
+			b.LastActAt = actAt
+			b.HasActed = true
 			s.lastActAt = actAt
 			s.anyActed = true
 			s.stats.Activates++
@@ -335,14 +327,14 @@ func (s *SDRAM) kick() {
 			preAt := start
 			// Honour tRAS: the open row must have been active long
 			// enough before we may precharge.
-			if b.hasActed && b.lastActAt+s.cfg.RASActive > preAt {
-				preAt = b.lastActAt + s.cfg.RASActive
+			if b.HasActed && b.LastActAt+s.cfg.RASActive > preAt {
+				preAt = b.LastActAt + s.cfg.RASActive
 			}
 			actAt := s.actTime(preAt+s.cfg.RASPre, b)
 			dataAt = actAt + s.cfg.RASToCAS + s.cfg.CASLatency
-			b.openRow = q.row
-			b.lastActAt = actAt
-			b.hasActed = true
+			b.OpenRow = q.row
+			b.LastActAt = actAt
+			b.HasActed = true
 			s.lastActAt = actAt
 			s.anyActed = true
 			s.stats.Activates++
@@ -358,9 +350,9 @@ func (s *SDRAM) kick() {
 		// issue while this burst drains, so successive row hits
 		// stream at data-bus rate, not at CAS-latency rate.
 		if done > s.cfg.CASLatency {
-			b.readyAt = done - s.cfg.CASLatency
+			b.ReadyAt = done - s.cfg.CASLatency
 		} else {
-			b.readyAt = done
+			b.ReadyAt = done
 		}
 
 		// Account and complete.
@@ -386,9 +378,9 @@ func (s *SDRAM) kick() {
 
 // actTime returns the earliest legal ACT time at or after t for bank
 // b, honouring tRC on the same bank and tRRD across banks.
-func (s *SDRAM) actTime(t uint64, b *bank) uint64 {
-	if b.hasActed && b.lastActAt+s.cfg.RASCycle > t {
-		t = b.lastActAt + s.cfg.RASCycle
+func (s *SDRAM) actTime(t uint64, b *BankState) uint64 {
+	if b.HasActed && b.LastActAt+s.cfg.RASCycle > t {
+		t = b.LastActAt + s.cfg.RASCycle
 	}
 	if s.anyActed && s.lastActAt+s.cfg.RASToRAS > t {
 		t = s.lastActAt + s.cfg.RASToRAS

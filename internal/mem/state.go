@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"microlib/internal/sim"
+	"microlib/internal/statecopy"
 )
 
-// BankState is one SDRAM bank's mutable state in serializable form.
+// BankState is one SDRAM bank's mutable state.
 type BankState struct {
-	OpenRow     int64
+	OpenRow     int64 // -1 when closed
 	ReadyAt     uint64
 	LastActAt   uint64
 	HasActed    bool
-	ActReadyMin uint64
+	ActReadyMin uint64 // earliest next ACT honouring tRC
 }
 
 // QueuedReqState is one controller-queue entry. The queued *Req lives
@@ -49,13 +50,7 @@ func (s *SDRAM) State(resolve func(any) (sim.OpRef, bool)) (SDRAMState, error) {
 		KickPlanned:   s.kickPlanned,
 		Inflight:      s.inflight,
 	}
-	st.Banks = make([]BankState, len(s.banks))
-	for i, b := range s.banks {
-		st.Banks[i] = BankState{
-			OpenRow: b.openRow, ReadyAt: b.readyAt, LastActAt: b.lastActAt,
-			HasActed: b.hasActed, ActReadyMin: b.actReadyMin,
-		}
-	}
+	st.Banks = statecopy.Clone(s.banks)
 	if len(s.queue) > 0 {
 		st.Queue = make([]QueuedReqState, len(s.queue))
 		for i := range s.queue {
@@ -81,12 +76,7 @@ func (s *SDRAM) SetState(st SDRAMState, resolve func(sim.OpRef) (any, bool)) err
 	if len(st.Banks) != len(s.banks) {
 		return fmt.Errorf("mem: snapshot has %d banks, config needs %d", len(st.Banks), len(s.banks))
 	}
-	for i, b := range st.Banks {
-		s.banks[i] = bank{
-			openRow: b.OpenRow, readyAt: b.ReadyAt, lastActAt: b.LastActAt,
-			hasActed: b.HasActed, actReadyMin: b.ActReadyMin,
-		}
-	}
+	statecopy.CopyInto(&s.banks, st.Banks)
 	s.stats = st.Stats
 	s.dataBusFreeAt = st.DataBusFreeAt
 	s.lastActAt = st.LastActAt
@@ -113,11 +103,12 @@ func (s *SDRAM) SetState(st SDRAMState, resolve func(sim.OpRef) (any, bool)) err
 	return nil
 }
 
-// State captures the constant-latency model's only mutable state.
-func (m *ConstLatency) State() Stats { return m.stats }
+// State captures the constant-latency model's mutable state: its
+// counters.
+func (m *ConstLatency) State() Stats { return statecopy.Clone(m.st) }
 
 // SetState overwrites the constant-latency model's counters.
-func (m *ConstLatency) SetState(st Stats) { m.stats = st }
+func (m *ConstLatency) SetState(st Stats) { statecopy.CopyInto(&m.st, st) }
 
 func init() {
 	sim.RegisterFunc("mem.callReqDone", callReqDone)

@@ -7,11 +7,11 @@ package prng
 
 import "math/bits"
 
-// Source is a xoshiro256** generator. The zero value is not a valid
-// generator; use New or Seed.
-type Source struct {
-	s [4]uint64
-}
+// Source is a xoshiro256** generator: its four state words, plain
+// data that snapshots and restores by value and reproduces the stream
+// bit-identically. The zero value is not a valid generator; use New
+// or Seed.
+type Source [4]uint64
 
 // splitmix64 advances the given state and returns the next value. It
 // is used to expand a single seed word into full generator state.
@@ -33,26 +33,26 @@ func New(seed uint64) *Source {
 // Seed resets the generator state from a single seed word.
 func (s *Source) Seed(seed uint64) {
 	sm := seed
-	for i := range s.s {
-		s.s[i] = splitmix64(&sm)
+	for i := range s {
+		s[i] = splitmix64(&sm)
 	}
 	// xoshiro must not be seeded with all zeros; splitmix64 of any
 	// seed cannot produce four zero words, but guard regardless.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 1
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 1
 	}
 }
 
 // Uint64 returns the next value in the stream.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
+	result := bits.RotateLeft64(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
 }
 
@@ -68,7 +68,7 @@ func (s *Source) Split() *Source {
 // of the order in which benchmarks are simulated.
 func (s *Source) SplitString(label string) *Source {
 	h := HashString(label)
-	return New(s.s[0] ^ h)
+	return New(s[0] ^ h)
 }
 
 // HashString is a 64-bit FNV-1a hash, exposed for stable keying.

@@ -11,29 +11,26 @@ import (
 	"microlib/internal/hier"
 	"microlib/internal/mem"
 	"microlib/internal/sim"
-	"microlib/internal/trace"
 	"microlib/internal/workload"
 )
 
 // This file implements warm-state checkpointing: a campaign pays for
 // each distinct warm-up prefix once, snapshots the whole simulated
 // machine at the warm-up boundary, and forks the measurement phase of
-// every cell that shares the prefix from the snapshot. Two tiers
-// exist, because two different kinds of sweep repeat work:
+// every cell that shares the prefix from the snapshot. A checkpoint
+// (RunPrefixContext / RunFromCheckpoint) captures the full machine —
+// calendar, caches, memory, core, mechanism, stream cursor — keyed by
+// PrefixFingerprint; cells sharing it differ only in the measured
+// budget.
 //
-//   - A machine checkpoint (RunPrefixContext / RunFromCheckpoint)
-//     captures the full machine — calendar, caches, memory, core,
-//     mechanism, stream cursor — keyed by PrefixFingerprint. Cells
-//     sharing it differ only in the measured budget.
-//   - A stream checkpoint (CaptureStreamContext / RunWithStreamContext)
-//     captures only the post-skip workload cursor, keyed by
-//     StreamFingerprint. Cells sharing it may differ in any machine
-//     parameter, so it accelerates geometry and mechanism sweeps where
-//     the machine prefix diverges but the skipped stream is identical.
-//
-// Both restores are bit-identical to a live run: the restored engine
+// A restore is bit-identical to a live run: the restored engine
 // preserves the (when, seq) event order and its own sequence counter,
 // and every component overwrites its mutable state from plain data.
+// Most components keep that data as they run, in one field of their
+// snapshot type, and snapshot and restore it with statecopy; those
+// whose state references in-flight operands (the engine, caches, the
+// SDRAM queue, the hierarchy's pooled nodes) resolve the references
+// through the operand domains below.
 
 // CheckpointVersion tags the serialized state layout. Bump it whenever
 // any component's snapshot struct changes shape or meaning — a stale
@@ -100,15 +97,6 @@ type Checkpoint struct {
 	MinInsts uint64
 	Warm     WarmStats
 	Machine  MachineState
-}
-
-// StreamCheckpoint is a post-skip workload cursor snapshot.
-type StreamCheckpoint struct {
-	Version int
-	// Key is the generating options' StreamCanonical form (kept in
-	// full, like Checkpoint.Prefix).
-	Key   string
-	State StreamState
 }
 
 // opRefCore and opRefMech are the runner-level operand domains: the
@@ -437,89 +425,4 @@ func RunFromCheckpointContext(ctx context.Context, opts Options, ck *Checkpoint)
 	}
 	defer m.Close()
 	return m.RunFromCheckpoint(ctx, opts, ck)
-}
-
-// CaptureStreamContext captures the post-skip workload cursor without
-// building a machine. For recorded traces the cursor is the skip count
-// itself; for synthetic workloads the generator is stepped through the
-// skipped instructions once and its state captured.
-func CaptureStreamContext(ctx context.Context, opts Options) (*StreamCheckpoint, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sc := &StreamCheckpoint{Version: CheckpointVersion, Key: opts.StreamCanonical()}
-	if opts.Workload != nil && opts.Workload.TracePath != "" {
-		sc.State.TraceRec = opts.Skip
-		return sc, nil
-	}
-	var gen *workload.Generator
-	if opts.Workload != nil {
-		stream, _, _, _, err := opts.Workload.open(opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		gen = stream.(*workload.Generator)
-	} else {
-		g, err := workload.New(opts.Bench, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		gen = g
-	}
-	var inst trace.Inst
-	for i := uint64(0); i < opts.Skip; i++ {
-		if i&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if !gen.Next(&inst) {
-			return nil, fmt.Errorf("runner: stream ended after %d of %d skipped instructions", i, opts.Skip)
-		}
-	}
-	gs := gen.State()
-	sc.State.Gen = &gs
-	return sc, nil
-}
-
-// RunWithStreamContext runs a full simulation (warm-up and all) with
-// the skip phase replaced by the captured cursor. The run is
-// bit-identical to a cold one — positioning the stream by state
-// restore and by consuming Skip instructions land the source on the
-// same instruction — so, unlike machine-checkpoint restores, interval
-// telemetry is supported.
-func RunWithStreamContext(ctx context.Context, opts Options, sc *StreamCheckpoint) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	if opts.Insts == 0 {
-		opts.Insts = defaultInsts
-	}
-	if sc.Version != CheckpointVersion {
-		return Result{}, fmt.Errorf("runner: stream checkpoint version %d, want %d: %w", sc.Version, CheckpointVersion, ErrCheckpointUnusable)
-	}
-	if key := opts.StreamCanonical(); sc.Key != key {
-		return Result{}, fmt.Errorf("runner: stream checkpoint key mismatch: %w", ErrCheckpointUnusable)
-	}
-	m, err := newMachine(ctx, opts, false, false, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	defer m.Close()
-	if m.gen != nil {
-		if sc.State.Gen == nil {
-			return Result{}, fmt.Errorf("runner: stream checkpoint holds no generator cursor")
-		}
-		if err := m.gen.SetState(*sc.State.Gen); err != nil {
-			return Result{}, err
-		}
-	} else if m.tf != nil {
-		if err := m.tf.SeekRecord(sc.State.TraceRec); err != nil {
-			return Result{}, err
-		}
-	}
-	return m.runMeasured(ctx, opts)
 }

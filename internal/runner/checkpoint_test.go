@@ -155,77 +155,6 @@ func TestCheckpointMachineReuse(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpointBitIdentity shares one post-skip cursor across
-// machine configurations that differ in core geometry and memory kind
-// — the sweep shape the machine checkpoint cannot serve.
-func TestStreamCheckpointBitIdentity(t *testing.T) {
-	base := DefaultOptions("mcf", "Base")
-	base.Seed = 19
-	base.Skip = 20_000
-	base.Warmup = 1_000
-	base.Insts = 3_000
-
-	sc, err := CaptureStreamContext(context.Background(), base)
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
-	variants := []func(o Options) Options{
-		func(o Options) Options { return o },
-		func(o Options) Options { o.CPU.RUUSize /= 2; o.CPU.LSQSize /= 2; return o },
-		func(o Options) Options { o.Hier = o.Hier.WithMemory(hier.MemConst70); return o },
-		func(o Options) Options { o.Mechanism = "SP"; return o },
-		func(o Options) Options { o.InOrder = true; return o },
-	}
-	for i, v := range variants {
-		opts := v(base)
-		cold, err := Run(opts)
-		if err != nil {
-			t.Fatalf("cold variant %d: %v", i, err)
-		}
-		warm, err := RunWithStreamContext(context.Background(), opts, sc)
-		if err != nil {
-			t.Fatalf("warm variant %d: %v", i, err)
-		}
-		requireIdentical(t, fmt.Sprintf("stream variant %d", i), cold, warm)
-	}
-}
-
-// TestStreamCheckpointTraceIsSeekOnly verifies the trace fast path:
-// the cursor is the skip count, no file is read at capture time.
-func TestStreamCheckpointTraceIsSeekOnly(t *testing.T) {
-	gen, err := workload.New("mcf", 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := recordTrace(t, gen, 9_000)
-	w, err := NewTraceWorkload(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions("", "Base")
-	opts.Workload = w
-	opts.Skip = 2_000
-	opts.Warmup = 1_000
-	opts.Insts = 3_000
-
-	sc, err := CaptureStreamContext(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.State.Gen != nil || sc.State.TraceRec != opts.Skip {
-		t.Fatalf("trace stream checkpoint = %+v, want record index %d", sc.State, opts.Skip)
-	}
-	cold, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunWithStreamContext(context.Background(), opts, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "trace stream", cold, warm)
-}
-
 // TestCheckpointUnusableGuards exercises every fall-back-to-cold
 // condition: version skew, prefix mismatch, a measured budget inside
 // the fetch horizon, and interval telemetry.
@@ -295,18 +224,19 @@ func TestPrefixFingerprintGroups(t *testing.T) {
 			t.Fatalf("prefix fingerprint failed to separate %s from %s", a.PrefixCanonical(), c.PrefixCanonical())
 		}
 	}
-	// The stream key ignores machine configuration entirely.
+	// The stream key (campaign program grouping) ignores machine
+	// configuration entirely.
 	d := a
 	d.CPU.RUUSize *= 2
 	d.Mechanism = "GHB"
 	d.Insts++
 	d.Warmup++
-	if a.StreamFingerprint() != d.StreamFingerprint() {
-		t.Fatal("machine configuration must not enter the stream fingerprint")
+	if a.StreamCanonical() != d.StreamCanonical() {
+		t.Fatal("machine configuration must not enter the stream canonical form")
 	}
 	e := a
 	e.Skip++
-	if a.StreamFingerprint() == e.StreamFingerprint() {
-		t.Fatal("skip must enter the stream fingerprint")
+	if a.StreamCanonical() == e.StreamCanonical() {
+		t.Fatal("skip must enter the stream canonical form")
 	}
 }

@@ -150,8 +150,9 @@ func (o Options) PrefixFingerprint() string {
 // StreamCanonical identifies the post-skip workload cursor: the
 // workload's content identity, the generator seed (normalized out for
 // traces, which replay fixed bytes), and the skip count. No machine
-// parameter enters it — the skipped stream is consumed without
-// simulation, so one cursor serves every machine configuration.
+// parameter enters it, so cells of any machine configuration that
+// share it run the same program from the same point; campaigns group
+// cells by it to reuse one program image.
 func (o Options) StreamCanonical() string {
 	bench, seed := o.identity()
 	return streamForm(bench, seed, o.Skip)
@@ -160,9 +161,4 @@ func (o Options) StreamCanonical() string {
 // streamForm renders StreamCanonical from its parts.
 func streamForm(bench string, seed, skip uint64) string {
 	return fmt.Sprintf("v%d|stream|bench=%s|seed=%d|skip=%d", FingerprintVersion, bench, seed, skip)
-}
-
-// StreamFingerprint is the stream-checkpoint grouping key.
-func (o Options) StreamFingerprint() string {
-	return CanonicalKey(o.StreamCanonical())
 }

@@ -173,8 +173,7 @@ func (m *Machine) warmStats(cycles uint64) WarmStats {
 }
 
 // runMeasured executes warm-up plus measurement on a freshly-wired
-// machine and assembles the Result. It is the shared back half of
-// RunContext and RunWithStreamContext.
+// machine and assembles the Result: the back half of a cold run.
 func (m *Machine) runMeasured(ctx context.Context, opts Options) (Result, error) {
 	// The interval sampler rides the engine calendar and only reads
 	// counters the models already keep, so enabling it changes no

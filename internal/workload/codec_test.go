@@ -193,11 +193,11 @@ func TestPhaseLoopItersReset(t *testing.T) {
 	for i := uint64(0); i < p.Phases[0].Len; i++ {
 		g.Next(&inst)
 	}
-	if g.phaseIdx != 1 {
-		t.Fatalf("expected phase 1, in phase %d", g.phaseIdx)
+	if g.st.PhaseIdx != 1 {
+		t.Fatalf("expected phase 1, in phase %d", g.st.PhaseIdx)
 	}
-	if g.loopIters != 0 || g.curLoop != 0 || g.blockIdx != 0 || g.instIdx != 0 {
+	if g.st.LoopIters != 0 || g.st.CurLoop != 0 || g.st.BlockIdx != 0 || g.st.InstIdx != 0 {
 		t.Fatalf("loop cursors not reset at phase entry: iters=%d loop=%d block=%d inst=%d",
-			g.loopIters, g.curLoop, g.blockIdx, g.instIdx)
+			g.st.LoopIters, g.st.CurLoop, g.st.BlockIdx, g.st.InstIdx)
 	}
 }

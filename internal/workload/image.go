@@ -38,7 +38,7 @@ type program struct {
 	// rng and start are the generator and per-pattern cursors the
 	// build leaves behind: every new generator starts from them.
 	rng   prng.Source
-	start []patternCursor
+	start []PatternState
 	// words is the length of a generator's shared backing for its
 	// chase cursors and lastSeq chains.
 	words int
@@ -190,7 +190,7 @@ func buildProgram(prof Profile, seed uint64) *program {
 		var (
 			p   pattern
 			own *prng.Source
-			cur patternCursor
+			cur PatternState
 		)
 		if spec.Kind == PatChase {
 			if spec.NodeSize == 0 {
@@ -215,9 +215,9 @@ func buildProgram(prof Profile, seed uint64) *program {
 			if chains < 1 {
 				chains = 1
 			}
-			cur.nodeCur = make([]uint64, chains)
-			for c := range cur.nodeCur {
-				cur.nodeCur[c] = uint64(c) * nodes / uint64(chains)
+			cur.NodeCur = make([]uint64, chains)
+			for c := range cur.NodeCur {
+				cur.NodeCur[c] = uint64(c) * nodes / uint64(chains)
 			}
 			p = pattern{spec: spec, base: base, order: order, fields: fields}
 			own = rng.Split()
@@ -234,10 +234,10 @@ func buildProgram(prof Profile, seed uint64) *program {
 				fvProb: orDefault(spec.FVProb, prof.FVProb),
 			})
 		}
-		cur.rng = *own
+		cur.RNG = *own
 		pr.patterns = append(pr.patterns, p)
 		pr.start = append(pr.start, cur)
-		pr.words += len(cur.nodeCur) + max(len(cur.nodeCur), 1)
+		pr.words += len(cur.NodeCur) + max(len(cur.NodeCur), 1)
 	}
 
 	// Build each phase's loops so the total text size approximates
@@ -281,22 +281,21 @@ func buildProgram(prof Profile, seed uint64) *program {
 // newCursor returns a generator at the start of the program's stream.
 // Its chase cursors and lastSeq chains share one backing array.
 func (pr *program) newCursor() *Generator {
-	g := &Generator{
-		prog:     pr,
-		rng:      pr.rng,
-		patterns: append([]patternCursor(nil), pr.start...),
-		lastSeq:  make([][]uint64, len(pr.start)),
-	}
+	g := &Generator{prog: pr, st: GeneratorState{
+		RNG:      pr.rng,
+		Patterns: append([]PatternState(nil), pr.start...),
+		LastSeq:  make([][]uint64, len(pr.start)),
+	}}
 	words := make([]uint64, pr.words)
-	for i := range g.patterns {
-		c := &g.patterns[i]
-		if n := len(c.nodeCur); n > 0 {
-			c.nodeCur = words[:n:n]
-			copy(c.nodeCur, pr.start[i].nodeCur)
+	for i := range g.st.Patterns {
+		c := &g.st.Patterns[i]
+		if n := len(c.NodeCur); n > 0 {
+			c.NodeCur = words[:n:n]
+			copy(c.NodeCur, pr.start[i].NodeCur)
 			words = words[n:]
 		}
-		n := max(len(c.nodeCur), 1)
-		g.lastSeq[i] = words[:n:n]
+		n := max(len(c.NodeCur), 1)
+		g.st.LastSeq[i] = words[:n:n]
 		words = words[n:]
 	}
 	return g

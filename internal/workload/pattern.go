@@ -94,21 +94,6 @@ type pattern struct {
 	hotWS []uint64
 }
 
-// patternCursor is the run-time state of one pattern: what advances as
-// its addresses are emitted, one per generator.
-type patternCursor struct {
-	rng prng.Source
-
-	pos   uint64 // generic cursor
-	inner int    // tile inner step
-	field int    // chase field cursor
-	// chase state: one step cursor per independent chain, indexing
-	// the shuffled visit order.
-	nodeCur  []uint64
-	chainIdx int
-	curChain int // chain of the most recently emitted access
-}
-
 // shuffledOrder returns a Fisher-Yates shuffle of [0, n).
 func shuffledOrder(n uint64, rng *prng.Source) []uint32 {
 	order := make([]uint32, n)
@@ -171,65 +156,65 @@ const lineBytes = 32
 // next returns the next effective address for this pattern, and, for
 // chases, whether the access reads the true next-node pointer (the
 // access later accesses of the structure serialize on).
-func (c *patternCursor) next(p *pattern) (addr uint64, ptrField bool) {
+func (c *PatternState) next(p *pattern) (addr uint64, ptrField bool) {
 	s := &p.spec
 	switch s.Kind {
 	case PatHot:
-		return p.hotWS[c.rng.Intn(len(p.hotWS))], false
+		return p.hotWS[c.RNG.Intn(len(p.hotWS))], false
 	case PatSeq:
-		a := p.base + c.pos
-		c.pos += 8
-		if c.pos >= s.Size {
-			c.pos = 0
+		a := p.base + c.Pos
+		c.Pos += 8
+		if c.Pos >= s.Size {
+			c.Pos = 0
 		}
 		return a, false
 	case PatStride:
-		a := p.base + c.pos
-		c.pos += s.Stride
-		if c.pos >= s.Size {
-			c.pos = 0
+		a := p.base + c.Pos
+		c.Pos += s.Stride
+		if c.Pos >= s.Size {
+			c.Pos = 0
 		}
 		return a, false
 	case PatTile:
-		a := p.base + c.pos
-		c.inner++
-		if c.inner >= s.InnerSteps {
-			c.inner = 0
-			c.pos += s.Jump
+		a := p.base + c.Pos
+		c.Inner++
+		if c.Inner >= s.InnerSteps {
+			c.Inner = 0
+			c.Pos += s.Jump
 		} else {
-			c.pos += s.Stride
+			c.Pos += s.Stride
 		}
-		if c.pos >= s.Size {
-			c.pos = 0
+		if c.Pos >= s.Size {
+			c.Pos = 0
 		}
 		return a, false
 	case PatChase:
 		steps := uint64(len(p.order))
-		off := p.fields[c.field]
-		c.curChain = c.chainIdx
-		cur := &c.nodeCur[c.chainIdx]
+		off := p.fields[c.Field]
+		c.CurChain = c.ChainIdx
+		cur := &c.NodeCur[c.ChainIdx]
 		addr := p.base + uint64(p.order[*cur])*s.NodeSize + off
 		isPtr := off == s.PtrOff
-		c.field++
-		if c.field >= len(p.fields) {
-			c.field = 0
+		c.Field++
+		if c.Field >= len(p.fields) {
+			c.Field = 0
 			*cur++
 			if *cur >= steps {
 				*cur = 0
 			}
-			c.chainIdx = (c.chainIdx + 1) % len(c.nodeCur)
+			c.ChainIdx = (c.ChainIdx + 1) % len(c.NodeCur)
 		}
 		return addr, isPtr
 	case PatTour:
-		a := p.tour[c.pos]
-		c.pos++
-		if c.pos >= uint64(len(p.tour)) {
-			c.pos = 0
+		a := p.tour[c.Pos]
+		c.Pos++
+		if c.Pos >= uint64(len(p.tour)) {
+			c.Pos = 0
 		}
 		return a, false
 	case PatRand:
 		lines := s.Size / lineBytes
-		return p.base + c.rng.Uint64n(lines)*lineBytes, false
+		return p.base + c.RNG.Uint64n(lines)*lineBytes, false
 	case PatConflict:
 		// Lines spaced exactly one L1-cache-size apart share a set in
 		// the direct-mapped L1.
@@ -238,8 +223,8 @@ func (c *patternCursor) next(p *pattern) (addr uint64, ptrField bool) {
 		if k < 2 {
 			k = 2
 		}
-		a := p.base + (c.pos%k)*l1Size
-		c.pos++
+		a := p.base + (c.Pos%k)*l1Size
+		c.Pos++
 		return a, false
 	}
 	return p.base, false

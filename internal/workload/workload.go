@@ -21,7 +21,6 @@ package workload
 import (
 	"fmt"
 
-	"microlib/internal/prng"
 	"microlib/internal/trace"
 )
 
@@ -119,26 +118,10 @@ type phaseState struct {
 // A Generator is a cursor over a shared, immutable program image (see
 // image.go): everything built from (profile, seed) lives in prog, and
 // the generator holds only the state that advances as instructions
-// are emitted — exactly the fields State and SetState serialize.
+// are emitted, in st, which State and SetState copy whole.
 type Generator struct {
 	prog *program
-	rng  prng.Source
-
-	patterns []patternCursor
-	// lastSeq tracks, per pattern and chase chain, the sequence
-	// number of the last pointer load (for chase and serial
-	// dependences); shared across phases.
-	lastSeq [][]uint64
-
-	phaseIdx int
-	inPhase  uint64
-
-	curLoop   int
-	loopIters int
-	blockIdx  int
-	instIdx   int
-
-	seq uint64
+	st   GeneratorState
 }
 
 // NewGenerator returns a generator for a profile, positioned at the
@@ -161,10 +144,10 @@ func (g *Generator) Profile() Profile { return g.prog.prof.clone() }
 // Next implements trace.Stream; the stream is infinite.
 func (g *Generator) Next(inst *trace.Inst) bool {
 	prog := g.prog
-	st := &prog.phases[g.phaseIdx]
-	lp := &st.loops[g.curLoop%len(st.loops)]
-	blk := &lp.blocks[g.blockIdx%len(lp.blocks)]
-	t := &blk.insts[g.instIdx]
+	ph := &prog.phases[g.st.PhaseIdx]
+	lp := &ph.loops[g.st.CurLoop%len(ph.loops)]
+	blk := &lp.blocks[g.st.BlockIdx%len(lp.blocks)]
+	t := &blk.insts[g.st.InstIdx]
 
 	inst.PC = t.pc
 	inst.DataPC = t.dataPC
@@ -178,64 +161,64 @@ func (g *Generator) Next(inst *trace.Inst) bool {
 	switch t.kind {
 	case slotMem:
 		p := &prog.patterns[t.pattern]
-		c := &g.patterns[t.pattern]
+		c := &g.st.Patterns[t.pattern]
 		addr, ptrField := c.next(p)
 		inst.Addr = addr
 		switch {
 		case p.spec.Kind == PatChase:
 			// Chase accesses serialize on the previous pointer load
 			// of the same chain of the structure.
-			chain := c.curChain
-			if last := g.lastSeq[t.pattern][chain]; last > 0 {
-				d := g.seq - last
+			chain := c.CurChain
+			if last := g.st.LastSeq[t.pattern][chain]; last > 0 {
+				d := g.st.Seq - last
 				if d > 65535 {
 					d = 65535
 				}
 				inst.Dep1 = uint16(d)
 			}
 			if ptrField {
-				g.lastSeq[t.pattern][chain] = g.seq
+				g.st.LastSeq[t.pattern][chain] = g.st.Seq
 			}
 		case p.spec.Serial && t.class == trace.Load:
 			// Serial patterns chain each load on the previous one.
-			if last := g.lastSeq[t.pattern][0]; last > 0 {
-				d := g.seq - last
+			if last := g.st.LastSeq[t.pattern][0]; last > 0 {
+				d := g.st.Seq - last
 				if d > 65535 {
 					d = 65535
 				}
 				inst.Dep1 = uint16(d)
 			}
-			g.lastSeq[t.pattern][0] = g.seq
+			g.st.LastSeq[t.pattern][0] = g.st.Seq
 		}
 	case slotBranch:
-		inst.Mispredict = g.rng.Bool(prog.prof.Mispredict)
+		inst.Mispredict = g.st.RNG.Bool(prog.prof.Mispredict)
 	}
 
 	// Advance cursors.
-	g.seq++
-	g.instIdx++
-	if g.instIdx >= len(blk.insts) {
-		g.instIdx = 0
-		g.blockIdx++
-		if g.blockIdx >= len(lp.blocks) {
-			g.blockIdx = 0
-			g.loopIters++
+	g.st.Seq++
+	g.st.InstIdx++
+	if g.st.InstIdx >= len(blk.insts) {
+		g.st.InstIdx = 0
+		g.st.BlockIdx++
+		if g.st.BlockIdx >= len(lp.blocks) {
+			g.st.BlockIdx = 0
+			g.st.LoopIters++
 			// Stay in a loop for a while, then move to another loop of
 			// the phase (models the call graph; drives I-cache
 			// behaviour).
-			if g.loopIters >= 16 || g.rng.Bool(0.05) {
-				g.loopIters = 0
-				g.curLoop = g.rng.Intn(len(st.loops))
+			if g.st.LoopIters >= 16 || g.st.RNG.Bool(0.05) {
+				g.st.LoopIters = 0
+				g.st.CurLoop = g.st.RNG.Intn(len(ph.loops))
 			}
 		}
 	}
-	g.inPhase++
-	if g.inPhase >= st.spec.Len {
-		g.inPhase = 0
-		g.phaseIdx = (g.phaseIdx + 1) % len(prog.phases)
+	g.st.InPhase++
+	if g.st.InPhase >= ph.spec.Len {
+		g.st.InPhase = 0
+		g.st.PhaseIdx = (g.st.PhaseIdx + 1) % len(prog.phases)
 		// loopIters resets with the other loop cursors: a residual
 		// count would cut the first loop of the new phase short.
-		g.blockIdx, g.instIdx, g.curLoop, g.loopIters = 0, 0, 0, 0
+		g.st.BlockIdx, g.st.InstIdx, g.st.CurLoop, g.st.LoopIters = 0, 0, 0, 0
 	}
 	return true
 }

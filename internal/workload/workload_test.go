@@ -98,11 +98,11 @@ func TestOracleChaseConsistency(t *testing.T) {
 	// Find mcf's chase pattern and walk it both ways.
 	var (
 		chase    *pattern
-		chaseCur *patternCursor
+		chaseCur *PatternState
 	)
 	for i := range gen.prog.patterns {
 		if gen.prog.patterns[i].spec.Kind == PatChase {
-			chase, chaseCur = &gen.prog.patterns[i], &gen.patterns[i]
+			chase, chaseCur = &gen.prog.patterns[i], &gen.st.Patterns[i]
 			break
 		}
 	}
@@ -112,7 +112,7 @@ func TestOracleChaseConsistency(t *testing.T) {
 	// Pattern's first chain starts at order[cursor]; read the true
 	// pointer from the oracle and check it names the next node of
 	// that chain.
-	cur := chaseCur.nodeCur[0]
+	cur := chaseCur.NodeCur[0]
 	node := uint64(chase.order[cur])
 	nodeAddr := chase.base + node*chase.spec.NodeSize
 	ptr := o.Word(nodeAddr + chase.spec.PtrOff)
@@ -261,14 +261,14 @@ func TestDataPCStability(t *testing.T) {
 
 // findPattern returns the generator's last pattern of a kind: its
 // static image and the generator's cursor over it.
-func findPattern(gen *Generator, kind PatternKind) (*pattern, *patternCursor) {
+func findPattern(gen *Generator, kind PatternKind) (*pattern, *PatternState) {
 	var (
 		p *pattern
-		c *patternCursor
+		c *PatternState
 	)
 	for i := range gen.prog.patterns {
 		if gen.prog.patterns[i].spec.Kind == kind {
-			p, c = &gen.prog.patterns[i], &gen.patterns[i]
+			p, c = &gen.prog.patterns[i], &gen.st.Patterns[i]
 		}
 	}
 	return p, c
