@@ -5,9 +5,10 @@
 // core rows must perform zero steady-state allocations, so must the
 // eager-writeback drain (cache.DrainDirtyLRU) rows, a generator of a
 // live (profile, seed) must share its program image (a small constant
-// allocation count), and a shared-prefix campaign sweep must run at
-// least 2x faster warm (prefix checkpointing on) than cold — or the
-// command exits nonzero.
+// allocation count), a shared-prefix campaign sweep must run at least
+// 5x faster warm (prefix checkpointing and the budget ladder on) than
+// cold, and the worker-arena rows, ladder steps included, must stay
+// under a fixed byte bound — or the command exits nonzero.
 //
 // Every row records wall-clock time and iteration count alongside the
 // allocation counters, and the simulator-throughput rows carry
@@ -93,11 +94,19 @@ type Report struct {
 // chain tables) and nothing for the lookup.
 const maxSharedGenAllocs = 4
 
+// minWarmSpeedup is the warm gate's floor: repeated runs on a 2-vCPU
+// Xeon VM (linux/amd64, go1.24) measured 5.8x-6.6x, against 4.0x-4.6x
+// before the budget ladder, which replays every budget from the
+// warm-up boundary.
+const minWarmSpeedup = 5.0
+
 // maxArenaCellBytes bounds the bytes one steady-state store-stall cell
 // allocates on a warmed worker arena (runner/cold-cell/arena and
 // runner/cold-cell/vc): the Base cell's measured 37,808 B/op
 // (linux/amd64, go1.24) plus 30% headroom. A cell that rebuilt its
-// cache arrays (~440 KB) or its program image would fail it.
+// cache arrays (~440 KB) or its program image would fail it, and so
+// would a ladder step (runner/rung-capture) whose capture rebuilt its
+// rung.
 const maxArenaCellBytes = 48 << 10
 
 func bench(name string, f func(b *testing.B)) Result {
@@ -321,6 +330,47 @@ func main() {
 	vcCell.Extra = map[string]float64{"vc_over_base": vcCell.NsPerOp / arenaCell.NsPerOp}
 	rep.Results = append(rep.Results, arenaCell, vcCell)
 
+	// One rung of the budget ladder on a DBCP machine, the mechanism
+	// with the largest state: each op is a cell whose budget is
+	// FetchReach+8 instructions above the last, so it restores the
+	// previous cell's rung, climbs about twice FetchReach instructions
+	// and captures the next rung into the same buffers. A capture that
+	// rebuilt its buffers would cost over 450 KB per op, the cache
+	// line arrays alone.
+	rungCapture := bench("runner/rung-capture", func(b *testing.B) {
+		opts := runner.DefaultOptions("mcf", "DBCP")
+		opts.Warmup, opts.Seed = 5000, 1
+		ctx := context.Background()
+		ck, err := runner.RunPrefixContext(ctx, opts)
+		if err != nil {
+			fatal(err)
+		}
+		m, err := runner.NewCheckpointMachine(ctx, opts)
+		if err != nil {
+			fatal(err)
+		}
+		defer m.Close()
+		prefix := opts.PrefixCanonical()
+		step := uint64(opts.CPU.RUUSize+opts.CPU.CommitWidth+opts.CPU.FetchWidth) + 8
+		opts.Insts = 2000
+		climb := func() {
+			opts.Insts += step
+			if _, err := m.RunFromCheckpointPrefix(ctx, opts, prefix, ck); err != nil {
+				fatal(err)
+			}
+		}
+		climb() // the first rung, and every buffer it needs
+		climb()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			climb()
+			if !m.FromRung() {
+				fatal(fmt.Errorf("rung-capture: budget %d did not climb from a rung", opts.Insts))
+			}
+		}
+	})
+	rep.Results = append(rep.Results, rungCapture)
+
 	// End-to-end simulator throughput (memory-bound bench + prefetch
 	// mechanism exercises the whole event path).
 	simThroughput := bench("sim-throughput", func(b *testing.B) {
@@ -369,8 +419,11 @@ func main() {
 	// re-simulates the 50k-instruction prefix for every cell; warm
 	// execution pays for it once and forks the measurement phase from
 	// the checkpoint. One worker, so the ratio is pure prefix
-	// amortization, not parallelism. The warm gate below requires
-	// warm_speedup >= 2.
+	// amortization, not parallelism. Warm cells climb the budget
+	// ladder, so the group simulates its warm-up plus its largest
+	// budget, and rung_restores counts the cells that started from a
+	// rung. The warm gate below requires warm_speedup >=
+	// minWarmSpeedup.
 	sweep := campaign.Spec{
 		Name:       "mlbench-shared-prefix",
 		Benchmarks: []string{"swim"},
@@ -380,6 +433,7 @@ func main() {
 	}
 	warmup := uint64(50_000)
 	sweep.Warmup = &warmup
+	var rungs int
 	runSweep := func(noWarm bool) {
 		sum, err := campaign.Execute(context.Background(), sweep, campaign.RunConfig{Workers: 1, NoWarm: noWarm})
 		if err != nil {
@@ -388,6 +442,7 @@ func main() {
 		if sum.Sched.Errors > 0 {
 			fatal(fmt.Errorf("shared-prefix sweep: %d cells failed", sum.Sched.Errors))
 		}
+		rungs = sum.Sched.RungRestores
 	}
 	sweepCold := bench("campaign/shared-prefix/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -400,7 +455,7 @@ func main() {
 		}
 	})
 	warmSpeedup := sweepCold.NsPerOp / sweepWarm.NsPerOp
-	sweepWarm.Extra = map[string]float64{"warm_speedup": warmSpeedup}
+	sweepWarm.Extra = map[string]float64{"warm_speedup": warmSpeedup, "rung_restores": float64(rungs)}
 	rep.Results = append(rep.Results, sweepCold, sweepWarm)
 
 	// One full artifact experiment, end to end.
@@ -431,11 +486,11 @@ func main() {
 		rep.AllocGate = "PASS: 0 allocs/op on the kernel scheduling path"
 	}
 
-	// The warm gate: prefix checkpointing must at least halve the
-	// wall-clock of the shared-prefix sweep.
-	warmFailed := warmSpeedup < 2
+	// The warm gate: prefix checkpointing and the budget ladder must
+	// cut the shared-prefix sweep's wall-clock minWarmSpeedup-fold.
+	warmFailed := warmSpeedup < minWarmSpeedup
 	if warmFailed {
-		rep.WarmGate = fmt.Sprintf("FAIL: shared-prefix sweep warm speedup %.2fx (want >= 2x)", warmSpeedup)
+		rep.WarmGate = fmt.Sprintf("FAIL: shared-prefix sweep warm speedup %.2fx (want >= %gx)", warmSpeedup, minWarmSpeedup)
 	} else {
 		rep.WarmGate = fmt.Sprintf("PASS: shared-prefix sweep runs %.1fx faster warm than cold", warmSpeedup)
 	}
@@ -477,9 +532,13 @@ func main() {
 	// The arena gate: a cold cell on a warmed worker arena recycles its
 	// cache storage and program image, so it allocates far less than a
 	// machine's cache arrays alone, with or without a victim cache.
-	arenaFailed := arenaCell.BytesPerOp > maxArenaCellBytes || vcCell.BytesPerOp > maxArenaCellBytes
-	arenaRows := fmt.Sprintf("cold-cell/arena %d B/op, %d allocs/op; cold-cell/vc %d B/op, %d allocs/op",
-		arenaCell.BytesPerOp, arenaCell.AllocsPerOp, vcCell.BytesPerOp, vcCell.AllocsPerOp)
+	// A rung capture reuses the previous rung's buffers, so a ladder
+	// step allocates as little as a cold cell.
+	arenaFailed := arenaCell.BytesPerOp > maxArenaCellBytes || vcCell.BytesPerOp > maxArenaCellBytes ||
+		rungCapture.BytesPerOp > maxArenaCellBytes
+	arenaRows := fmt.Sprintf("cold-cell/arena %d B/op, %d allocs/op; cold-cell/vc %d B/op, %d allocs/op; rung-capture %d B/op, %d allocs/op",
+		arenaCell.BytesPerOp, arenaCell.AllocsPerOp, vcCell.BytesPerOp, vcCell.AllocsPerOp,
+		rungCapture.BytesPerOp, rungCapture.AllocsPerOp)
 	if arenaFailed {
 		rep.ArenaGate = fmt.Sprintf("FAIL: %s (want <= %d B/op)", arenaRows, maxArenaCellBytes)
 	} else {

@@ -78,8 +78,8 @@ func TestDrainDirtyLRUMatchesFullWalk(t *testing.T) {
 		case op < 88:
 			// Round trip through the snapshot with the index wiped:
 			// SetState must rebuild it from the restored lines.
-			st, err := c.State(noRef)
-			if err != nil {
+			var st State
+			if err := c.StateInto(&st, noRef); err != nil {
 				t.Fatal(err)
 			}
 			clear(c.dirtyLRU)

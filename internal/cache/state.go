@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"microlib/internal/sim"
 	"microlib/internal/statecopy"
@@ -58,61 +59,58 @@ type State struct {
 	Stats      Stats
 }
 
-// State captures the cache's mutable state. resolve maps in-flight
-// callback sinks to serializable references; it must recognize every
-// sink that can be parked in this cache's MSHRs or prefetch queue.
-func (c *Cache) State(resolve func(any) (sim.OpRef, bool)) (State, error) {
-	st := State{
-		UseTick:    c.useTick,
-		StallUntil: c.stallUntil,
-		PortCycle:  c.portCycle,
-		PortsUsed:  c.portsUsed,
-		PQRetryArm: c.pqRetryArm,
-		Stats:      c.stats,
-	}
-	st.Lines = statecopy.Clone(c.lines)
-	st.MSHRs = make([]MSHRState, len(c.mshrs))
+// StateInto captures the cache's mutable state into *st, reusing its
+// line array, MSHR and prefetch-queue slices (and each MSHR's target
+// slice) wherever their capacity suffices, so capturing again into the
+// same destination allocates nothing. resolve maps in-flight callback
+// sinks to serializable references; it must recognize every sink that
+// can be parked in this cache's MSHRs or prefetch queue.
+func (c *Cache) StateInto(st *State, resolve func(any) (sim.OpRef, bool)) error {
+	st.UseTick = c.useTick
+	st.StallUntil = c.stallUntil
+	st.PortCycle = c.portCycle
+	st.PortsUsed = c.portsUsed
+	st.PQRetryArm = c.pqRetryArm
+	st.Stats = c.stats
+	statecopy.CopyInto(&st.Lines, c.lines)
+	st.MSHRs = slices.Grow(st.MSHRs[:0], len(c.mshrs))[:len(c.mshrs)]
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
-		m := MSHRState{
+		m := &st.MSHRs[i]
+		*m = MSHRState{
 			Valid: e.valid, LineAddr: e.lineAddr, FirstAddr: e.firstAddr,
 			PC: e.pc, Reads: e.reads, FillDirty: e.fillDirty,
 			Prefetch: e.prefetch, Issued: e.issued,
+			Targets: m.Targets[:0],
 		}
 		if e.redirect != nil {
 			r, ok := resolve(e.redirect)
 			if !ok {
-				return State{}, fmt.Errorf("cache %s: unresolvable MSHR redirect %T", c.cfg.Name, e.redirect)
+				return fmt.Errorf("cache %s: unresolvable MSHR redirect %T", c.cfg.Name, e.redirect)
 			}
 			m.Redirect = r
 		}
-		if len(e.targets) > 0 {
-			m.Targets = make([]sim.OpRef, len(e.targets))
-			for j, t := range e.targets {
-				r, ok := resolve(t)
-				if !ok {
-					return State{}, fmt.Errorf("cache %s: unresolvable MSHR target %T", c.cfg.Name, t)
-				}
-				m.Targets[j] = r
+		for _, t := range e.targets {
+			r, ok := resolve(t)
+			if !ok {
+				return fmt.Errorf("cache %s: unresolvable MSHR target %T", c.cfg.Name, t)
 			}
-		}
-		st.MSHRs[i] = m
-	}
-	if n := c.pqLen(); n > 0 {
-		st.PQ = make([]PrefetchReqState, 0, n)
-		for i := c.pqHead; i < len(c.pq); i++ {
-			p := PrefetchReqState{LineAddr: c.pq[i].lineAddr}
-			if c.pq[i].redirect != nil {
-				r, ok := resolve(c.pq[i].redirect)
-				if !ok {
-					return State{}, fmt.Errorf("cache %s: unresolvable prefetch redirect %T", c.cfg.Name, c.pq[i].redirect)
-				}
-				p.Redirect = r
-			}
-			st.PQ = append(st.PQ, p)
+			m.Targets = append(m.Targets, r)
 		}
 	}
-	return st, nil
+	st.PQ = st.PQ[:0]
+	for i := c.pqHead; i < len(c.pq); i++ {
+		p := PrefetchReqState{LineAddr: c.pq[i].lineAddr}
+		if c.pq[i].redirect != nil {
+			r, ok := resolve(c.pq[i].redirect)
+			if !ok {
+				return fmt.Errorf("cache %s: unresolvable prefetch redirect %T", c.cfg.Name, c.pq[i].redirect)
+			}
+			p.Redirect = r
+		}
+		st.PQ = append(st.PQ, p)
+	}
+	return nil
 }
 
 // SetState overwrites the cache's mutable state from a snapshot taken

@@ -1,19 +1,25 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"microlib/internal/runner"
 )
 
 // arena is one worker's machine arena: the machine the worker built
-// last, kept for two reasons. Every build takes the kept machine's
+// last, kept for three reasons. Every build takes the kept machine's
 // cache line arrays instead of allocating them (runner.RunOn and its
 // siblings), so a worker allocates its cache storage once, not once
-// per cell. And while the kept machine holds a warm-up prefix, a cell
-// of that prefix group restores its checkpoint into it without any
-// build: a restore fully overwrites the mutable state.
+// per cell. While the kept machine holds a warm-up prefix, a cell of
+// that prefix group restores its checkpoint into it without any
+// build: a restore fully overwrites the mutable state. And the kept
+// machine holds the worker's rung buffer: the budget ladder's mid-run
+// checkpoint of its group, captured in place cell after cell and
+// handed to the next machine built, so the worker allocates one rung,
+// not one per cell or group.
 //
 // Storage is owned per worker rather than pooled process-wide: a
 // worker runs one cell at a time, so its previous machine is always
@@ -76,20 +82,21 @@ func (a *arena) capture(ctx context.Context, key string, opts runner.Options) (*
 
 // restore restores the checkpoint into the arena's machine — building
 // one only when the arena does not hold the cell's prefix — and runs
-// the cell's measurement phase. Recover-protected: a panic on the warm
-// path becomes an error, the caller demotes the machine to a spare and
-// the cell falls back to the cold path, which reproduces and
-// classifies any real fault.
-func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *runner.Checkpoint) (res runner.Result, err error) {
+// the cell's measurement phase. The machine keeps its rung between
+// cells of the group, and rung reports that this cell started from
+// it. Recover-protected: a panic on the warm path becomes an error,
+// the caller demotes the machine to a spare and the cell falls back
+// to the cold path, which reproduces and classifies any real fault.
+func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *runner.Checkpoint) (res runner.Result, rung bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = runner.Result{}, &CellError{Kind: KindPanic, Msg: fmt.Sprint("warm restore panic: ", r)}
+			res, rung, err = runner.Result{}, false, &CellError{Kind: KindPanic, Msg: fmt.Sprint("warm restore panic: ", r)}
 		}
 	}()
 	if a.m == nil || a.prefix != c.prefix.key {
 		m, merr := runner.NewCheckpointMachineOn(ctx, opts, a.spare())
 		if merr != nil {
-			return runner.Result{}, merr
+			return runner.Result{}, false, merr
 		}
 		a.m, a.prefix = m, c.prefix.key
 		a.built(c.prefix.key)
@@ -98,7 +105,8 @@ func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *ru
 	if canon == "" {
 		canon = opts.PrefixCanonical()
 	}
-	return a.m.RunFromCheckpointPrefix(ctx, opts, canon, ck)
+	res, err = a.m.RunFromCheckpointPrefix(ctx, opts, canon, ck)
+	return res, err == nil && a.m.FromRung(), err
 }
 
 // dispatchOrder returns the order the scheduler feeds cells to its
@@ -112,11 +120,13 @@ func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *ru
 //     a build finds the program image its predecessor used still in
 //     the weakly held image table (GC runs rarely) instead of
 //     rebuilding it;
-//   - with Warm set, the first cell of every warm prefix group keeps its
-//     plan-order slot, so prefixes still build in parallel across
-//     workers; the remaining cells of each group follow at the end,
-//     back to back, groups in first-appearance order, so an arena
-//     serves a whole run of cells sharing its machine.
+//   - with Warm set, every warm prefix group takes the plan-order slot
+//     of its first cell, so prefixes still build in parallel across
+//     workers; the group's remaining cells follow at the end, back to
+//     back, groups in first-appearance order, so an arena serves a
+//     whole run of cells sharing its machine. A group's cells run in
+//     ascending budget, its smallest in the first slot, so each cell
+//     climbs from the rung its predecessor left on the worker.
 //
 // Cells of one fingerprint keep their relative order. A sampled run
 // (interval telemetry on) keeps plan order. dispatchOrder also prepares
@@ -138,6 +148,7 @@ func (s *Scheduler) dispatchOrder(cells []Cell) ([]Cell, []int) {
 	programs := map[string]int{}
 	rest := map[string][]int{}
 	var groups []string
+	first := map[string]int{} // a warm group's slot
 	for i, c := range cells {
 		k := ""
 		if w != nil {
@@ -156,13 +167,18 @@ func (s *Scheduler) dispatchOrder(cells []Cell) ([]Cell, []int) {
 			slots = append(slots, []int{i})
 			continue
 		}
-		if _, started := rest[k]; started {
+		if _, started := first[k]; started {
 			rest[k] = append(rest[k], i)
 			continue
 		}
-		rest[k] = nil
+		first[k] = len(slots)
 		groups = append(groups, k)
 		slots = append(slots, []int{i})
+	}
+	for _, k := range groups {
+		g := append(slots[first[k]], rest[k]...)
+		slices.SortStableFunc(g, func(a, b int) int { return cmp.Compare(cells[a].Opts.Insts, cells[b].Opts.Insts) })
+		slots[first[k]], rest[k] = g[:1], g[1:]
 	}
 	order := make([]int, 0, len(cells))
 	for _, sl := range slots {

@@ -42,7 +42,9 @@ type Event struct {
 	// Op names what a retry retried ("cell", "cache.put") or a
 	// degradation lost ("cache.put", "cache.corrupt", …). On a prefix
 	// event it is "run" (a warm-up prefix simulated and captured) or
-	// "miss" (a warm-eligible attempt fell back to a cold run).
+	// "miss" (a warm-eligible attempt fell back to a cold run) or
+	// "rung" (a cell's measurement started from the budget ladder's
+	// mid-run checkpoint instead of the warm-up boundary).
 	Op string
 	// Err is a cell_done's failure, the cause of a retry or
 	// degradation, or the reason an end aborted.
@@ -88,10 +90,13 @@ type SchedulerStats struct {
 	// capture; CheckpointHits counts cells whose measurement phase ran
 	// from a restored warm snapshot (each is a skip+warm-up simulation
 	// not paid), CheckpointMisses warm-eligible attempts that fell
-	// back to a cold run. All zero when warm checkpointing is off.
+	// back to a cold run. RungRestores counts the hits that restored a
+	// rung, the mid-run checkpoint a smaller budget of the group left
+	// on the worker. All zero when warm checkpointing is off.
 	PrefixRuns       int `json:"prefix_runs"`
 	CheckpointHits   int `json:"checkpoint_hits"`
 	CheckpointMisses int `json:"checkpoint_misses"`
+	RungRestores     int `json:"rung_restores,omitempty"`
 	// FailedKinds breaks Errors down by taxonomy kind
 	// (panic/timeout/model/io).
 	FailedKinds map[string]int `json:"failed_kinds,omitempty"`
@@ -133,9 +138,12 @@ func (s *SchedulerStats) apply(e Event) {
 	case EvStall:
 		s.Stalls++
 	case EvPrefix:
-		if e.Op == "miss" {
+		switch e.Op {
+		case "miss":
 			s.CheckpointMisses++
-		} else {
+		case "rung":
+			s.RungRestores++
+		default:
 			s.PrefixRuns++
 		}
 	}
@@ -147,8 +155,8 @@ func (s SchedulerStats) warmText() string {
 	if s.PrefixRuns == 0 && s.CheckpointHits == 0 && s.CheckpointMisses == 0 {
 		return ""
 	}
-	return fmt.Sprintf("prefix-runs=%d checkpoint-hits=%d checkpoint-misses=%d",
-		s.PrefixRuns, s.CheckpointHits, s.CheckpointMisses)
+	return fmt.Sprintf("prefix-runs=%d checkpoint-hits=%d checkpoint-misses=%d rung-restores=%d",
+		s.PrefixRuns, s.CheckpointHits, s.CheckpointMisses, s.RungRestores)
 }
 
 // progress renders a cell_done event for OnProgress, numbered by the

@@ -58,7 +58,7 @@ type JournalEvent struct {
 	DelayMS float64 `json:"delay_ms,omitempty"`
 
 	// retry, degraded and prefix
-	Op string `json:"op,omitempty"` // e.g. "cache.put", "cache.corrupt"; prefix: "run" or "miss"
+	Op string `json:"op,omitempty"` // e.g. "cache.put", "cache.corrupt"; prefix: "run", "miss" or "rung"
 
 	// stall
 	IdleMS      float64 `json:"idle_ms,omitempty"`
@@ -80,6 +80,7 @@ type JournalEvent struct {
 	PrefixRuns       int            `json:"prefix_runs,omitempty"`
 	CheckpointHits   int            `json:"checkpoint_hits,omitempty"`
 	CheckpointMisses int            `json:"checkpoint_misses,omitempty"`
+	RungRestores     int            `json:"rung_restores,omitempty"`
 	Aborted          bool           `json:"aborted,omitempty"`
 	AbortReason      string         `json:"abort_reason,omitempty"`
 	WallS            float64        `json:"wall_s,omitempty"`
@@ -188,6 +189,7 @@ func (j *JournalWriter) apply(e Event) {
 		je.Cells, je.Completed, je.CacheHits, je.Simulated = st.Total, st.Completed, st.CacheHits, st.Simulated
 		je.Errors, je.FailedKinds, je.Retries, je.Degraded = st.Errors, st.FailedKinds, st.Retries, st.Degraded
 		je.Stalls, je.PrefixRuns, je.CheckpointHits, je.CheckpointMisses = st.Stalls, st.PrefixRuns, st.CheckpointHits, st.CheckpointMisses
+		je.RungRestores = st.RungRestores
 		if !j.start.IsZero() {
 			je.WallS = time.Since(j.start).Seconds()
 		}

@@ -93,6 +93,13 @@ func TestJournalFoldMatchesStats(t *testing.T) {
 			t.Fatalf("warm run: %+v", st)
 		}
 	})
+	t.Run("rungs", func(t *testing.T) {
+		// One worker: each group's last budget climbs from the rung
+		// its middle budget left.
+		if st := run(t, warmSpec(), RunConfig{Workers: 1}); st.CheckpointHits != 12 || st.RungRestores != 4 {
+			t.Fatalf("ladder run: %+v", st)
+		}
+	})
 	t.Run("cache-put-retry", func(t *testing.T) {
 		inj, err := fault.Parse("cache.put.error=1@1", 1)
 		if err != nil {

@@ -16,9 +16,15 @@ import (
 // the prefix once. The first cell of a group simulates skip + warm-up
 // and snapshots the machine at the warm-up boundary; every other cell
 // restores the snapshot into its worker's reused machine arena and
-// runs only its measurement phase. Restored cells are bit-identical
-// to cold runs, so warm execution changes no result, fingerprint or
-// cache entry — only wall-clock time and the order cells start in.
+// runs only its measurement phase. A group's cells run in ascending
+// budget, and each leaves a rung on its worker's machine: a mid-run
+// checkpoint just short of its budget, which the next, larger budget
+// restores instead of the warm-up snapshot (see
+// runner.Machine.RunFromCheckpointPrefix). A group thus simulates its
+// warm-up plus its largest budget, not the sum of its budgets.
+// Restored cells are bit-identical to cold runs, so warm execution
+// changes no result, fingerprint or cache entry — only wall-clock time
+// and the order cells start in.
 //
 // The warm layer is strictly an accelerator: any failure on the warm
 // path (corrupt stored checkpoint, budget inside the fetch horizon,
@@ -197,7 +203,7 @@ func (s *Scheduler) warmAttempt(ctx context.Context, cell Cell, opts runner.Opti
 		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		return runner.Result{}, false
 	}
-	full, err := a.restore(ctx, cell, opts, ck)
+	full, rung, err := a.restore(ctx, cell, opts, ck)
 	if err != nil {
 		// The machine may hold a half-restored state: keep it only as
 		// a spare, so the next cell builds a fresh one from its storage.
@@ -207,6 +213,9 @@ func (s *Scheduler) warmAttempt(ctx context.Context, cell Cell, opts runner.Opti
 			s.Degrade(Degradation{Op: "warm.restore", Key: cell.Key, Err: err})
 		}
 		return runner.Result{}, false
+	}
+	if rung {
+		s.emit(Event{Ev: EvPrefix, Op: "rung", Key: cell.Key})
 	}
 	return full, true
 }

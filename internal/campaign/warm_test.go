@@ -66,6 +66,20 @@ func TestWarmCampaignMatchesCold(t *testing.T) {
 	if warmStats.Simulated != 12 {
 		t.Fatalf("warm cells still count as simulated: %+v", warmStats)
 	}
+
+	// Two workers over budgets planned out of order: each group's
+	// cells interleave across the workers, each worker climbs its own
+	// ladder, and every result still equals its cold run.
+	spec := warmSpec()
+	spec.Insts = []uint64{4000, 2000, 5000, 3000}
+	cold, _ = runPlan(t, &Scheduler{Workers: 2}, spec)
+	warm, warmStats = runPlan(t, &Scheduler{Workers: 2, Warm: NewWarm(nil)}, spec)
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("2-worker ladder results differ from cold:\ncold: %+v\nwarm: %+v", cold, warm)
+	}
+	if warmStats.PrefixRuns != 4 || warmStats.CheckpointHits != 16 || warmStats.RungRestores == 0 {
+		t.Fatalf("want 4 prefixes serving 16 cells, some from rungs: %+v", warmStats)
+	}
 }
 
 // With a checkpoint store, warm state survives the campaign: a rerun
@@ -250,13 +264,15 @@ func dispatchSpec() Spec {
 		Mechanisms: []string{"Base"},
 		Seeds:      []uint64{1, 2},
 		Warmups:    []uint64{0, 500},
-		Insts:      []uint64{2000, 3000, 4000},
+		Insts:      []uint64{3000, 2000, 4000},
 	}
 }
 
 // The dispatch order is a permutation of the plan that starts every
-// group's first cell in plan order, runs each group's remaining cells
-// back to back, and runs the cold cells of each program back to back.
+// group in the plan-order slot of its first cell, runs each group's
+// remaining cells back to back, runs each group in ascending budget
+// (its smallest budget first) and runs the cold cells of each program
+// back to back.
 func TestWarmDispatchOrder(t *testing.T) {
 	plan, err := NewPlan(dispatchSpec())
 	if err != nil {
@@ -266,13 +282,29 @@ func TestWarmDispatchOrder(t *testing.T) {
 	order := dispatched(&Scheduler{Warm: w}, plan.Cells)
 	checkPermutation(t, plan.Cells, order)
 
+	// planFirst is the plan index of each group's first cell.
+	planFirst := map[string]int{}
+	for _, c := range plan.Cells {
+		if k := w.key(c, false); k != "" {
+			if _, ok := planFirst[k]; !ok {
+				planFirst[k] = c.Index
+			}
+		}
+	}
 	var cold []Cell
 	var firsts []int
 	started := map[string]bool{}
+	budget := map[string]uint64{}  // group -> budget of its latest dispatched cell
 	restRun := map[string][2]int{} // group -> [first, last] position of its non-first cells
 	firstRestPos := -1
 	for pos, c := range order {
 		k := w.key(c, false)
+		if k != "" {
+			if c.Opts.Insts < budget[k] {
+				t.Fatalf("cell %d (insts %d) dispatched after a larger budget (%d) of its group", c.Index, c.Opts.Insts, budget[k])
+			}
+			budget[k] = c.Opts.Insts
+		}
 		switch {
 		case k == "":
 			cold = append(cold, c)
@@ -281,7 +313,10 @@ func TestWarmDispatchOrder(t *testing.T) {
 			}
 		case !started[k]:
 			started[k] = true
-			firsts = append(firsts, c.Index)
+			firsts = append(firsts, planFirst[k])
+			if c.Opts.Insts != 2000 {
+				t.Fatalf("group of cell %d starts with budget %d, want its smallest, 2000", c.Index, c.Opts.Insts)
+			}
 			if firstRestPos >= 0 {
 				t.Fatalf("group first cell %d dispatched after remaining cells", c.Index)
 			}
@@ -303,7 +338,7 @@ func TestWarmDispatchOrder(t *testing.T) {
 		t.Fatalf("want 12 cold cells and 4 groups, got %d cold, %d firsts, %d groups", len(cold), len(firsts), len(restRun))
 	}
 	if !sort.IntsAreSorted(firsts) {
-		t.Fatalf("group first cells reordered: %v", firsts)
+		t.Fatalf("groups started out of plan order: %v", firsts)
 	}
 	checkProgramRuns(t, order, cold)
 

@@ -86,14 +86,18 @@ type CostModeler interface {
 // Snapshotter is implemented by mechanisms whose internal state must
 // travel in warm-state checkpoints. SnapState returns a self-contained
 // serializable value (a plain-data State type the mechanism's package
-// registers with encoding/gob); RestoreState overwrites the
-// mechanism's state from a value previously returned by SnapState on
-// an identically-configured instance. The runner refuses to checkpoint
+// registers with encoding/gob). prev is nil or a value an earlier
+// SnapState returned that the caller gives up: when it is of the
+// mechanism's State type, the new value may be built in its backing
+// arrays, so a repeated capture allocates no table. RestoreState
+// overwrites the mechanism's state from a value previously returned by
+// SnapState on an identically-configured instance, and keeps no
+// reference into it. The runner refuses to checkpoint
 // a machine whose mechanism does not implement the interface, so a
 // mechanism without it silently opts its cells out of prefix sharing
 // rather than producing wrong results.
 type Snapshotter interface {
-	SnapState() any
+	SnapState(prev any) any
 	RestoreState(st any) error
 }
 

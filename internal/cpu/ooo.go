@@ -27,7 +27,7 @@ type OoO struct {
 	stream trace.Stream
 
 	// st is the core's whole mutable state (window, front end,
-	// functional-unit usage, result counters); State and SetState copy
+	// functional-unit usage, result counters); StateInto and SetState copy
 	// it whole. Everything below is wiring, run control or scratch.
 	st OoOState
 
@@ -43,6 +43,8 @@ type OoO struct {
 	// itself is the one I-cache fill sink the front end ever needs.
 	// Steady-state issue and fetch therefore allocate nothing.
 	freeLoads *loadReq
+	res       LoadResolver // reused by every NewLoadResolver
+	rest      LoadRestorer // reused by every NewLoadRestorer
 
 	// stopInsts, when non-zero, makes Run return at the first cycle
 	// boundary after stopInsts instructions have committed (warm-state
@@ -103,6 +105,15 @@ func (o *OoO) AccessDone(now uint64, hit bool) { o.st.FetchBlocked = false }
 // the calendar) mid-flight exactly as a longer run would have it at
 // that same boundary. Zero disables the stop.
 func (o *OoO) SetStop(insts uint64) { o.stopInsts = insts }
+
+// FetchReach bounds how far fetch runs ahead of a SetStop boundary:
+// when Run stops at stop, it has committed fewer than
+// stop+CommitWidth instructions and holds at most RUUSize more in the
+// window, so it has fetched fewer than stop+FetchReach. FetchWidth is
+// extra margin.
+func (o *OoO) FetchReach() uint64 {
+	return uint64(o.cfg.RUUSize + o.cfg.CommitWidth + o.cfg.FetchWidth)
+}
 
 // loadReq is one in-flight load's pooled Access; its Done callback is
 // bound once at node construction.

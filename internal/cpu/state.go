@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"microlib/internal/sim"
 	"microlib/internal/statecopy"
@@ -56,10 +57,11 @@ type OoOState struct {
 	Res Result
 }
 
-// State captures the core's mutable state (in-flight load nodes are
-// captured separately, by the LoadResolver, as they surface from the
-// calendar and MSHR snapshots).
-func (o *OoO) State() OoOState { return statecopy.Clone(o.st) }
+// StateInto captures the core's mutable state into *st, reusing its
+// window and ready-queue slices where their capacity suffices
+// (in-flight load nodes are captured separately, by the LoadResolver,
+// as they surface from the calendar and MSHR snapshots).
+func (o *OoO) StateInto(st *OoOState) { statecopy.CopyInto(st, o.st) }
 
 // SetState overwrites the core's mutable state from a snapshot taken
 // on an identically-configured core. Backing arrays (window waiter
@@ -89,9 +91,19 @@ type LoadResolver struct {
 	tab []LoadState
 }
 
-// NewLoadResolver returns an empty load-operand domain for the core.
-func (o *OoO) NewLoadResolver() *LoadResolver {
-	return &LoadResolver{o: o, idx: map[*loadReq]uint64{}}
+// NewLoadResolver returns an empty load-operand domain for the core,
+// whose table reuses tab's backing array (nil for a fresh one). The
+// resolver is the core's own, reset for each capture, so its index
+// allocates only when more loads are in flight than at any capture
+// before.
+func (o *OoO) NewLoadResolver(tab []LoadState) *LoadResolver {
+	r := &o.res
+	if r.idx == nil {
+		r.idx = map[*loadReq]uint64{}
+	}
+	clear(r.idx)
+	r.o, r.tab = o, tab[:0]
+	return r
 }
 
 // Ref resolves v if it is one of this core's load nodes.
@@ -121,9 +133,15 @@ type LoadRestorer struct {
 }
 
 // NewLoadRestorer returns the restore-side domain over a captured
-// load table.
+// load table. The restorer is the core's own, reset for each restore,
+// so its node table allocates only when a snapshot holds more loads
+// in flight than any restored before.
 func (o *OoO) NewLoadRestorer(tab []LoadState) *LoadRestorer {
-	return &LoadRestorer{o: o, tab: tab, nodes: make([]*loadReq, len(tab))}
+	r := &o.rest
+	r.o, r.tab = o, tab
+	r.nodes = slices.Grow(r.nodes[:0], len(tab))[:len(tab)]
+	clear(r.nodes)
+	return r
 }
 
 // Val materializes the load node for a cpu.load reference.

@@ -222,6 +222,9 @@ type Hierarchy struct {
 	l1dBack, l1iBack *l1DataBackend
 	memBack          *memBackend
 	constBack        *constBackend
+
+	snap Snapshotter // reused by every NewSnapshotter
+	rest Restorer    // reused by every NewRestorer
 }
 
 // Build wires the hierarchy on the engine.

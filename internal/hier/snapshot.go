@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 
 	"microlib/internal/bus"
 	"microlib/internal/cache"
@@ -73,9 +74,25 @@ type Snapshotter struct {
 }
 
 // NewSnapshotter returns a snapshotter filling st; next handles
-// operands outside the hierarchy (may be nil).
+// operands outside the hierarchy (may be nil). Capture overwrites all
+// of st and reuses its slices and memory state where their capacity
+// suffices, so st may hold an earlier capture to recycle.
+//
+// The snapshotter is the hierarchy's own, reset for each capture, so
+// its operand index allocates only when more nodes are in flight than
+// at any capture before; the previous one must be done.
 func (h *Hierarchy) NewSnapshotter(st *State, next func(any) (sim.OpRef, bool)) *Snapshotter {
-	return &Snapshotter{h: h, st: st, refs: map[any]sim.OpRef{}, next: next}
+	st.L1Fetches = st.L1Fetches[:0]
+	st.MemFetches = st.MemFetches[:0]
+	st.MemWBs = st.MemWBs[:0]
+	st.ConstFetches = st.ConstFetches[:0]
+	s := &h.snap
+	if s.refs == nil {
+		s.refs = map[any]sim.OpRef{}
+	}
+	clear(s.refs)
+	s.h, s.st, s.next = h, st, next
+	return s
 }
 
 // Ref resolves an operand to its serializable reference.
@@ -151,28 +168,32 @@ func (s *Snapshotter) Ref(v any) (sim.OpRef, bool) {
 // Capture fills the component states (caches, buses, memory),
 // populating the node tables as their in-flight references surface.
 func (s *Snapshotter) Capture() error {
-	var err error
-	if s.st.L1D, err = s.h.L1D.State(s.Ref); err != nil {
+	if err := s.h.L1D.StateInto(&s.st.L1D, s.Ref); err != nil {
 		return err
 	}
-	if s.st.L1I, err = s.h.L1I.State(s.Ref); err != nil {
+	if err := s.h.L1I.StateInto(&s.st.L1I, s.Ref); err != nil {
 		return err
 	}
-	if s.st.L2, err = s.h.L2.State(s.Ref); err != nil {
+	if err := s.h.L2.StateInto(&s.st.L2, s.Ref); err != nil {
 		return err
 	}
 	s.st.L1Bus = s.h.L1Bus.State()
 	s.st.FSB = s.h.FSB.State()
 	switch m := s.h.Mem.(type) {
 	case *mem.ConstLatency:
-		cs := m.State()
-		s.st.ConstMem = &cs
+		s.st.SDRAM = nil
+		if s.st.ConstMem == nil {
+			s.st.ConstMem = new(mem.Stats)
+		}
+		*s.st.ConstMem = m.State()
 	case *mem.SDRAM:
-		ss, err := m.State(s.Ref)
-		if err != nil {
+		s.st.ConstMem = nil
+		if s.st.SDRAM == nil {
+			s.st.SDRAM = new(mem.SDRAMState)
+		}
+		if err := m.StateInto(s.st.SDRAM, s.Ref); err != nil {
 			return err
 		}
-		s.st.SDRAM = &ss
 	default:
 		return fmt.Errorf("hier: memory model %T is not snapshottable", s.h.Mem)
 	}
@@ -193,16 +214,25 @@ type Restorer struct {
 }
 
 // NewRestorer returns a restorer over st; next handles reference kinds
-// outside the hierarchy (may be nil).
+// outside the hierarchy (may be nil). The restorer is the hierarchy's
+// own, reset for each restore, so its node tables allocate only when a
+// snapshot holds more in-flight nodes than any restored before; the
+// previous one must be done.
 func (h *Hierarchy) NewRestorer(st *State, next func(sim.OpRef) (any, bool)) *Restorer {
-	return &Restorer{
-		h: h, st: st,
-		l1f:  make([]*l1Fetch, len(st.L1Fetches)),
-		mf:   make([]*memFetch, len(st.MemFetches)),
-		mwb:  make([]*memWB, len(st.MemWBs)),
-		cf:   make([]*constFetch, len(st.ConstFetches)),
-		next: next,
-	}
+	r := &h.rest
+	r.h, r.st, r.next = h, st, next
+	r.l1f = emptyNodes(r.l1f, len(st.L1Fetches))
+	r.mf = emptyNodes(r.mf, len(st.MemFetches))
+	r.mwb = emptyNodes(r.mwb, len(st.MemWBs))
+	r.cf = emptyNodes(r.cf, len(st.ConstFetches))
+	return r
+}
+
+// emptyNodes returns n nil node slots in s's backing array.
+func emptyNodes[T any](s []*T, n int) []*T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Val resolves a serialized reference back to a live value.

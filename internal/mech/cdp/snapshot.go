@@ -1,9 +1,10 @@
 package cdp
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 
 	"microlib/internal/mech/sp"
 )
@@ -24,15 +25,14 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (c *CDP) SnapState() any {
-	st := State{Scans: c.scans, Candidates: c.candidates, Issued: c.issued}
-	if len(c.depth) > 0 {
-		st.Depth = make([]DepthEntry, 0, len(c.depth))
-		for la, d := range c.depth {
-			st.Depth = append(st.Depth, DepthEntry{Line: la, Depth: d})
-		}
-		sort.Slice(st.Depth, func(i, j int) bool { return st.Depth[i].Line < st.Depth[j].Line })
+func (c *CDP) SnapState(prev any) any {
+	st, _ := prev.(State)
+	st.Scans, st.Candidates, st.Issued = c.scans, c.candidates, c.issued
+	st.Depth = st.Depth[:0]
+	for la, d := range c.depth {
+		st.Depth = append(st.Depth, DepthEntry{Line: la, Depth: d})
 	}
+	slices.SortFunc(st.Depth, func(a, b DepthEntry) int { return cmp.Compare(a.Line, b.Line) })
 	return st
 }
 
@@ -57,8 +57,9 @@ type CombinedState struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (c *Combined) SnapState() any {
-	return CombinedState{CDP: c.CDP.SnapState().(State), SP: c.SP.SnapState().(sp.State)}
+func (c *Combined) SnapState(prev any) any {
+	p, _ := prev.(CombinedState)
+	return CombinedState{CDP: c.CDP.SnapState(p.CDP).(State), SP: c.SP.SnapState(p.SP).(sp.State)}
 }
 
 // RestoreState implements core.Snapshotter.

@@ -1,9 +1,10 @@
 package dbcp
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // LiveEntry is one live-signature record (lineAddr -> signature),
@@ -13,16 +14,22 @@ type LiveEntry struct {
 	Sig  uint32
 }
 
-// CorrEntryState is one correlation-table entry in serializable form.
+// CorrEntryState is one used correlation-table entry in serializable
+// form: its index in the table and its contents.
 type CorrEntryState struct {
 	Key    uint64
 	Target uint64
+	Index  uint32
 	Conf   int8
 }
 
-// State is the DBCP's full mutable state.
+// State is the DBCP's full mutable state. Table lists only the used
+// entries of the correlation table, in index order; every other entry
+// is zero. A 200k-instruction warm-up uses 3-13% of the 64K entries,
+// so this keeps a snapshot near a tenth of the table's 1.5 MB.
 type State struct {
 	Live        []LiveEntry
+	TableSize   int
 	Table       []CorrEntryState
 	PendingKey  uint64
 	HavePend    bool
@@ -33,21 +40,27 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (d *DBCP) SnapState() any {
-	st := State{
-		PendingKey: d.pendingKey, HavePend: d.havePend,
-		Reads: d.reads, Writes: d.writes, Issued: d.issued, Predictions: d.predictions,
+func (d *DBCP) SnapState(prev any) any {
+	st, _ := prev.(State)
+	st.PendingKey, st.HavePend = d.pendingKey, d.havePend
+	st.Reads, st.Writes, st.Issued, st.Predictions = d.reads, d.writes, d.issued, d.predictions
+	st.Live = slices.Grow(st.Live[:0], len(d.live))
+	for la, sig := range d.live {
+		st.Live = append(st.Live, LiveEntry{Line: la, Sig: sig})
 	}
-	if len(d.live) > 0 {
-		st.Live = make([]LiveEntry, 0, len(d.live))
-		for la, sig := range d.live {
-			st.Live = append(st.Live, LiveEntry{Line: la, Sig: sig})
+	slices.SortFunc(st.Live, func(a, b LiveEntry) int { return cmp.Compare(a.Line, b.Line) })
+	used := 0
+	for _, e := range d.table {
+		if e != (corrEntry{}) {
+			used++
 		}
-		sort.Slice(st.Live, func(i, j int) bool { return st.Live[i].Line < st.Live[j].Line })
 	}
-	st.Table = make([]CorrEntryState, len(d.table))
+	st.TableSize = len(d.table)
+	st.Table = slices.Grow(st.Table[:0], used)
 	for i, e := range d.table {
-		st.Table[i] = CorrEntryState{Key: e.key, Target: e.target, Conf: e.conf}
+		if e != (corrEntry{}) {
+			st.Table = append(st.Table, CorrEntryState{Key: e.key, Target: e.target, Index: uint32(i), Conf: e.conf})
+		}
 	}
 	return st
 }
@@ -58,15 +71,19 @@ func (d *DBCP) RestoreState(v any) error {
 	if !ok {
 		return fmt.Errorf("dbcp: snapshot is %T, not dbcp.State", v)
 	}
-	if len(st.Table) != len(d.table) {
-		return fmt.Errorf("dbcp: snapshot has %d table entries, config holds %d", len(st.Table), len(d.table))
+	if st.TableSize != len(d.table) {
+		return fmt.Errorf("dbcp: snapshot has %d table entries, config holds %d", st.TableSize, len(d.table))
 	}
 	clear(d.live)
 	for _, e := range st.Live {
 		d.live[e.Line] = e.Sig
 	}
-	for i, e := range st.Table {
-		d.table[i] = corrEntry{key: e.Key, target: e.Target, conf: e.Conf}
+	clear(d.table)
+	for _, e := range st.Table {
+		if int(e.Index) >= len(d.table) {
+			return fmt.Errorf("dbcp: snapshot entry index %d outside the %d-entry table", e.Index, len(d.table))
+		}
+		d.table[e.Index] = corrEntry{key: e.Key, target: e.Target, conf: e.Conf}
 	}
 	d.pendingKey, d.havePend = st.PendingKey, st.HavePend
 	d.reads, d.writes, d.issued, d.predictions = st.Reads, st.Writes, st.Issued, st.Predictions

@@ -17,7 +17,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (e *EWB) SnapState() any { return statecopy.Clone(e.st) }
+func (e *EWB) SnapState(prev any) any { return statecopy.Recycle(prev, e.st) }
 
 // RestoreState implements core.Snapshotter.
 func (e *EWB) RestoreState(v any) error {

@@ -20,7 +20,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (f *FVC) SnapState() any { return statecopy.Clone(f.st) }
+func (f *FVC) SnapState(prev any) any { return statecopy.Recycle(prev, f.st) }
 
 // RestoreState implements core.Snapshotter.
 func (f *FVC) RestoreState(v any) error {

@@ -28,7 +28,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (g *GHB) SnapState() any { return statecopy.Clone(g.st) }
+func (g *GHB) SnapState(prev any) any { return statecopy.Recycle(prev, g.st) }
 
 // RestoreState implements core.Snapshotter.
 func (g *GHB) RestoreState(v any) error {

@@ -30,7 +30,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (m *Markov) SnapState() any { return statecopy.Clone(m.st) }
+func (m *Markov) SnapState(prev any) any { return statecopy.Recycle(prev, m.st) }
 
 // RestoreState implements core.Snapshotter.
 func (m *Markov) RestoreState(v any) error {

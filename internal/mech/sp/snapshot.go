@@ -24,7 +24,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (s *SP) SnapState() any { return statecopy.Clone(s.st) }
+func (s *SP) SnapState(prev any) any { return statecopy.Recycle(prev, s.st) }
 
 // RestoreState implements core.Snapshotter.
 func (s *SP) RestoreState(v any) error {

@@ -30,7 +30,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (t *TCP) SnapState() any { return statecopy.Clone(t.st) }
+func (t *TCP) SnapState(prev any) any { return statecopy.Recycle(prev, t.st) }
 
 // RestoreState implements core.Snapshotter.
 func (t *TCP) RestoreState(v any) error {

@@ -1,9 +1,10 @@
 package tk
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 
 	"microlib/internal/mech/vc"
 	"microlib/internal/sim"
@@ -37,32 +38,27 @@ type State struct {
 	Scans         uint64
 }
 
-func touchSlice(m map[uint64]uint64) []TouchEntry {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]TouchEntry, 0, len(m))
+// touchSlice collects m into out's backing array, in line order.
+func touchSlice(out []TouchEntry, m map[uint64]uint64) []TouchEntry {
+	out = out[:0]
 	for la, last := range m {
 		out = append(out, TouchEntry{Line: la, Last: last})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
+	slices.SortFunc(out, func(a, b TouchEntry) int { return cmp.Compare(a.Line, b.Line) })
 	return out
 }
 
 // SnapState implements core.Snapshotter.
-func (t *TK) SnapState() any {
-	st := State{
-		LastTouch:     touchSlice(t.lastTouch),
-		PendingVictim: t.pendingVictim, HaveVictim: t.haveVictim,
-		Reads: t.reads, Writes: t.writes, Issued: t.issued, Scans: t.scans,
+func (t *TK) SnapState(prev any) any {
+	st, _ := prev.(State)
+	st.LastTouch = touchSlice(st.LastTouch, t.lastTouch)
+	st.PendingVictim, st.HaveVictim = t.pendingVictim, t.haveVictim
+	st.Reads, st.Writes, st.Issued, st.Scans = t.reads, t.writes, t.issued, t.scans
+	st.Corr = st.Corr[:0]
+	for v, e := range t.corr {
+		st.Corr = append(st.Corr, CorrEntryState{Victim: v, Repl: e.repl, Conf: e.conf})
 	}
-	if len(t.corr) > 0 {
-		st.Corr = make([]CorrEntryState, 0, len(t.corr))
-		for v, e := range t.corr {
-			st.Corr = append(st.Corr, CorrEntryState{Victim: v, Repl: e.repl, Conf: e.conf})
-		}
-		sort.Slice(st.Corr, func(i, j int) bool { return st.Corr[i].Victim < st.Corr[j].Victim })
-	}
+	slices.SortFunc(st.Corr, func(a, b CorrEntryState) int { return cmp.Compare(a.Victim, b.Victim) })
 	return st
 }
 
@@ -93,10 +89,11 @@ type TKVCState struct {
 }
 
 // SnapState implements core.Snapshotter (overriding the embedded VC's).
-func (t *TKVC) SnapState() any {
+func (t *TKVC) SnapState(prev any) any {
+	p, _ := prev.(TKVCState)
 	return TKVCState{
-		VC:        t.VC.SnapState().(vc.State),
-		LastTouch: touchSlice(t.lastTouch),
+		VC:        t.VC.SnapState(p.VC).(vc.State),
+		LastTouch: touchSlice(p.LastTouch, t.lastTouch),
 		Filtered:  t.Filtered,
 	}
 }

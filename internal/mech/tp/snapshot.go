@@ -16,7 +16,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (t *TP) SnapState() any { return statecopy.Clone(t.st) }
+func (t *TP) SnapState(prev any) any { return statecopy.Recycle(prev, t.st) }
 
 // RestoreState implements core.Snapshotter.
 func (t *TP) RestoreState(v any) error {

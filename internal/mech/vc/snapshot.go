@@ -26,7 +26,7 @@ type State struct {
 }
 
 // SnapState implements core.Snapshotter.
-func (v *VC) SnapState() any { return statecopy.Clone(v.st) }
+func (v *VC) SnapState(prev any) any { return statecopy.Recycle(prev, v.st) }
 
 // RestoreState implements core.Snapshotter.
 func (v *VC) RestoreState(x any) error {

@@ -9,11 +9,10 @@ import (
 
 // BankState is one SDRAM bank's mutable state.
 type BankState struct {
-	OpenRow     int64 // -1 when closed
-	ReadyAt     uint64
-	LastActAt   uint64
-	HasActed    bool
-	ActReadyMin uint64 // earliest next ACT honouring tRC
+	OpenRow   int64 // -1 when closed
+	ReadyAt   uint64
+	LastActAt uint64
+	HasActed  bool
 }
 
 // QueuedReqState is one controller-queue entry. The queued *Req lives
@@ -37,35 +36,32 @@ type SDRAMState struct {
 	Inflight      int
 }
 
-// State captures the controller's mutable state. Every queued request
-// must carry a Done sink that resolve recognizes and whose owner
-// implements ReqHolder (true for all hierarchy backends; bare test
-// requests are not checkpointable).
-func (s *SDRAM) State(resolve func(any) (sim.OpRef, bool)) (SDRAMState, error) {
-	st := SDRAMState{
-		Stats:         s.stats,
-		DataBusFreeAt: s.dataBusFreeAt,
-		LastActAt:     s.lastActAt,
-		AnyActed:      s.anyActed,
-		KickPlanned:   s.kickPlanned,
-		Inflight:      s.inflight,
-	}
-	st.Banks = statecopy.Clone(s.banks)
-	if len(s.queue) > 0 {
-		st.Queue = make([]QueuedReqState, len(s.queue))
-		for i := range s.queue {
-			q := &s.queue[i]
-			if q.req.Done == nil {
-				return SDRAMState{}, fmt.Errorf("mem: queued request %#x has no owner sink", q.req.Addr)
-			}
-			ref, ok := resolve(q.req.Done)
-			if !ok {
-				return SDRAMState{}, fmt.Errorf("mem: unresolvable queued request owner %T", q.req.Done)
-			}
-			st.Queue[i] = QueuedReqState{Owner: ref, Arrival: q.arrival}
+// StateInto captures the controller's mutable state into *st, reusing
+// its bank and queue slices where their capacity suffices. Every
+// queued request must carry a Done sink that resolve recognizes and
+// whose owner implements ReqHolder (true for all hierarchy backends;
+// bare test requests are not checkpointable).
+func (s *SDRAM) StateInto(st *SDRAMState, resolve func(any) (sim.OpRef, bool)) error {
+	st.Stats = s.stats
+	st.DataBusFreeAt = s.dataBusFreeAt
+	st.LastActAt = s.lastActAt
+	st.AnyActed = s.anyActed
+	st.KickPlanned = s.kickPlanned
+	st.Inflight = s.inflight
+	statecopy.CopyInto(&st.Banks, s.banks)
+	st.Queue = st.Queue[:0]
+	for i := range s.queue {
+		q := &s.queue[i]
+		if q.req.Done == nil {
+			return fmt.Errorf("mem: queued request %#x has no owner sink", q.req.Addr)
 		}
+		ref, ok := resolve(q.req.Done)
+		if !ok {
+			return fmt.Errorf("mem: unresolvable queued request owner %T", q.req.Done)
+		}
+		st.Queue = append(st.Queue, QueuedReqState{Owner: ref, Arrival: q.arrival})
 	}
-	return st, nil
+	return nil
 }
 
 // SetState overwrites the controller's mutable state from a snapshot

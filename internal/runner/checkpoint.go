@@ -31,6 +31,26 @@ import (
 // whose state references in-flight operands (the engine, caches, the
 // SDRAM queue, the hierarchy's pooled nodes) resolve the references
 // through the operand domains below.
+//
+// A campaign worker also climbs a budget ladder within each prefix
+// group (RunFromCheckpointPrefix). A live budget-N run and any longer
+// run are the same machine until fetch reaches warm-up + N, which is
+// the rule Checkpoint.MinInsts already encodes. So a restored cell
+// advances with fetch unbounded to a commit boundary short of its
+// budget (warm-up + N − FetchReach on the out-of-order core, one
+// instruction short on the scalar core), captures a rung there — a
+// Checkpoint with the group's warm-up statistics and its own fetch
+// horizon as MinInsts — and then finishes its budget. The next cell
+// of the group restores the rung when its budget exceeds the rung's
+// horizon, and the warm-up checkpoint otherwise, so cells run in
+// ascending budget simulate warm-up + max(N), not warm-up + ΣN. A
+// rung is captured in place into the previous rung's buffers (cache
+// line arrays, MSHR and queue slices, the event list, the window, the
+// generator cursor, the mechanism's tables through
+// core.Snapshotter.SnapState's prev), lives only in memory, on the
+// worker's machine, and is never written to a checkpoint store. An
+// advance cut short drops the rung, and a rung that fails to restore
+// falls back to the warm-up checkpoint.
 
 // CheckpointVersion tags the serialized state layout. Bump it whenever
 // any component's snapshot struct changes shape or meaning — a stale
@@ -39,7 +59,11 @@ import (
 // v2: cpu.Result gained the per-reason retry counters
 // (RetryPort/RetryStall/RetryMSHR), changing the gob shape of both
 // cores' serialized state.
-const CheckpointVersion = 2
+// v3: mem.BankState lost ActReadyMin, which nothing read or wrote (the
+// tRC bound is recomputed from LastActAt), and dbcp.State lists only
+// the used correlation-table entries, by index; stored v2 checkpoints
+// are discarded as unusable and their prefixes re-run.
+const CheckpointVersion = 3
 
 // ErrCheckpointUnusable marks a checkpoint that cannot serve the
 // requested run (version skew, prefix mismatch, measured budget inside
@@ -107,11 +131,14 @@ const (
 	opRefMech = "mech"
 )
 
-// captureState snapshots the machine's full mutable state. The operand
-// resolution chain is hierarchy (components and pooled request nodes)
-// → OoO load nodes → runner singletons (host core, mechanism).
-func (m *Machine) captureState() (MachineState, error) {
-	var st MachineState
+// captureState captures the machine's full mutable state into *st,
+// overwriting all of it. Slices, tables and core states that st holds
+// from an earlier capture are reused where their capacity suffices,
+// so capturing again into a rung buffer allocates no table. The
+// operand resolution chain is hierarchy (components and pooled
+// request nodes) → OoO load nodes → runner singletons (host core,
+// mechanism).
+func (m *Machine) captureState(st *MachineState) error {
 	tail := func(v any) (sim.OpRef, bool) {
 		if m.ooo != nil && v == any(m.ooo) {
 			return sim.OpRef{Kind: opRefCore}, true
@@ -127,7 +154,7 @@ func (m *Machine) captureState() (MachineState, error) {
 	next := tail
 	var loadRes *cpu.LoadResolver
 	if m.ooo != nil {
-		loadRes = m.ooo.NewLoadResolver()
+		loadRes = m.ooo.NewLoadResolver(st.Loads)
 		next = func(v any) (sim.OpRef, bool) {
 			if r, ok := loadRes.Ref(v); ok {
 				return r, true
@@ -137,36 +164,47 @@ func (m *Machine) captureState() (MachineState, error) {
 	}
 	snap := m.h.NewSnapshotter(&st.Hier, next)
 	if err := snap.Capture(); err != nil {
-		return MachineState{}, err
+		return err
 	}
-	est, err := m.eng.Snapshot(snap.Ref)
-	if err != nil {
-		return MachineState{}, err
+	if err := m.eng.SnapshotInto(&st.Engine, snap.Ref); err != nil {
+		return err
 	}
-	st.Engine = est
 
 	if m.ooo != nil {
-		ost := m.ooo.State()
-		st.OoO = &ost
+		if st.OoO == nil {
+			st.OoO = new(cpu.OoOState)
+		}
+		m.ooo.StateInto(st.OoO)
 		st.Loads = loadRes.Loads()
+		st.InOrder = nil
 	} else {
-		ist := m.ino.State()
-		st.InOrder = &ist
+		if st.InOrder == nil {
+			st.InOrder = new(cpu.InOrderState)
+		}
+		*st.InOrder = m.ino.State()
+		st.OoO, st.Loads = nil, nil
 	}
 	if m.mech != nil {
 		ms, ok := m.mech.(core.Snapshotter)
 		if !ok {
-			return MachineState{}, fmt.Errorf("runner: mechanism %s has no snapshot support", m.opts.Mechanism)
+			return fmt.Errorf("runner: mechanism %s has no snapshot support", m.opts.Mechanism)
 		}
-		st.Mech = ms.SnapState()
+		st.Mech = ms.SnapState(st.Mech)
+	} else {
+		st.Mech = nil
 	}
+	gen := st.Stream.Gen
+	st.Stream = StreamState{}
 	if m.gen != nil {
-		gs := m.gen.State()
-		st.Stream.Gen = &gs
+		if gen == nil {
+			gen = new(workload.GeneratorState)
+		}
+		m.gen.StateInto(gen)
+		st.Stream.Gen = gen
 	} else if m.tf != nil {
 		st.Stream.TraceRec = m.tf.Count()
 	}
-	return st, nil
+	return nil
 }
 
 // restoreState overwrites the machine's full mutable state from a
@@ -316,13 +354,11 @@ func RunPrefixOn(ctx context.Context, opts Options, spare *Machine) (*Checkpoint
 		return nil, nil, fmt.Errorf("runner: stream ended after %d of %d warm-up instructions (skip=%d)",
 			cres.Insts, opts.Warmup, opts.Skip)
 	}
-	st, err := m.captureState()
-	if err != nil {
+	if err := m.captureState(&ck.Machine); err != nil {
 		return nil, nil, err
 	}
-	ck.Machine = st
-	if st.OoO != nil {
-		ck.MinInsts = st.OoO.Fetched - opts.Warmup
+	if m.ooo != nil {
+		ck.MinInsts = ck.Machine.OoO.Fetched - opts.Warmup
 	}
 	m.prefix = ck.Prefix
 	kept = true
@@ -359,15 +395,36 @@ func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine) (
 // the measurement phase. The options must share the machine's prefix
 // (only the measured budget may differ).
 func (m *Machine) RunFromCheckpoint(ctx context.Context, opts Options, ck *Checkpoint) (Result, error) {
-	return m.RunFromCheckpointPrefix(ctx, opts, opts.PrefixCanonical(), ck)
+	return m.runFrom(ctx, opts, opts.PrefixCanonical(), ck, false)
 }
 
 // RunFromCheckpointPrefix is RunFromCheckpoint for a caller that
-// already holds prefix, the options' PrefixCanonical form: a campaign
-// renders it once per cell at plan time, so a steady-state restore
-// formats nothing. The checkpoint and the machine must both carry
-// exactly this prefix.
+// already holds prefix, the options' PrefixCanonical form, and runs
+// its cells on this machine one after another: a campaign renders the
+// prefix once per cell at plan time, so a steady-state restore formats
+// nothing. The checkpoint and the machine must both carry exactly this
+// prefix.
+//
+// It also climbs the budget ladder. Before its last stretch the run
+// captures a rung, a mid-run checkpoint of the prefix, into the
+// machine's rung buffer; a later cell whose budget lies beyond the
+// rung's fetch horizon restores the rung instead of ck and simulates
+// only the instructions past it. Cells run in ascending budget thus
+// simulate their group's largest budget once, not every budget in
+// full. FromRung reports whether the last run started from a rung.
 func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, prefix string, ck *Checkpoint) (Result, error) {
+	return m.runFrom(ctx, opts, prefix, ck, true)
+}
+
+// FromRung reports whether the machine's last RunFromCheckpointPrefix
+// restored a rung rather than the warm-up checkpoint.
+func (m *Machine) FromRung() bool { return m.fromRung }
+
+// runFrom restores ck (or, when ladder is set and the machine holds a
+// usable rung, the rung) and runs the measurement phase, capturing a
+// new rung on the way when ladder is set.
+func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *Checkpoint, ladder bool) (Result, error) {
+	m.fromRung = false
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -392,13 +449,26 @@ func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, pre
 	if m.prefix != prefix {
 		return Result{}, fmt.Errorf("runner: machine prefix does not match the requested options: %w", ErrCheckpointUnusable)
 	}
-	if m.ooo != nil && opts.Insts <= ck.MinInsts {
+	if opts.Insts <= ck.MinInsts {
 		return Result{}, fmt.Errorf("runner: measured budget %d is inside the checkpoint fetch horizon %d: %w",
 			opts.Insts, ck.MinInsts, ErrCheckpointUnusable)
 	}
-	if err := m.restoreState(&ck.Machine); err != nil {
-		return Result{}, err
+	src := ck
+	if r := m.rung; ladder && r != nil && r.ok && opts.Insts > r.ck.MinInsts {
+		src = &r.ck
+		if err := m.restoreState(&src.Machine); err != nil {
+			// A rung that will not restore is dropped; the warm-up
+			// checkpoint overwrites whatever it left.
+			r.ok = false
+			src = ck
+		}
 	}
+	if src == ck {
+		if err := m.restoreState(&ck.Machine); err != nil {
+			return Result{}, err
+		}
+	}
+	m.fromRung = src != ck
 	if m.cancel != nil {
 		// Re-aim a reused machine's stream at this cell's context (the
 		// poll counter is observability only; resetting it keeps the
@@ -411,9 +481,77 @@ func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, pre
 	}
 	m.host.SetWarmup(0, nil)
 	m.opts.Insts = opts.Insts
+	if ladder {
+		if err := m.climb(prefix, src.Warm); err != nil {
+			return Result{}, err
+		}
+	}
 	total := opts.Warmup + opts.Insts
 	cres := m.host.Run(total)
-	return m.finish(ctx, ck.Warm, cres, total)
+	return m.finish(ctx, src.Warm, cres, total)
+}
+
+// climb advances a just-restored machine toward its budget and
+// captures a rung there, for the next cell of the prefix group. A
+// live budget-N run and any longer run are the same machine until
+// fetch reaches warm-up + N, so the machine advances with fetch
+// unbounded (as a prefix run does) and stops at a commit boundary
+// whose fetch horizon is still short of that: FetchReach short of the
+// budget on the out-of-order core, one instruction short on the
+// scalar core, which fetches only what it commits. The rung keeps the
+// group's warm-up statistics; its MinInsts is its own fetch horizon.
+//
+// A machine already at or past the boundary keeps its rung as is. An
+// advance cut short (the context canceled or the stream ended) drops
+// the rung; the run that follows ends exactly as the live run would.
+func (m *Machine) climb(prefix string, warm WarmStats) error {
+	w, n := m.opts.Warmup, m.opts.Insts
+	reach := uint64(1)
+	if m.ooo != nil {
+		reach = m.ooo.FetchReach()
+	}
+	if n <= reach || w+n-reach <= m.host.Committed() {
+		return nil
+	}
+	stop := w + n - reach
+	if m.ooo != nil {
+		m.ooo.SetStop(stop)
+		m.ooo.Run(^uint64(0))
+		m.ooo.SetStop(0)
+	} else {
+		m.ino.Run(stop)
+	}
+	if m.rung == nil {
+		m.rung = new(rungBuffer)
+	}
+	r := m.rung
+	r.ok = false
+	if m.host.Committed() < stop {
+		return nil
+	}
+	if err := m.captureState(&r.ck.Machine); err != nil {
+		return nil // capturing only reads the machine: it runs on unladdered
+	}
+	horizon := m.host.Committed()
+	if m.ooo != nil {
+		horizon = r.ck.Machine.OoO.Fetched
+	}
+	if horizon >= w+n {
+		return fmt.Errorf("runner: rung fetch horizon %d reaches the budget %d: %w", horizon-w, n, ErrCheckpointUnusable)
+	}
+	r.ck.Version, r.ck.Prefix = CheckpointVersion, prefix
+	r.ck.MinInsts, r.ck.Warm = horizon-w, warm
+	r.ok = true
+	return nil
+}
+
+// rungBuffer is a machine's budget ladder: the rung, a mid-run
+// checkpoint of the machine's prefix, valid while ok. It passes from
+// each machine to the next one built from it, so a campaign worker
+// captures every rung into one set of buffers.
+type rungBuffer struct {
+	ck Checkpoint
+	ok bool
 }
 
 // RunFromCheckpointContext restores a checkpoint into a fresh machine

@@ -116,6 +116,8 @@ var snapshotCoverage = []struct {
 			"fetchScratch": "fetch-loop scratch, dead between Run calls",
 			"maxFetch":     "Run-call argument, set by the next Run",
 			"freeLoads":    "load-node freelist: in-flight nodes are captured by the LoadResolver, free ones are a pool",
+			"res":          "capture scratch, reset by every NewLoadResolver",
+			"rest":         "restore scratch, reset by every NewLoadRestorer",
 			"stopInsts":    "prefix-run control, cleared before a restored measurement",
 			"warmInsts":    "runner warm-up hook, re-armed per run",
 			"onWarm":       "runner warm-up hook, re-armed per run",
@@ -156,7 +158,9 @@ var snapshotCoverage = []struct {
 		serialized: []string{"L1D", "L1I", "L2", "L1Bus", "FSB", "Mem",
 			"l1dBack", "l1iBack", "memBack", "constBack"},
 		exempt: map[string]string{
-			"Eng": "the engine snapshots itself (sim.EngineState)",
+			"Eng":  "the engine snapshots itself (sim.EngineState)",
+			"snap": "capture scratch, reset by every NewSnapshotter",
+			"rest": "restore scratch, reset by every NewRestorer",
 		},
 	},
 	{

@@ -126,7 +126,7 @@ func checkpointSchema(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		st := m.mech.(core.Snapshotter).SnapState()
+		st := m.mech.(core.Snapshotter).SnapState(nil)
 		m.Close()
 		rt := reflect.TypeOf(st)
 		mechs = append(mechs, fmt.Sprintf("mech %s: %s.%s = %s", name, rt.PkgPath(), rt.Name(), shape(rt)))

@@ -31,6 +31,12 @@ type Machine struct {
 	// checkpoint machine is built; restores compare against it.
 	prefix string
 
+	// rung is the budget ladder's buffer (see RunFromCheckpointPrefix);
+	// a new machine takes its spare's, invalid. fromRung reports the
+	// last run's source.
+	rung     *rungBuffer
+	fromRung bool
+
 	gen    *workload.Generator
 	tf     *trace.File
 	oracle *workload.Oracle
@@ -56,16 +62,21 @@ type Machine struct {
 //
 // spare, when non-nil, is a machine its owner has finished with: the
 // new caches take its line arrays where the geometry matches (see
-// hier.BuildRecycling), so spare must not run again. Everything else is
-// built fresh. The arrays are detached first, so nothing else of spare
-// — its program image in particular — is kept reachable while this
-// machine opens its workload.
+// hier.BuildRecycling), so spare must not run again, and its rung
+// buffer, to capture into. Everything else is built fresh. The arrays
+// are detached first, so nothing else of spare — its program image in
+// particular — is kept reachable while this machine opens its
+// workload.
 func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool, spare *Machine) (*Machine, error) {
 	var storage hier.Storage
+	m := &Machine{opts: opts}
 	if spare != nil {
 		storage = spare.h.TakeStorage()
+		m.rung, spare.rung = spare.rung, nil
+		if m.rung != nil {
+			m.rung.ok = false
+		}
 	}
-	m := &Machine{opts: opts}
 
 	// Resolve the instruction source: a built-in benchmark, an inline
 	// profile, or a recorded trace file.

@@ -120,16 +120,17 @@ func TestPropertyTimestampMonotonic(t *testing.T) {
 }
 
 // TestSnapshotUnregisteredFunc checks that a pending event whose Func
-// was never registered makes Snapshot fail, naming the event's cycle:
+// was never registered makes SnapshotInto fail, naming the event's cycle:
 // such an event could not be rebuilt on restore.
 func TestSnapshotUnregisteredFunc(t *testing.T) {
 	eng := NewEngine()
 	eng.AtFunc(1234, func(uint64, any, any, uint64, uint64) {}, nil, nil, 0, 0)
-	_, err := eng.Snapshot(func(any) (OpRef, bool) { return OpRef{}, false })
+	var st EngineState
+	err := eng.SnapshotInto(&st, func(any) (OpRef, bool) { return OpRef{}, false })
 	if err == nil {
-		t.Fatal("Snapshot accepted a pending event with an unregistered Func")
+		t.Fatal("SnapshotInto accepted a pending event with an unregistered Func")
 	}
 	if !strings.Contains(err.Error(), "unregistered") || !strings.Contains(err.Error(), "1234") {
-		t.Fatalf("Snapshot error %q does not name the unregistered Func's cycle 1234", err)
+		t.Fatalf("SnapshotInto error %q does not name the unregistered Func's cycle 1234", err)
 	}
 }

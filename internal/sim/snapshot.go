@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 )
 
 // This file implements the calendar side of warm-state checkpointing:
@@ -74,48 +74,60 @@ type EngineState struct {
 	Events    []EventState
 }
 
-// Snapshot captures every pending event. resolve maps an operand value
-// to its OpRef (returning false when it does not recognize the value);
-// it is never called for nil operands. Snapshot fails if any pending
-// event carries an unregistered Func.
-func (e *Engine) Snapshot(resolve func(any) (OpRef, bool)) (EngineState, error) {
-	evs := make([]*event, 0, e.Pending())
+// SnapshotInto captures every pending event into *st, reusing its
+// event slice where its capacity suffices. resolve maps an operand
+// value to its OpRef (returning false when it does not recognize the
+// value); it is never called for nil operands. SnapshotInto fails if
+// any pending event carries an unregistered Func.
+func (e *Engine) SnapshotInto(st *EngineState, resolve func(any) (OpRef, bool)) error {
+	// The batch-promotion scratch is empty between advances; it
+	// collects the pending nodes here so a capture allocates nothing.
+	evs := e.promote[:0]
 	for i := range e.ring {
 		for ev := e.ring[i].head; ev != nil; ev = ev.next {
 			evs = append(evs, ev)
 		}
 	}
 	evs = append(evs, e.overflow...)
-	sort.Slice(evs, func(i, j int) bool { return overflowLess(evs[i], evs[j]) })
+	defer func() {
+		clear(evs)
+		e.promote = evs[:0]
+	}()
+	slices.SortFunc(evs, func(a, b *event) int {
+		if overflowLess(a, b) {
+			return -1
+		}
+		return 1
+	})
 
-	out := make([]EventState, 0, len(evs))
+	*st = EngineState{
+		Now: e.now, Seq: e.seq, Base: e.base,
+		Scheduled: e.scheduled, Executed: e.executed,
+		Events: st.Events[:0],
+	}
 	for _, ev := range evs {
 		name, ok := funcNames[reflect.ValueOf(ev.call).Pointer()]
 		if !ok {
-			return EngineState{}, fmt.Errorf("sim: unregistered event func pending at cycle %d", ev.when)
+			return fmt.Errorf("sim: unregistered event func pending at cycle %d", ev.when)
 		}
 		es := EventState{When: ev.when, Seq: ev.seq, Func: name, A0: ev.a0, A1: ev.a1}
 		if ev.o1 != nil {
 			r, ok := resolve(ev.o1)
 			if !ok {
-				return EngineState{}, fmt.Errorf("sim: unresolvable operand %T on %s@%d", ev.o1, name, ev.when)
+				return fmt.Errorf("sim: unresolvable operand %T on %s@%d", ev.o1, name, ev.when)
 			}
 			es.O1 = r
 		}
 		if ev.o2 != nil {
 			r, ok := resolve(ev.o2)
 			if !ok {
-				return EngineState{}, fmt.Errorf("sim: unresolvable operand %T on %s@%d", ev.o2, name, ev.when)
+				return fmt.Errorf("sim: unresolvable operand %T on %s@%d", ev.o2, name, ev.when)
 			}
 			es.O2 = r
 		}
-		out = append(out, es)
+		st.Events = append(st.Events, es)
 	}
-	return EngineState{
-		Now: e.now, Seq: e.seq, Base: e.base,
-		Scheduled: e.scheduled, Executed: e.executed,
-		Events: out,
-	}, nil
+	return nil
 }
 
 // Restore rebuilds the calendar from a snapshot, resolving operand

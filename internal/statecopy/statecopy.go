@@ -35,6 +35,16 @@ func CopyInto[T any](dst *T, src T) {
 	copyValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(&src).Elem())
 }
 
+// Recycle returns a deep copy of v. When prev holds a T (an earlier
+// copy its owner gives up), the copy is built in prev's backing arrays
+// as by CopyInto, so copying again into the previous result allocates
+// nothing but the interface box the caller keeps it in.
+func Recycle[T any](prev any, v T) T {
+	dst, _ := prev.(T)
+	CopyInto(&dst, v)
+	return dst
+}
+
 // copyValue never calls reflect.Value.Set, which would make the
 // compiler move Clone's result and CopyInto's src argument to the
 // heap: scalars go through the typed setters, slices grow in place

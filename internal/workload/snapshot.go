@@ -44,8 +44,9 @@ type GeneratorState struct {
 	Seq       uint64
 }
 
-// State captures the generator's stream cursor.
-func (g *Generator) State() GeneratorState { return statecopy.Clone(g.st) }
+// StateInto captures the generator's stream cursor into *st, reusing
+// its slices where their capacity suffices.
+func (g *Generator) StateInto(st *GeneratorState) { statecopy.CopyInto(st, g.st) }
 
 // SetState overwrites the generator's stream cursor from a snapshot
 // taken on a generator built from the same (profile, seed).
