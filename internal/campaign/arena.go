@@ -31,10 +31,6 @@ type arena struct {
 	// restore, or "" when m is only a spare: a cold run's machine, or
 	// one a failed restore may have left half-written.
 	prefix string
-	// builds counts machine builds per prefix fingerprint, prefix
-	// captures included. dispatchOrder keeps it at two or fewer per
-	// group on one worker.
-	builds map[string]int
 }
 
 // spare hands the arena's machine over for recycling: closed, and no
@@ -50,14 +46,6 @@ func (a *arena) spare() *runner.Machine {
 
 // close releases the arena's machine at the end of the run.
 func (a *arena) close() { a.spare() }
-
-// built records a build of a machine for prefix group key.
-func (a *arena) built(key string) {
-	if a.builds == nil {
-		a.builds = make(map[string]int)
-	}
-	a.builds[key]++
-}
 
 // cold runs a cell from scratch on a machine built from the arena's.
 func (a *arena) cold(ctx context.Context, opts runner.Options) (runner.Result, error) {
@@ -76,7 +64,6 @@ func (a *arena) capture(ctx context.Context, key string, opts runner.Options) (*
 		return nil, err
 	}
 	a.m, a.prefix = m, key
-	a.built(key)
 	return ck, nil
 }
 
@@ -99,7 +86,6 @@ func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *ru
 			return runner.Result{}, false, merr
 		}
 		a.m, a.prefix = m, c.prefix.key
-		a.built(c.prefix.key)
 	}
 	canon := c.prefix.canon
 	if canon == "" {
@@ -109,83 +95,104 @@ func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *ru
 	return res, err == nil && a.m.FromRung(), err
 }
 
-// dispatchOrder returns the order the scheduler feeds cells to its
-// workers, as indices into the returned cells (which are the given
-// cells, with their prefix identity set by the Warm policy): a
-// permutation chosen so that consecutive cells on a worker can share
-// what its arena holds:
+// job is the scheduler's unit of dispatch: one cold cell, or a whole
+// warm prefix group (key set to its prefix fingerprint) in ascending
+// budget. A worker runs a job's cells back to back on its arena, so a
+// group costs its warm-up plus its largest budget: each cell climbs
+// from the rung its predecessor left, and the group's checkpoint (ck,
+// or the deterministic err that prevented it) is built at most once.
+type job struct {
+	key string
+	idx []int // the job's cells, as indices into the dispatched cells
+	ck  *runner.Checkpoint
+	err error
+}
+
+// dispatch splits the cells into the jobs the scheduler feeds its
+// workers, in an order chosen so that consecutive cells on a worker
+// share what its arena holds:
 //
 //   - cells that run cold and share a program (workload, seed and
-//     skip) run back to back, programs in first-appearance order, so
-//     a build finds the program image its predecessor used still in
-//     the weakly held image table (GC runs rarely) instead of
-//     rebuilding it;
-//   - with Warm set, every warm prefix group takes the plan-order slot
-//     of its first cell, so prefixes still build in parallel across
-//     workers; the group's remaining cells follow at the end, back to
-//     back, groups in first-appearance order, so an arena serves a
-//     whole run of cells sharing its machine. A group's cells run in
-//     ascending budget, its smallest in the first slot, so each cell
-//     climbs from the rung its predecessor left on the worker.
+//     skip) run back to back, one job each, programs in
+//     first-appearance order, so a build finds the program image its
+//     predecessor used still in the weakly held image table (GC runs
+//     rarely) instead of rebuilding it;
+//   - with Warm set, every warm prefix group is one job, in the
+//     plan-order slot of its first cell.
 //
-// Cells of one fingerprint keep their relative order. A sampled run
-// (interval telemetry on) keeps plan order. dispatchOrder also prepares
-// the Warm policy's index for the run.
-func (s *Scheduler) dispatchOrder(cells []Cell) ([]Cell, []int) {
-	sampled := s.Interval > 0 && s.IntervalSink != nil
-	w := s.Warm
-	if w != nil {
-		cells = w.prepare(cells, sampled)
-	}
-	if sampled {
-		order := make([]int, len(cells))
-		for i := range order {
-			order[i] = i
+// A prefix group is warm when it has two or more distinct cells, or
+// any with a checkpoint store. The jobs index the returned cells: the
+// given ones, or a copy in which cells built outside NewPlan have
+// their prefix identity set. Cells of one fingerprint keep their
+// relative order; duplicates stay in the jobs, for Run to feed once. A
+// sampled run (interval telemetry on) runs every cell cold, in plan
+// order: the warm-up portion of an interval series cannot be
+// reproduced from a post-warm-up snapshot.
+func (s *Scheduler) dispatch(cells []Cell) ([]Cell, []job) {
+	jobs := make([]job, 0, len(cells))
+	if s.Interval > 0 && s.IntervalSink != nil {
+		idx := make([]int, len(cells))
+		for i := range idx {
+			idx[i] = i
+			jobs = append(jobs, job{idx: idx[i : i+1]})
 		}
-		return cells, order
+		return cells, jobs
 	}
-	var slots [][]int // first pass: a warm group's first cell, or one program's cold cells
-	programs := map[string]int{}
-	rest := map[string][]int{}
-	var groups []string
-	first := map[string]int{} // a warm group's slot
+	var size map[string]int // distinct cells per prefix group
+	if s.Warm != nil {
+		cells, size = prefixGroups(cells)
+	}
+	var slots []job // one program's cold cells, or one warm group
+	programs, groups := map[string]int{}, map[string]int{}
 	for i, c := range cells {
-		k := ""
-		if w != nil {
-			k = w.key(c, false)
+		at, id, key := programs, c.program, ""
+		if s.Warm != nil && c.Opts.Warmup > 0 && (s.Warm.Store != nil || size[c.prefix.key] > 1) &&
+			(c.Opts.Interval == 0 || c.Opts.IntervalSink == nil) {
+			at, id, key = groups, c.prefix.key, c.prefix.key
+		} else if id == "" {
+			id = c.Opts.StreamCanonical() // a cell built outside NewPlan
 		}
-		if k == "" {
-			p := c.program
-			if p == "" {
-				p = c.Opts.StreamCanonical() // a cell built outside NewPlan
-			}
-			if j, ok := programs[p]; ok {
-				slots[j] = append(slots[j], i)
-				continue
-			}
-			programs[p] = len(slots)
-			slots = append(slots, []int{i})
-			continue
+		j, ok := at[id]
+		if !ok {
+			j = len(slots)
+			at[id] = j
+			slots = append(slots, job{key: key})
 		}
-		if _, started := first[k]; started {
-			rest[k] = append(rest[k], i)
-			continue
-		}
-		first[k] = len(slots)
-		groups = append(groups, k)
-		slots = append(slots, []int{i})
+		slots[j].idx = append(slots[j].idx, i)
 	}
-	for _, k := range groups {
-		g := append(slots[first[k]], rest[k]...)
-		slices.SortStableFunc(g, func(a, b int) int { return cmp.Compare(cells[a].Opts.Insts, cells[b].Opts.Insts) })
-		slots[first[k]], rest[k] = g[:1], g[1:]
-	}
-	order := make([]int, 0, len(cells))
 	for _, sl := range slots {
-		order = append(order, sl...)
+		if sl.key != "" {
+			slices.SortStableFunc(sl.idx, func(a, b int) int { return cmp.Compare(cells[a].Opts.Insts, cells[b].Opts.Insts) })
+			jobs = append(jobs, sl)
+			continue
+		}
+		for k := range sl.idx {
+			jobs = append(jobs, job{idx: sl.idx[k : k+1]})
+		}
 	}
-	for _, k := range groups {
-		order = append(order, rest[k]...)
+	return cells, jobs
+}
+
+// prefixGroups returns the cells with their prefix identity set and
+// the number of distinct cells (by fingerprint) in each prefix group.
+func prefixGroups(cells []Cell) ([]Cell, map[string]int) {
+	size := map[string]int{}
+	out, cloned := cells, false
+	seen := make(map[string]bool, len(cells))
+	for i, c := range cells {
+		if c.Opts.Warmup == 0 {
+			continue
+		}
+		if c.prefix.key == "" {
+			if !cloned {
+				out, cloned = slices.Clone(cells), true
+			}
+			out[i].prefix = newPrefixID(c.Opts.PrefixCanonical())
+		}
+		if !seen[c.Key] {
+			seen[c.Key] = true
+			size[out[i].prefix.key]++
+		}
 	}
-	return cells, order
+	return out, size
 }

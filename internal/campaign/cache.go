@@ -249,10 +249,7 @@ func (c *DiskCache) Get(key string) (CellResult, bool) {
 		if err == nil {
 			err = ioErrorf("campaign: cache entry %s holds key %s", key, res.Key)
 		}
-		if qerr := os.Rename(c.path(key), filepath.Join(c.dir, key+".corrupt")); qerr != nil {
-			err = ioErrorf("%v (quarantine failed: %v)", err, qerr)
-		}
-		c.degrade(Degradation{Op: "cache.corrupt", Key: key, Err: err})
+		c.degrade(Degradation{Op: "cache.corrupt", Key: key, Err: quarantine(c.path(key), err)})
 		return CellResult{}, false
 	}
 	c.hits.Add(1)
@@ -281,19 +278,7 @@ func (c *DiskCache) Put(res CellResult) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+res.Key+".tmp*")
-	if err != nil {
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(res.Key)); err != nil {
+	if err := writeAtomic(c.path(res.Key), data); err != nil {
 		return ioErrorf("campaign: cache write: %v", err)
 	}
 	c.puts.Add(1)
@@ -405,17 +390,56 @@ func Prune(c *DiskCache, opts PruneOptions) (PruneResult, error) {
 
 // Keys lists the cached fingerprints, sorted.
 func (c *DiskCache) Keys() ([]string, error) {
-	entries, err := os.ReadDir(c.dir)
+	keys, err := listKeys(c.dir, ".json")
 	if err != nil {
 		return nil, fmt.Errorf("campaign: list cache: %w", err)
+	}
+	return keys, nil
+}
+
+// writeAtomic writes data to path through a temp file in the same
+// directory and a rename, so a reader or a killed run never sees a torn
+// file. The temp file's dot prefix keeps it out of listKeys.
+func writeAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
+// quarantine renames the corrupt entry at path to <key>.corrupt, so
+// the re-simulation that replaces it does not destroy the evidence,
+// and returns err, noting a failed rename.
+func quarantine(path string, err error) error {
+	if qerr := os.Rename(path, strings.TrimSuffix(path, filepath.Ext(path))+".corrupt"); qerr != nil {
+		return ioErrorf("%v (quarantine failed: %v)", err, qerr)
+	}
+	return err
+}
+
+// listKeys returns, sorted, the keys of the entries in dir named
+// <key><suffix>; dot files (a writer's temp files) never match.
+func listKeys(dir, suffix string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	var keys []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
+		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		keys = append(keys, strings.TrimSuffix(name, ".json"))
+		keys = append(keys, strings.TrimSuffix(name, suffix))
 	}
 	sort.Strings(keys)
 	return keys, nil

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -184,18 +185,9 @@ func Execute(ctx context.Context, spec Spec, cfg RunConfig) (*Summary, error) {
 // <dir>/<fingerprint>.json, atomically via rename so a killed run
 // never leaves a torn artifact next to good ones.
 func writeIntervalArtifact(dir, key string, ivs []telemetry.Interval) error {
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := telemetry.WriteIntervals(&buf, "json", ivs); err != nil {
 		return err
 	}
-	werr := telemetry.WriteIntervals(tmp, "json", ivs)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, key+".json"))
+	return writeAtomic(filepath.Join(dir, key+".json"), buf.Bytes())
 }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync/atomic"
 
 	"microlib/internal/runner"
 )
@@ -29,24 +26,6 @@ type CheckpointStore struct {
 	// quarantines (ops "ckpt.get", "ckpt.corrupt"). Set before the
 	// store is shared across goroutines.
 	OnDegrade func(Degradation)
-
-	hits         atomic.Uint64
-	misses       atomic.Uint64
-	puts         atomic.Uint64
-	corrupt      atomic.Uint64
-	bytesRead    atomic.Uint64
-	bytesWritten atomic.Uint64
-}
-
-// CheckpointStoreCounters is a snapshot of a store's access statistics
-// since it was opened.
-type CheckpointStoreCounters struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Puts         uint64 `json:"puts"`
-	Corrupt      uint64 `json:"corrupt,omitempty"`
-	BytesRead    uint64 `json:"bytes_read"`
-	BytesWritten uint64 `json:"bytes_written"`
 }
 
 // OpenCheckpointStore creates (if needed) and opens a checkpoint
@@ -60,19 +39,6 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 
 // Dir returns the store directory.
 func (s *CheckpointStore) Dir() string { return s.dir }
-
-// Counters returns the access statistics accumulated since the store
-// was opened. Safe to call concurrently with Get/Put.
-func (s *CheckpointStore) Counters() CheckpointStoreCounters {
-	return CheckpointStoreCounters{
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		Puts:         s.puts.Load(),
-		Corrupt:      s.corrupt.Load(),
-		BytesRead:    s.bytesRead.Load(),
-		BytesWritten: s.bytesWritten.Load(),
-	}
-}
 
 func (s *CheckpointStore) path(key string) string {
 	return filepath.Join(s.dir, key+".ckpt")
@@ -93,7 +59,6 @@ func (s *CheckpointStore) degrade(d Degradation) {
 func (s *CheckpointStore) Get(key string) (*runner.Checkpoint, bool) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
-		s.misses.Add(1)
 		if !os.IsNotExist(err) {
 			s.degrade(Degradation{Op: "ckpt.get", Key: key, Err: err})
 		}
@@ -101,23 +66,15 @@ func (s *CheckpointStore) Get(key string) (*runner.Checkpoint, bool) {
 	}
 	var ck runner.Checkpoint
 	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); derr != nil || runner.CanonicalKey(ck.Prefix) != key {
-		s.misses.Add(1)
-		s.corrupt.Add(1)
 		if derr == nil {
 			derr = ioErrorf("campaign: checkpoint %s holds prefix %q", key, ck.Prefix)
 		}
-		if qerr := os.Rename(s.path(key), filepath.Join(s.dir, key+".corrupt")); qerr != nil {
-			derr = ioErrorf("%v (quarantine failed: %v)", derr, qerr)
-		}
-		s.degrade(Degradation{Op: "ckpt.corrupt", Key: key, Err: derr})
+		s.degrade(Degradation{Op: "ckpt.corrupt", Key: key, Err: quarantine(s.path(key), derr)})
 		return nil, false
 	}
 	if ck.Version != runner.CheckpointVersion {
-		s.misses.Add(1)
 		return nil, false
 	}
-	s.hits.Add(1)
-	s.bytesRead.Add(uint64(len(data)))
 	return &ck, true
 }
 
@@ -135,40 +92,17 @@ func (s *CheckpointStore) Put(key string, ck *runner.Checkpoint) error {
 		// bug, not bad media — so it is deterministic, never retried.
 		return errModelf("campaign: encode checkpoint: %v", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "."+key+".tmp*")
-	if err != nil {
+	if err := writeAtomic(s.path(key), buf.Bytes()); err != nil {
 		return ioErrorf("campaign: checkpoint write: %v", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	s.puts.Add(1)
-	s.bytesWritten.Add(uint64(buf.Len()))
 	return nil
 }
 
 // Keys lists the stored prefix fingerprints, sorted.
 func (s *CheckpointStore) Keys() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
+	keys, err := listKeys(s.dir, ".ckpt")
 	if err != nil {
 		return nil, fmt.Errorf("campaign: list checkpoint store: %w", err)
 	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, ".ckpt"))
-	}
-	sort.Strings(keys)
 	return keys, nil
 }

@@ -79,7 +79,12 @@ func TestJournalFoldMatchesStats(t *testing.T) {
 		var journal bytes.Buffer
 		live := &LiveStats{}
 		cfg.CacheDir = filepath.Join(t.TempDir(), "cache")
-		cfg.Journal, cfg.Live = &journal, live
+		if cfg.Journal != nil { // the subtest reads the journal too
+			cfg.Journal = io.MultiWriter(&journal, cfg.Journal)
+		} else {
+			cfg.Journal = &journal
+		}
+		cfg.Live = live
 		sum, err := Execute(ctx, spec, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -94,10 +99,36 @@ func TestJournalFoldMatchesStats(t *testing.T) {
 		}
 	})
 	t.Run("rungs", func(t *testing.T) {
-		// One worker: each group's last budget climbs from the rung
-		// its middle budget left.
-		if st := run(t, warmSpec(), RunConfig{Workers: 1}); st.CheckpointHits != 12 || st.RungRestores != 4 {
+		// One worker: every budget but a group's smallest climbs from
+		// the rung its predecessor left, and is charged only the
+		// instructions it simulated past that rung.
+		plan, err := NewPlan(warmSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := map[string]uint64{}
+		for _, c := range plan.Cells {
+			budget[c.Key] = c.Opts.Insts
+		}
+		rung, insts := map[string]bool{}, map[string]uint64{}
+		sink := onJournalLine(t, func(e JournalEvent) {
+			switch {
+			case e.Ev == EvPrefix && e.Op == "rung":
+				rung[e.Key] = true
+			case e.Ev == EvCellDone:
+				insts[e.Key] = e.Insts
+			}
+		})
+		if st := run(t, warmSpec(), RunConfig{Workers: 1, Journal: sink}); st.CheckpointHits != 12 || st.RungRestores != 8 {
 			t.Fatalf("ladder run: %+v", st)
+		}
+		if len(rung) != 8 {
+			t.Fatalf("want 8 rung cells in the journal, got %d", len(rung))
+		}
+		for k := range rung {
+			if insts[k] == 0 || insts[k] >= budget[k] {
+				t.Fatalf("rung cell %s charged %d insts for a budget of %d", k, insts[k], budget[k])
+			}
 		}
 	})
 	t.Run("cache-put-retry", func(t *testing.T) {

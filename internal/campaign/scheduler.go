@@ -29,9 +29,10 @@ type Progress struct {
 	// Wall is the host wall-clock time the cell occupied a worker;
 	// (near-)zero for cache hits and duplicate copies.
 	Wall time.Duration
-	// Insts is the number of simulated instructions the cell ran
-	// (warm-up + measured); zero for cache hits, duplicates and
-	// failures. Insts/Wall is the cell's simulation throughput.
+	// Insts is the number of instructions the cell simulated: warm-up
+	// + measured for a cold run, only those past its restore point for
+	// a warm one; zero for cache hits, duplicates and failures.
+	// Insts/Wall is the cell's simulation throughput.
 	Insts uint64
 	// Attempts is how many retries the cell consumed before this
 	// outcome (0 for first-try results).
@@ -168,9 +169,8 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	s.emit(Event{Ev: EvStart, Cells: len(cells), Workers: workers})
 	stopStall := s.watchStalls()
 
-	cells, order := s.dispatchOrder(cells)
-
-	jobs := make(chan Cell)
+	cells, jobs := s.dispatch(cells)
+	ch := make(chan *job)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -181,11 +181,8 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 			// prefix group restore into the same machine.
 			a := &arena{}
 			defer a.close()
-			if s.Warm != nil {
-				s.Warm.track(a)
-			}
-			for cell := range jobs {
-				s.runCell(ctx, cell, a, results)
+			for j := range ch {
+				s.runJob(ctx, j, cells, a, results)
 			}
 		}()
 	}
@@ -198,20 +195,27 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	fed := map[string]bool{}
 	var dups []Cell
 feed:
-	for _, i := range order {
-		c := cells[i]
-		if fed[c.Key] {
-			dups = append(dups, c)
+	for _, j := range jobs {
+		distinct := j.idx[:0]
+		for _, i := range j.idx {
+			if fed[cells[i].Key] {
+				dups = append(dups, cells[i])
+				continue
+			}
+			fed[cells[i].Key] = true
+			distinct = append(distinct, i)
+		}
+		if len(distinct) == 0 {
 			continue
 		}
-		fed[c.Key] = true
+		j.idx = distinct
 		select {
-		case jobs <- c:
+		case ch <- &j:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(jobs)
+	close(ch)
 	wg.Wait()
 	for _, c := range dups {
 		res, ok := results[c.Key]
@@ -242,10 +246,21 @@ feed:
 	return results, s.stats, err
 }
 
-// runCell executes one cell end to end on a worker goroutine.
+// runJob runs one job's cells back to back on a worker's arena. No
+// cell starts once the campaign is canceled.
 //
 //ml:worker
-func (s *Scheduler) runCell(ctx context.Context, cell Cell, a *arena, results map[string]CellResult) {
+func (s *Scheduler) runJob(ctx context.Context, j *job, cells []Cell, a *arena, results map[string]CellResult) {
+	for _, i := range j.idx {
+		if ctx.Err() != nil {
+			return
+		}
+		s.runCell(ctx, j, cells[i], a, results)
+	}
+}
+
+// runCell executes one cell of job j end to end on a worker goroutine.
+func (s *Scheduler) runCell(ctx context.Context, j *job, cell Cell, a *arena, results map[string]CellResult) {
 	s.emit(Event{Ev: EvCellStart, Cell: cell})
 	if s.OnStart != nil {
 		s.OnStart(cell)
@@ -287,12 +302,12 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, a *arena, results ma
 		err      error
 		wall     time.Duration
 		attempts int
-		warm     bool
+		from     uint64
 	)
 	for {
 		ivs = ivs[:0] // a retried attempt starts a fresh series
 		t0 := time.Now()
-		full, warm, err = s.simulate(ctx, cell, opts, a)
+		full, from, err = s.simulate(ctx, j, cell, opts, a)
 		wall = time.Since(t0)
 		if err == nil {
 			break
@@ -320,13 +335,11 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, a *arena, results ma
 
 	var insts uint64
 	if err == nil {
-		insts = full.CPU.Insts
-		if warm {
-			// A warm cell simulated only its measurement phase; the
-			// warm-up instructions in the committed total were paid by
-			// the shared prefix run, not this cell's wall time.
-			insts -= opts.Warmup
-		}
+		// A warm cell simulated only the instructions past its
+		// restore point; those before it were paid by the shared
+		// prefix run or an earlier cell's ladder, not this cell's wall
+		// time.
+		insts = full.CPU.Insts - from
 		if s.IntervalSink != nil && len(ivs) > 0 {
 			s.IntervalSink(cell, ivs)
 		}
@@ -344,16 +357,16 @@ func (s *Scheduler) runCell(ctx context.Context, cell Cell, a *arena, results ma
 		}
 	}
 
-	s.finish(results, cell, res, Event{Err: err, Source: "sim", Wall: wall, Insts: insts, Attempts: attempts, Warm: warm})
+	s.finish(results, cell, res, Event{Err: err, Source: "sim", Wall: wall, Insts: insts, Attempts: attempts, Warm: from > 0})
 }
 
 // simulate runs one attempt of a cell under the per-cell deadline,
 // converting a deadline cut into a typed timeout failure and a
 // simulation panic (the OoO watchdog, a model bug) into a typed panic
 // failure with its stack — the cell fails, the campaign continues.
-// warm reports whether the attempt was served from a warm-state
-// checkpoint instead of a cold run.
-func (s *Scheduler) simulate(ctx context.Context, cell Cell, opts runner.Options, a *arena) (full runner.Result, warm bool, err error) {
+// from is the commit count the attempt started at: 0 for a cold run,
+// the restore point for one served from a warm-state checkpoint.
+func (s *Scheduler) simulate(ctx context.Context, j *job, cell Cell, opts runner.Options, a *arena) (full runner.Result, from uint64, err error) {
 	cctx := ctx
 	if s.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -378,15 +391,15 @@ func (s *Scheduler) simulate(ctx context.Context, cell Cell, opts runner.Options
 		case <-cctx.Done():
 		}
 	}
-	if full, ok := s.warmAttempt(cctx, cell, opts, a); ok {
-		return full, true, nil
+	if full, from, ok := s.warmAttempt(cctx, j, cell, opts, a); ok {
+		return full, from, nil
 	}
 	full, err = a.cold(cctx, opts)
 	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
 		// The cell's own deadline cut it, not campaign cancellation.
 		err = &CellError{Kind: KindTimeout, Msg: fmt.Sprintf("cell exceeded deadline %v", s.CellTimeout)}
 	}
-	return full, false, err
+	return full, 0, err
 }
 
 // putWithRetry persists one result, retrying transient cache I/O per

@@ -2,13 +2,14 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
+	"microlib/internal/runner"
 	"microlib/internal/telemetry"
 )
 
@@ -92,11 +93,12 @@ func TestWarmCheckpointStorePersistsAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, firstStats := runPlan(t, &Scheduler{Workers: 2, Warm: NewWarm(store1)}, warmSpec())
-	if firstStats.PrefixRuns != 4 {
+	if firstStats.PrefixRuns != 4 || firstStats.Degraded != 0 {
 		t.Fatalf("first run must capture each prefix: %+v", firstStats)
 	}
-	if c := store1.Counters(); c.Puts != 4 {
-		t.Fatalf("store must hold the 4 captured prefixes: %+v", c)
+	stored := storeFiles(t, dir)
+	if len(stored[".ckpt"]) != 4 || len(stored[".corrupt"]) != 0 {
+		t.Fatalf("store must hold the 4 captured prefixes: %v", stored)
 	}
 
 	store2, err := OpenCheckpointStore(dir)
@@ -104,17 +106,17 @@ func TestWarmCheckpointStorePersistsAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, secondStats := runPlan(t, &Scheduler{Workers: 2, Warm: NewWarm(store2)}, warmSpec())
-	if secondStats.PrefixRuns != 0 {
+	if secondStats.PrefixRuns != 0 || secondStats.Degraded != 0 {
 		t.Fatalf("second run must simulate no prefix: %+v", secondStats)
 	}
 	if secondStats.CheckpointHits != 12 {
 		t.Fatalf("second run must restore every cell: %+v", secondStats)
 	}
-	if c := store2.Counters(); c.Hits == 0 || c.Puts != 0 {
-		t.Fatalf("second run must read, not write, the store: %+v", c)
-	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("store-restored results differ from capture-run results")
+	}
+	if again := storeFiles(t, dir); !reflect.DeepEqual(again, stored) {
+		t.Fatalf("second run must read, not rewrite, the store: %v, was %v", again, stored)
 	}
 
 	keys, err := store2.Keys()
@@ -124,6 +126,26 @@ func TestWarmCheckpointStorePersistsAcrossRuns(t *testing.T) {
 	if len(keys) != 4 {
 		t.Fatalf("stored prefixes: %v", keys)
 	}
+}
+
+// storeFiles lists a checkpoint store's files by extension, each with
+// its modification time.
+func storeFiles(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]string{}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := filepath.Ext(e.Name())
+		files[ext] = append(files[ext], e.Name()+"@"+info.ModTime().String())
+	}
+	return files
 }
 
 // A store full of garbage must cost nothing but the re-capture: each
@@ -150,6 +172,16 @@ func TestWarmQuarantinesCorruptCheckpoints(t *testing.T) {
 
 	s := &Scheduler{Warm: NewWarm(store)}
 	s.Warm.Store.OnDegrade = s.Degrade
+	written := map[string]bool{}
+	for _, c := range plan.Cells {
+		written[c.Opts.PrefixFingerprint()] = true
+	}
+	corrupt := map[string]int{}
+	s.journal = NewJournalWriter(onJournalLine(t, func(e JournalEvent) {
+		if e.Ev == EvDegraded && e.Op == "ckpt.corrupt" {
+			corrupt[e.Key]++
+		}
+	}), plan, "")
 	warm, stats := runPlan(t, s, warmSpec())
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("results after quarantine differ from cold")
@@ -160,12 +192,17 @@ func TestWarmQuarantinesCorruptCheckpoints(t *testing.T) {
 	if stats.Degraded != 4 {
 		t.Fatalf("each quarantined entry must be counted: %+v", stats)
 	}
-	if c := store.Counters(); c.Corrupt != 4 {
-		t.Fatalf("store counters must record the quarantines: %+v", c)
+	for key := range written {
+		if corrupt[key] != 1 {
+			t.Fatalf("the journal must record each quarantine once: %v", corrupt)
+		}
 	}
-	quarantined, err := filepath.Glob(filepath.Join(dir, "*.corrupt"))
-	if err != nil || len(quarantined) != 4 {
-		t.Fatalf("corrupt entries must be preserved for diagnosis: %v %v", quarantined, err)
+	if len(written) != 4 || len(corrupt) != 4 {
+		t.Fatalf("want 4 quarantined prefixes in the journal, got %v", corrupt)
+	}
+	files := storeFiles(t, dir)
+	if len(files[".corrupt"]) != 4 || len(files[".ckpt"]) != 4 {
+		t.Fatalf("corrupt entries must be preserved for diagnosis next to the re-captured ones: %v", files)
 	}
 }
 
@@ -268,95 +305,97 @@ func dispatchSpec() Spec {
 	}
 }
 
-// The dispatch order is a permutation of the plan that starts every
-// group in the plan-order slot of its first cell, runs each group's
-// remaining cells back to back, runs each group in ascending budget
-// (its smallest budget first) and runs the cold cells of each program
-// back to back.
+// Every warm prefix group is one job, in the plan-order slot of its
+// first cell: the whole group, contiguous, in ascending budget. Every
+// cold cell is a job of its own, and the cold cells of each program
+// run back to back.
 func TestWarmDispatchOrder(t *testing.T) {
 	plan, err := NewPlan(dispatchSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWarm(nil)
-	order := dispatched(&Scheduler{Warm: w}, plan.Cells)
+	s := &Scheduler{Warm: NewWarm(nil)}
+	cells, jobs := s.dispatch(plan.Cells)
+	order := flatten(cells, jobs)
 	checkPermutation(t, plan.Cells, order)
 
-	// planFirst is the plan index of each group's first cell.
-	planFirst := map[string]int{}
+	// slot is the plan index of the first cell of each cell's program
+	// (cold cells) or prefix group (warm cells).
+	slot := map[int]int{}
+	first := map[string]int{}
 	for _, c := range plan.Cells {
-		if k := w.key(c, false); k != "" {
-			if _, ok := planFirst[k]; !ok {
-				planFirst[k] = c.Index
-			}
+		id := c.program
+		if c.Opts.Warmup > 0 {
+			id = c.prefix.key
 		}
+		if _, ok := first[id]; !ok {
+			first[id] = c.Index
+		}
+		slot[c.Index] = first[id]
 	}
 	var cold []Cell
-	var firsts []int
-	started := map[string]bool{}
-	budget := map[string]uint64{}  // group -> budget of its latest dispatched cell
-	restRun := map[string][2]int{} // group -> [first, last] position of its non-first cells
-	firstRestPos := -1
-	for pos, c := range order {
-		k := w.key(c, false)
-		if k != "" {
-			if c.Opts.Insts < budget[k] {
-				t.Fatalf("cell %d (insts %d) dispatched after a larger budget (%d) of its group", c.Index, c.Opts.Insts, budget[k])
+	groups, last := map[string]bool{}, -1
+	for _, j := range jobs {
+		run := flatten(cells, []job{j})
+		if j.key == "" {
+			if len(run) != 1 || run[0].Opts.Warmup != 0 {
+				t.Fatalf("a cold job must be one cold cell: %+v", run)
 			}
-			budget[k] = c.Opts.Insts
+			cold = append(cold, run[0])
+		} else {
+			if groups[j.key] {
+				t.Fatalf("group %s dispatched as two jobs", j.key)
+			}
+			groups[j.key] = true
+			var budgets []uint64
+			for _, c := range run {
+				if c.prefix.key != j.key {
+					t.Fatalf("cell %d of another group in job %s", c.Index, j.key)
+				}
+				budgets = append(budgets, c.Opts.Insts)
+			}
+			if !reflect.DeepEqual(budgets, []uint64{2000, 3000, 4000}) {
+				t.Fatalf("group %s runs budgets %v, want the whole group ascending", j.key, budgets)
+			}
 		}
-		switch {
-		case k == "":
-			cold = append(cold, c)
-			if firstRestPos >= 0 {
-				t.Fatalf("cold cell %d dispatched after a group's remaining cells", c.Index)
+		at := slot[run[0].Index]
+		for _, c := range run {
+			if slot[c.Index] != at {
+				t.Fatalf("cell %d shares a job with another program or group", c.Index)
 			}
-		case !started[k]:
-			started[k] = true
-			firsts = append(firsts, planFirst[k])
-			if c.Opts.Insts != 2000 {
-				t.Fatalf("group of cell %d starts with budget %d, want its smallest, 2000", c.Index, c.Opts.Insts)
-			}
-			if firstRestPos >= 0 {
-				t.Fatalf("group first cell %d dispatched after remaining cells", c.Index)
-			}
-		default:
-			if firstRestPos < 0 {
-				firstRestPos = pos
-			}
-			r, ok := restRun[k]
-			if !ok {
-				r[0] = pos
-			} else if r[1] != pos-1 {
-				t.Fatalf("group of cell %d is not contiguous after its first cell", c.Index)
-			}
-			r[1] = pos
-			restRun[k] = r
 		}
+		if at < last {
+			t.Fatalf("job of cell %d dispatched after a later plan slot", run[0].Index)
+		}
+		last = at
 	}
-	if len(cold) != 12 || len(firsts) != 4 || len(restRun) != 4 {
-		t.Fatalf("want 12 cold cells and 4 groups, got %d cold, %d firsts, %d groups", len(cold), len(firsts), len(restRun))
-	}
-	if !sort.IntsAreSorted(firsts) {
-		t.Fatalf("groups started out of plan order: %v", firsts)
+	if len(cold) != 12 || len(groups) != 4 {
+		t.Fatalf("want 12 cold cells and 4 groups, got %d cold, %d groups", len(cold), len(groups))
 	}
 	checkProgramRuns(t, order, cold)
 
 	// Sampled runs are all cold: plan order is kept as is.
-	sampled := &Scheduler{Warm: w, Interval: 100, IntervalSink: func(Cell, []telemetry.Interval) {}}
-	for i, c := range dispatched(sampled, plan.Cells) {
-		if c.Index != plan.Cells[i].Index {
-			t.Fatalf("sampled dispatch reordered cell %d", c.Index)
+	sampled := &Scheduler{Warm: s.Warm, Interval: 100, IntervalSink: func(Cell, []telemetry.Interval) {}}
+	cells, jobs = sampled.dispatch(plan.Cells)
+	for i, j := range jobs {
+		if j.key != "" || len(j.idx) != 1 || cells[j.idx[0]].Index != plan.Cells[i].Index {
+			t.Fatalf("sampled dispatch reordered or grouped cell %d", plan.Cells[i].Index)
 		}
 	}
 }
 
 // dispatched returns the cells in the scheduler's dispatch order.
 func dispatched(s *Scheduler, cells []Cell) []Cell {
-	cells, order := s.dispatchOrder(cells)
-	out := make([]Cell, len(order))
-	for j, i := range order {
-		out[j] = cells[i]
+	return flatten(s.dispatch(cells))
+}
+
+// flatten returns the jobs' cells in dispatch order.
+func flatten(cells []Cell, jobs []job) []Cell {
+	var out []Cell
+	for _, j := range jobs {
+		for _, i := range j.idx {
+			out = append(out, cells[i])
+		}
 	}
 	return out
 }
@@ -460,36 +499,67 @@ func TestDispatchOrderGroupsPrograms(t *testing.T) {
 	}
 }
 
-// One worker, 2 benchmarks × 2 seeds × 3 budgets: the dispatch order
-// keeps the worker's arena on one group for runs of cells, and each
-// group's prefix capture runs on the arena's machine, which its first
-// cell then restores into. So no group builds more than two machines,
-// prefix capture included (the capture, then one for the rest), and
-// the results equal a cold campaign's.
-func TestWarmArenaBuildsPerGroup(t *testing.T) {
+// A group job runs its prefix capture once and climbs the budget
+// ladder on one worker, however many workers the campaign has: over 2
+// benchmarks × 2 seeds × 3 budgets, 4 captures serve 12 cells and
+// every cell but a group's first restores a rung. The results equal a
+// cold campaign's.
+func TestWarmGroupJobsOneCapturePerGroup(t *testing.T) {
 	spec := warmSpec()
 	spec.Mechanisms = []string{"Base"}
 	spec.Seeds = []uint64{1, 2}
 
 	cold, _ := runPlan(t, &Scheduler{Workers: 1}, spec)
-	w := NewWarm(nil)
-	warm, stats := runPlan(t, &Scheduler{Workers: 1, Warm: w}, spec)
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("warm results differ from cold")
-	}
-	if stats.PrefixRuns != 4 || stats.CheckpointHits != 12 {
-		t.Fatalf("want 4 prefixes serving 12 cells: %+v", stats)
-	}
-	if len(w.arenas) != 1 {
-		t.Fatalf("one worker, %d arenas", len(w.arenas))
-	}
-	builds := w.arenas[0].builds
-	if len(builds) != 4 {
-		t.Fatalf("arena built machines for %d groups, want 4: %v", len(builds), builds)
-	}
-	for k, n := range builds {
-		if n > 2 {
-			t.Fatalf("group %s built %d machines (prefix capture included), want <= 2", k, n)
+	for _, workers := range []int{1, 2} {
+		warm, stats := runPlan(t, &Scheduler{Workers: workers, Warm: NewWarm(nil)}, spec)
+		if !reflect.DeepEqual(cold, warm) {
+			t.Fatalf("%d workers: warm results differ from cold", workers)
 		}
+		if stats.PrefixRuns != 4 || stats.CheckpointHits != 12 || stats.RungRestores != 8 {
+			t.Fatalf("%d workers: want 4 prefixes serving 12 cells, 8 from rungs: %+v", workers, stats)
+		}
+	}
+}
+
+// A canceled campaign starts no further cell of a group job: the job
+// loop checks the context before each cell, so only the cell that was
+// running when the cancellation landed ever started.
+func TestWarmGroupJobStopsOnCancel(t *testing.T) {
+	plan, err := NewPlan(warmSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	starts := 0
+	s := &Scheduler{Workers: 1, Warm: NewWarm(nil), OnStart: func(Cell) {
+		starts++
+		cancel()
+	}}
+	if _, _, err := s.Run(ctx, plan.Cells); err == nil {
+		t.Fatal("a canceled run must report its cancellation")
+	}
+	if starts != 1 {
+		t.Fatalf("%d cells started after the cancellation, want only the one that caused it", starts-1)
+	}
+}
+
+// A job builds its checkpoint at most once: a deterministic failure is
+// remembered for the job's later cells, a canceled build is not.
+func TestWarmJobRemembersCheckpointFailure(t *testing.T) {
+	s := &Scheduler{Warm: NewWarm(nil)}
+	a := &arena{}
+	defer a.close()
+	j := &job{key: "k"}
+	opts := runner.Options{Bench: "gzip", Insts: 2000} // no warm-up: capture fails
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.checkpoint(canceled, j, opts, a); !errors.Is(err, context.Canceled) || j.err != nil {
+		t.Fatalf("canceled build: err %v, remembered %v", err, j.err)
+	}
+	_, first := s.checkpoint(context.Background(), j, opts, a)
+	_, again := s.checkpoint(context.Background(), j, opts, a)
+	if first == nil || again != first {
+		t.Fatalf("a failed build must be remembered, not retried: %v then %v", first, again)
 	}
 }

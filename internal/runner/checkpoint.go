@@ -420,11 +420,16 @@ func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, pre
 // restored a rung rather than the warm-up checkpoint.
 func (m *Machine) FromRung() bool { return m.fromRung }
 
+// RestoredAt returns the commit count the machine's last restore left
+// it at: the warm-up boundary, or the rung's. The run simulated only
+// the instructions it committed past that count.
+func (m *Machine) RestoredAt() uint64 { return m.restoredAt }
+
 // runFrom restores ck (or, when ladder is set and the machine holds a
 // usable rung, the rung) and runs the measurement phase, capturing a
 // new rung on the way when ladder is set.
 func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *Checkpoint, ladder bool) (Result, error) {
-	m.fromRung = false
+	m.fromRung, m.restoredAt = false, 0
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -468,7 +473,7 @@ func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *
 			return Result{}, err
 		}
 	}
-	m.fromRung = src != ck
+	m.fromRung, m.restoredAt = src != ck, m.host.Committed()
 	if m.cancel != nil {
 		// Re-aim a reused machine's stream at this cell's context (the
 		// poll counter is observability only; resetting it keeps the

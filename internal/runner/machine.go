@@ -32,10 +32,11 @@ type Machine struct {
 	prefix string
 
 	// rung is the budget ladder's buffer (see RunFromCheckpointPrefix);
-	// a new machine takes its spare's, invalid. fromRung reports the
-	// last run's source.
-	rung     *rungBuffer
-	fromRung bool
+	// a new machine takes its spare's, invalid. fromRung and restoredAt
+	// report the last restore's source and its commit count.
+	rung       *rungBuffer
+	fromRung   bool
+	restoredAt uint64
 
 	gen    *workload.Generator
 	tf     *trace.File
