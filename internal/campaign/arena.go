@@ -5,21 +5,30 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"microlib/internal/runner"
 )
 
-// arena is one worker's machine arena: the machine the worker built
-// last, kept for three reasons. Every build takes the kept machine's
-// cache line arrays instead of allocating them (runner.RunOn and its
-// siblings), so a worker allocates its cache storage once, not once
-// per cell. While the kept machine holds a warm-up prefix, a cell of
-// that prefix group restores its checkpoint into it without any
-// build: a restore fully overwrites the mutable state. And the kept
-// machine holds the worker's rung buffer: the budget ladder's mid-run
-// checkpoint of its group, captured in place cell after cell and
-// handed to the next machine built, so the worker allocates one rung,
-// not one per cell or group.
+// arena is one worker's machine arena: everything the worker's cells
+// allocate once and pass on, not once per cell.
+//
+//   - The machine the worker built last. Every build takes its storage
+//     instead of allocating it (runner.RunOn and its siblings): the
+//     cache line arrays, the event calendar and the out-of-order
+//     window.
+//   - While that machine holds a warm-up prefix, a cell of that prefix
+//     group restores its checkpoint into it without any build: a
+//     restore fully overwrites the mutable state.
+//   - The machine's rung buffer: the budget ladder's mid-run
+//     checkpoint of its group, captured in place cell after cell and
+//     handed to the next machine built.
+//   - The machine's kept mechanism snapshots, one per mechanism name,
+//     so alternating mechanisms grow each one's snapshot once.
+//   - The checkpoint of the worker's previous prefix group, once that
+//     group's job has finished: the next group's capture overwrites it
+//     in place, so the worker allocates the cache-state tables of one
+//     warm-up checkpoint, not one per group.
 //
 // Storage is owned per worker rather than pooled process-wide: a
 // worker runs one cell at a time, so its previous machine is always
@@ -31,6 +40,8 @@ type arena struct {
 	// restore, or "" when m is only a spare: a cold run's machine, or
 	// one a failed restore may have left half-written.
 	prefix string
+	// ck is a finished group's checkpoint, free to capture into.
+	ck *runner.Checkpoint
 }
 
 // spare hands the arena's machine over for recycling: closed, and no
@@ -55,16 +66,28 @@ func (a *arena) cold(ctx context.Context, opts runner.Options) (runner.Result, e
 }
 
 // capture simulates prefix group key's warm-up on a machine built from
-// the arena's and keeps that machine, which then holds exactly the
-// checkpoint's state: the group's next restore on this worker needs no
-// build.
+// the arena's, into the arena's free checkpoint, and keeps that
+// machine, which then holds exactly the checkpoint's state: the
+// group's next restore on this worker needs no build.
 func (a *arena) capture(ctx context.Context, key string, opts runner.Options) (*runner.Checkpoint, error) {
-	ck, m, err := runner.RunPrefixOn(ctx, opts, a.spare())
+	into := a.ck
+	a.ck = nil
+	ck, m, err := runner.RunPrefixOn(ctx, opts, a.spare(), into)
 	if err != nil {
+		a.ck = into // half-written, but still a buffer to capture into
 		return nil, err
 	}
 	a.m, a.prefix = m, key
 	return ck, nil
+}
+
+// release takes back a finished job's checkpoint, for the worker's
+// next capture to overwrite. Nothing else holds it: the job was its
+// only reader, and a stored copy is serialized.
+func (a *arena) release(j *job) {
+	if j.ck != nil {
+		a.ck = j.ck
+	}
 }
 
 // restore restores the checkpoint into the arena's machine — building
@@ -101,24 +124,33 @@ func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *ru
 // group costs its warm-up plus its largest budget: each cell climbs
 // from the rung its predecessor left, and the group's checkpoint (ck,
 // or the deterministic err that prevented it) is built at most once.
+// capture is the wall time of that build not yet charged to the cell
+// whose attempt made it.
 type job struct {
-	key string
-	idx []int // the job's cells, as indices into the dispatched cells
-	ck  *runner.Checkpoint
-	err error
+	key     string
+	idx     []int // the job's cells, as indices into the dispatched cells
+	ck      *runner.Checkpoint
+	err     error
+	capture time.Duration
 }
 
 // dispatch splits the cells into the jobs the scheduler feeds its
-// workers, in an order chosen so that consecutive cells on a worker
-// share what its arena holds:
+// workers, in an order chosen so that consecutive jobs on a worker
+// share what its arena and the program image table hold. The jobs of
+// one program (workload, seed and skip) run back to back, programs in
+// first-appearance order:
 //
-//   - cells that run cold and share a program (workload, seed and
-//     skip) run back to back, one job each, programs in
-//     first-appearance order, so a build finds the program image its
-//     predecessor used still in the weakly held image table (GC runs
-//     rarely) instead of rebuilding it;
-//   - with Warm set, every warm prefix group is one job, in the
-//     plan-order slot of its first cell.
+//   - each cell that runs cold is a job of its own;
+//   - with Warm set, every warm prefix group is one job, its cells in
+//     ascending budget.
+//
+// Within a program, jobs keep the order of their first cells. A job
+// thus finds the program image its predecessor used still live in the
+// weakly held image table — the arena's machine holds it until the
+// next build detaches that machine's storage and opens its own
+// workload — instead of rebuilding it. An image is built again only
+// when a collection lands in that short window; workers that open one
+// program at once share one build (see workload.lookupProgram).
 //
 // A prefix group is warm when it has two or more distinct cells, or
 // any with a checkpoint store. The jobs index the returned cells: the
@@ -130,11 +162,13 @@ type job struct {
 // reproduced from a post-warm-up snapshot.
 func (s *Scheduler) dispatch(cells []Cell) ([]Cell, []job) {
 	jobs := make([]job, 0, len(cells))
+	one := make([]int, len(cells)) // one[i:i+1] is a cold job's idx
+	for i := range one {
+		one[i] = i
+	}
 	if s.Interval > 0 && s.IntervalSink != nil {
-		idx := make([]int, len(cells))
-		for i := range idx {
-			idx[i] = i
-			jobs = append(jobs, job{idx: idx[i : i+1]})
+		for i := range one {
+			jobs = append(jobs, job{idx: one[i : i+1]})
 		}
 		return cells, jobs
 	}
@@ -142,32 +176,39 @@ func (s *Scheduler) dispatch(cells []Cell) ([]Cell, []job) {
 	if s.Warm != nil {
 		cells, size = prefixGroups(cells)
 	}
-	var slots []job // one program's cold cells, or one warm group
-	programs, groups := map[string]int{}, map[string]int{}
+	var programs [][]job // each program's jobs
+	at := map[string]int{}
+	group := map[string]int{} // prefix key -> its job in its program
 	for i, c := range cells {
-		at, id, key := programs, c.program, ""
-		if s.Warm != nil && c.Opts.Warmup > 0 && (s.Warm.Store != nil || size[c.prefix.key] > 1) &&
-			(c.Opts.Interval == 0 || c.Opts.IntervalSink == nil) {
-			at, id, key = groups, c.prefix.key, c.prefix.key
-		} else if id == "" {
+		id := c.program
+		if id == "" {
 			id = c.Opts.StreamCanonical() // a cell built outside NewPlan
 		}
-		j, ok := at[id]
+		p, ok := at[id]
 		if !ok {
-			j = len(slots)
-			at[id] = j
-			slots = append(slots, job{key: key})
+			p = len(programs)
+			at[id] = p
+			programs = append(programs, nil)
 		}
-		slots[j].idx = append(slots[j].idx, i)
-	}
-	for _, sl := range slots {
-		if sl.key != "" {
-			slices.SortStableFunc(sl.idx, func(a, b int) int { return cmp.Compare(cells[a].Opts.Insts, cells[b].Opts.Insts) })
-			jobs = append(jobs, sl)
+		if key := c.prefix.key; s.Warm != nil && c.Opts.Warmup > 0 && (s.Warm.Store != nil || size[key] > 1) &&
+			(c.Opts.Interval == 0 || c.Opts.IntervalSink == nil) {
+			g, ok := group[key]
+			if !ok {
+				g = len(programs[p])
+				group[key] = g
+				programs[p] = append(programs[p], job{key: key})
+			}
+			programs[p][g].idx = append(programs[p][g].idx, i)
 			continue
 		}
-		for k := range sl.idx {
-			jobs = append(jobs, job{idx: sl.idx[k : k+1]})
+		programs[p] = append(programs[p], job{idx: one[i : i+1]})
+	}
+	for _, pj := range programs {
+		for _, j := range pj {
+			if j.key != "" {
+				slices.SortStableFunc(j.idx, func(a, b int) int { return cmp.Compare(cells[a].Opts.Insts, cells[b].Opts.Insts) })
+			}
+			jobs = append(jobs, j)
 		}
 	}
 	return cells, jobs

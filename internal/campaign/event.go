@@ -51,11 +51,15 @@ type Event struct {
 	Err error
 
 	// cell_done: where the result came from ("sim", "cache" or
-	// "journal"), the worker wall time, the instructions simulated,
-	// the retries consumed, and whether the measurement phase ran from
-	// a warm checkpoint.
+	// "journal"), the worker wall time, the part of it spent capturing
+	// the cell's warm-up prefix for its group, the instructions
+	// simulated, the retries consumed, and whether the measurement
+	// phase ran from a warm checkpoint. A prefix run event carries its
+	// capture's wall time and the warm-up instructions it simulated in
+	// Wall and Insts.
 	Source   string
 	Wall     time.Duration
+	Capture  time.Duration
 	Insts    uint64
 	Attempts int
 	Warm     bool

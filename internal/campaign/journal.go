@@ -41,7 +41,10 @@ type JournalEvent struct {
 	Mech  string `json:"mech,omitempty"`
 	Seed  uint64 `json:"seed,omitempty"`
 
-	// cell_done
+	// cell_done; a prefix run also carries its wall time, the warm-up
+	// instructions it simulated and their rate. A cell that captured
+	// its group's prefix counts that run's wall time in wall_ms but
+	// not in insts_per_sec.
 	Source      string  `json:"source,omitempty"` // "sim", "cache" or "journal"
 	WallMS      float64 `json:"wall_ms,omitempty"`
 	Insts       uint64  `json:"insts,omitempty"`
@@ -170,13 +173,11 @@ func (j *JournalWriter) apply(e Event) {
 				je.Stack = ce.Stack
 			}
 		}
-		if e.Wall > 0 {
-			je.WallMS = float64(e.Wall.Nanoseconds()) / 1e6
-			je.Insts = e.Insts
-			if sec := e.Wall.Seconds(); sec > 0 && e.Insts > 0 {
-				je.InstsPerSec = float64(e.Insts) / sec
-			}
-		}
+		// The rate leaves out the group's prefix capture, which its
+		// own prefix run line accounts for.
+		je.WallMS, je.Insts, je.InstsPerSec = rate(e.Wall, e.Capture, e.Insts)
+	case EvPrefix:
+		je.WallMS, je.Insts, je.InstsPerSec = rate(e.Wall, 0, e.Insts)
 	case EvRetry:
 		je.Attempt, je.ErrKind = e.Attempt, string(Classify(e.Err))
 		je.DelayMS = float64(e.Delay.Nanoseconds()) / 1e6
@@ -198,6 +199,20 @@ func (j *JournalWriter) apply(e Event) {
 		}
 	}
 	j.write(je)
+}
+
+// rate renders a simulation's wall time and instructions for a
+// journal line, with their rate over wall less other, the part of wall
+// spent on work the instructions do not count; all zero when no wall
+// time was spent.
+func rate(wall, other time.Duration, insts uint64) (wallMS float64, n uint64, perSec float64) {
+	if wall <= 0 {
+		return 0, 0, 0
+	}
+	if sec := (wall - other).Seconds(); sec > 0 && insts > 0 {
+		perSec = float64(insts) / sec
+	}
+	return float64(wall.Nanoseconds()) / 1e6, insts, perSec
 }
 
 // event decodes a journal line back into the lifecycle event it
@@ -260,11 +275,13 @@ type JournalStatus struct {
 	// SchedulerStats is the latest run's events folded exactly as the
 	// scheduler folded them, so it equals the run's returned stats.
 	SchedulerStats
-	Resumes int    `json:"resumes,omitempty"`
-	Torn    bool   `json:"torn,omitempty"` // journal ended in a torn line
-	Insts   uint64 `json:"insts"`
-	// SimWall is the summed per-cell simulation wall time (can exceed
-	// Elapsed: workers run in parallel).
+	Resumes int  `json:"resumes,omitempty"`
+	Torn    bool `json:"torn,omitempty"` // journal ended in a torn line
+	// Insts counts the instructions simulated: the cells' and the
+	// warm-up prefix runs'.
+	Insts uint64 `json:"insts"`
+	// SimWall is the summed per-cell simulation wall time, prefix
+	// captures included (can exceed Elapsed: workers run in parallel).
 	SimWall time.Duration `json:"sim_wall_ns"`
 
 	// Complete is true when the journal carries an end event; a
@@ -304,6 +321,8 @@ func SummarizeJournal(evs []JournalEvent) (JournalStatus, error) {
 			st.Started, _ = time.Parse(time.RFC3339Nano, je.Time)
 		case EvResume:
 			st.Resumes++
+		case EvPrefix:
+			st.Insts += e.Insts
 		case EvCellDone:
 			st.Insts += e.Insts
 			st.SimWall += e.Wall

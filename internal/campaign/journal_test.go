@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -70,8 +71,12 @@ func TestJournalFoldMatchesStats(t *testing.T) {
 		if !reflect.DeepEqual(st.SchedulerStats, sched) {
 			t.Fatalf("journal folds to\n%+v\nscheduler counted\n%+v", st.SchedulerStats, sched)
 		}
-		if got := live.Snapshot().SchedulerStats; !reflect.DeepEqual(got, sched) {
-			t.Fatalf("live view reads\n%+v\nscheduler counted\n%+v", got, sched)
+		snap := live.Snapshot()
+		if !reflect.DeepEqual(snap.SchedulerStats, sched) {
+			t.Fatalf("live view reads\n%+v\nscheduler counted\n%+v", snap.SchedulerStats, sched)
+		}
+		if st.Insts != snap.Insts {
+			t.Fatalf("journal counts %d simulated instructions, live view %d", st.Insts, snap.Insts)
 		}
 	}
 	run := func(t *testing.T, spec Spec, cfg RunConfig) SchedulerStats {
@@ -111,19 +116,39 @@ func TestJournalFoldMatchesStats(t *testing.T) {
 			budget[c.Key] = c.Opts.Insts
 		}
 		rung, insts := map[string]bool{}, map[string]uint64{}
+		// One worker: a prefix run line is followed by the cell_done
+		// of the cell whose attempt captured it. That cell's wall time
+		// includes the capture; its rate must not.
+		var capture *JournalEvent
+		captured := 0
 		sink := onJournalLine(t, func(e JournalEvent) {
 			switch {
 			case e.Ev == EvPrefix && e.Op == "rung":
 				rung[e.Key] = true
+			case e.Ev == EvPrefix && e.Op == "run":
+				if e.WallMS <= 0 || e.Insts < 500 || e.Insts > 600 || e.InstsPerSec <= 0 {
+					t.Errorf("prefix run line for a 500-instruction warm-up reads %.3f ms, %d insts, %.0f insts/s",
+						e.WallMS, e.Insts, e.InstsPerSec)
+				}
+				capture = &e
 			case e.Ev == EvCellDone:
 				insts[e.Key] = e.Insts
+				if capture != nil {
+					want := float64(e.Insts) / ((e.WallMS - capture.WallMS) / 1e3)
+					if math.Abs(e.InstsPerSec-want) > 1e-6*want {
+						t.Errorf("capturing cell %s reads %.0f insts/s, want %.0f (%d insts in %.3f ms minus the %.3f ms capture)",
+							e.Key, e.InstsPerSec, want, e.Insts, e.WallMS, capture.WallMS)
+					}
+					capture = nil
+					captured++
+				}
 			}
 		})
 		if st := run(t, warmSpec(), RunConfig{Workers: 1, Journal: sink}); st.CheckpointHits != 12 || st.RungRestores != 8 {
 			t.Fatalf("ladder run: %+v", st)
 		}
-		if len(rung) != 8 {
-			t.Fatalf("want 8 rung cells in the journal, got %d", len(rung))
+		if len(rung) != 8 || captured != 4 {
+			t.Fatalf("want 8 rung cells and 4 capturing cells in the journal, got %d and %d", len(rung), captured)
 		}
 		for k := range rung {
 			if insts[k] == 0 || insts[k] >= budget[k] {

@@ -50,6 +50,8 @@ func (l *LiveStats) apply(e Event) {
 	switch e.Ev {
 	case EvStart:
 		l.started, l.workers, l.insts, l.simWall = time.Now(), e.Workers, 0, 0
+	case EvPrefix:
+		l.insts += e.Insts
 	case EvCellDone:
 		l.insts += e.Insts
 		l.simWall += e.Wall

@@ -246,11 +246,13 @@ feed:
 	return results, s.stats, err
 }
 
-// runJob runs one job's cells back to back on a worker's arena. No
-// cell starts once the campaign is canceled.
+// runJob runs one job's cells back to back on a worker's arena, then
+// hands the job's checkpoint back to the arena. No cell starts once
+// the campaign is canceled.
 //
 //ml:worker
 func (s *Scheduler) runJob(ctx context.Context, j *job, cells []Cell, a *arena, results map[string]CellResult) {
+	defer a.release(j)
 	for _, i := range j.idx {
 		if ctx.Err() != nil {
 			return
@@ -301,14 +303,16 @@ func (s *Scheduler) runCell(ctx context.Context, j *job, cell Cell, a *arena, re
 		full     runner.Result
 		err      error
 		wall     time.Duration
+		capture  time.Duration
 		attempts int
 		from     uint64
 	)
 	for {
 		ivs = ivs[:0] // a retried attempt starts a fresh series
+		j.capture = 0
 		t0 := time.Now()
 		full, from, err = s.simulate(ctx, j, cell, opts, a)
-		wall = time.Since(t0)
+		wall, capture = time.Since(t0), j.capture
 		if err == nil {
 			break
 		}
@@ -357,7 +361,7 @@ func (s *Scheduler) runCell(ctx context.Context, j *job, cell Cell, a *arena, re
 		}
 	}
 
-	s.finish(results, cell, res, Event{Err: err, Source: "sim", Wall: wall, Insts: insts, Attempts: attempts, Warm: from > 0})
+	s.finish(results, cell, res, Event{Err: err, Source: "sim", Wall: wall, Capture: capture, Insts: insts, Attempts: attempts, Warm: from > 0})
 }
 
 // simulate runs one attempt of a cell under the per-cell deadline,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"microlib/internal/runner"
 )
@@ -52,7 +53,7 @@ func (s *Scheduler) checkpoint(ctx context.Context, j *job, opts runner.Options,
 	if j.ck != nil || j.err != nil {
 		return j.ck, j.err
 	}
-	ck, err := s.buildCheckpoint(ctx, j.key, opts, a)
+	ck, err := s.buildCheckpoint(ctx, j, opts, a)
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return nil, err
 	}
@@ -60,29 +61,35 @@ func (s *Scheduler) checkpoint(ctx context.Context, j *job, opts runner.Options,
 	return ck, err
 }
 
-// buildCheckpoint produces the checkpoint for one prefix: from the
+// buildCheckpoint produces the checkpoint for job j's prefix: from the
 // store when a valid entry exists, by simulating the prefix on the
-// worker's arena otherwise. The prefix run is recover-protected — a
-// capture panic degrades the group to cold runs (where the cold path
-// will reproduce and classify it per cell) instead of killing the
-// worker.
-func (s *Scheduler) buildCheckpoint(ctx context.Context, key string, opts runner.Options, a *arena) (ck *runner.Checkpoint, err error) {
+// worker's arena otherwise. A simulated prefix's wall time goes to
+// j.capture and, with its instructions, to the prefix run event. The
+// prefix run is recover-protected — a capture panic degrades the group
+// to cold runs (where the cold path will reproduce and classify it per
+// cell) instead of killing the worker.
+func (s *Scheduler) buildCheckpoint(ctx context.Context, j *job, opts runner.Options, a *arena) (ck *runner.Checkpoint, err error) {
+	key := j.key
 	store := s.Warm.Store
 	if store != nil {
 		if ck, ok := store.Get(key); ok {
 			return ck, nil
 		}
 	}
+	t0 := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
+			j.capture += time.Since(t0)
 			ck, err = nil, &CellError{Kind: KindPanic, Msg: fmt.Sprint("prefix capture panic: ", r)}
 		}
 	}()
 	ck, err = a.capture(ctx, key, opts)
+	wall := time.Since(t0)
+	j.capture += wall
 	if err != nil {
 		return nil, err
 	}
-	s.emit(Event{Ev: EvPrefix, Op: "run", Key: key})
+	s.emit(Event{Ev: EvPrefix, Op: "run", Key: key, Wall: wall, Insts: ck.Committed()})
 	if store != nil {
 		if perr := store.Put(key, ck); perr != nil {
 			// Unpersisted checkpoints degrade the next campaign to a

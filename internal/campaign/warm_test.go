@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
 	"microlib/internal/runner"
 	"microlib/internal/telemetry"
+	"microlib/internal/workload"
 )
 
 // warmSpec builds a plan whose cells form prefix groups: several
@@ -66,6 +69,13 @@ func TestWarmCampaignMatchesCold(t *testing.T) {
 	}
 	if warmStats.Simulated != 12 {
 		t.Fatalf("warm cells still count as simulated: %+v", warmStats)
+	}
+	// One worker runs gzip's Base and TP groups, then mcf's: each
+	// capture overwrites the previous group's checkpoint, and mcf/TP's
+	// mechanism snapshots are built in the ones mcf/Base's captures
+	// moved out of gzip/TP's checkpoint and rung.
+	if one, _ := runPlan(t, &Scheduler{Workers: 1, Warm: NewWarm(nil)}, warmSpec()); !reflect.DeepEqual(cold, one) {
+		t.Fatalf("1-worker warm results differ from cold:\ncold: %+v\nwarm: %+v", cold, one)
 	}
 
 	// Two workers over budgets planned out of order: each group's
@@ -305,10 +315,11 @@ func dispatchSpec() Spec {
 	}
 }
 
-// Every warm prefix group is one job, in the plan-order slot of its
-// first cell: the whole group, contiguous, in ascending budget. Every
-// cold cell is a job of its own, and the cold cells of each program
-// run back to back.
+// The jobs of one program run back to back, programs in the order of
+// their first cells in the plan, and within a program jobs keep the
+// order of their first cells. Every warm prefix group is one job: the
+// whole group, contiguous, in ascending budget. Every cold cell is a
+// job of its own. A worker thus opens each program once, warm or cold.
 func TestWarmDispatchOrder(t *testing.T) {
 	plan, err := NewPlan(dispatchSpec())
 	if err != nil {
@@ -319,22 +330,20 @@ func TestWarmDispatchOrder(t *testing.T) {
 	order := flatten(cells, jobs)
 	checkPermutation(t, plan.Cells, order)
 
-	// slot is the plan index of the first cell of each cell's program
-	// (cold cells) or prefix group (warm cells).
-	slot := map[int]int{}
+	// first is the plan index of the first cell of each program, and of
+	// each prefix group.
 	first := map[string]int{}
 	for _, c := range plan.Cells {
-		id := c.program
-		if c.Opts.Warmup > 0 {
-			id = c.prefix.key
+		for _, id := range []string{c.program, c.prefix.key} {
+			if _, ok := first[id]; !ok {
+				first[id] = c.Index
+			}
 		}
-		if _, ok := first[id]; !ok {
-			first[id] = c.Index
-		}
-		slot[c.Index] = first[id]
 	}
 	var cold []Cell
-	groups, last := map[string]bool{}, -1
+	groups := map[string]bool{}
+	done := map[string]bool{} // programs whose jobs have all run
+	program, lastJob := "", -1
 	for _, j := range jobs {
 		run := flatten(cells, []job{j})
 		if j.key == "" {
@@ -358,16 +367,27 @@ func TestWarmDispatchOrder(t *testing.T) {
 				t.Fatalf("group %s runs budgets %v, want the whole group ascending", j.key, budgets)
 			}
 		}
-		at := slot[run[0].Index]
-		for _, c := range run {
-			if slot[c.Index] != at {
-				t.Fatalf("cell %d shares a job with another program or group", c.Index)
+		p := run[0].program
+		if p != program {
+			if done[p] {
+				t.Fatalf("program of cell %d dispatched again after another program's jobs", run[0].Index)
 			}
+			if program != "" {
+				done[program] = true
+				if first[p] < first[program] {
+					t.Fatalf("program of cell %d runs after a program that appears later in the plan", run[0].Index)
+				}
+			}
+			program, lastJob = p, -1
 		}
-		if at < last {
-			t.Fatalf("job of cell %d dispatched after a later plan slot", run[0].Index)
+		at := run[0].Index
+		if j.key != "" {
+			at = first[j.key]
 		}
-		last = at
+		if at < lastJob {
+			t.Fatalf("job of cell %d runs after a job of its program that starts later in the plan", run[0].Index)
+		}
+		lastJob = at
 	}
 	if len(cold) != 12 || len(groups) != 4 {
 		t.Fatalf("want 12 cold cells and 4 groups, got %d cold, %d groups", len(cold), len(groups))
@@ -561,5 +581,55 @@ func TestWarmJobRemembersCheckpointFailure(t *testing.T) {
 	_, again := s.checkpoint(context.Background(), j, opts, a)
 	if first == nil || again != first {
 		t.Fatalf("a failed build must be remembered, not retried: %v then %v", first, again)
+	}
+}
+
+// A worker builds nothing twice. Over six warm groups of two programs
+// (two seeds × three warm-ups, seed innermost in plan order), one worker runs each program's
+// groups back to back, so it builds each program image once even when
+// the collector runs before every cell (and at no other time); and
+// each capture after a run's first overwrites the previous group's
+// checkpoint, so it allocates no cache-state table: six more groups of
+// the same programs cost less than one L2 line table (16,384 lines of
+// 24 bytes) apiece.
+func TestWarmWorkerBuildsNothingTwice(t *testing.T) {
+	spec := func(warmups ...uint64) Spec {
+		return Spec{
+			Name:       "nothing-twice",
+			Benchmarks: []string{"gzip"},
+			Mechanisms: []string{"Base"},
+			Seeds:      []uint64{4242, 4243},
+			Warmups:    warmups,
+			Insts:      []uint64{2000, 3000},
+		}
+	}
+	six, twelve := spec(400, 500, 600), spec(400, 450, 500, 550, 600, 650)
+	runtime.GC() // drop images an earlier run left unreferenced
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func(spec Spec) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, st := runPlan(t, &Scheduler{Workers: 1, Warm: NewWarm(nil)}, spec)
+		runtime.ReadMemStats(&after)
+		if st.CheckpointHits != st.Total {
+			t.Fatalf("every cell must run warm: %+v", st)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	built := workload.ImagesBuilt()
+	collect := func(Cell) { runtime.GC() }
+	_, st := runPlan(t, &Scheduler{Workers: 1, Warm: NewWarm(nil), OnStart: collect}, six)
+	if n := workload.ImagesBuilt() - built; st.PrefixRuns != 6 || n != 2 {
+		t.Fatalf("6 groups of 2 programs on one worker: %d prefix runs, %d images built, want 6 and 2", st.PrefixRuns, n)
+	}
+
+	allocated(six) // refill what the collections above emptied (sync.Pools)
+	base, more := allocated(six), allocated(twelve)
+	perGroup := (int64(more) - int64(base)) / 6
+	const maxPerGroup = 16384 * 24
+	t.Logf("6 groups %d B, 12 groups %d B: %d B per further group", base, more, perGroup)
+	if perGroup >= maxPerGroup {
+		t.Fatalf("a further warm group allocates %d B, want < %d: a capture rebuilt its checkpoint tables", perGroup, maxPerGroup)
 	}
 }

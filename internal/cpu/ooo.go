@@ -84,14 +84,58 @@ func (o *OoO) Committed() uint64 { return o.st.Res.Insts }
 
 // NewOoO builds the core on an engine and hierarchy.
 func NewOoO(eng *sim.Engine, cfg Config, h *hier.Hierarchy, stream trace.Stream) *OoO {
+	return NewOoORecycling(eng, cfg, h, stream, OoOStorage{})
+}
+
+// OoOStorage is a core's window, ready queue and free load nodes,
+// detached from its core by TakeStorage so that a new core can reuse
+// them (NewOoORecycling) while nothing else of the old core stays
+// reachable.
+type OoOStorage struct {
+	win    []ROBEntryState
+	readyQ []uint64
+	loads  *loadReq
+}
+
+// TakeStorage detaches the core's window, ready queue and load-node
+// freelist. The core must not be used again. Loads still in flight
+// stay with the old core's calendar and caches and are not taken; the
+// free ones no longer point back at the old core.
+func (o *OoO) TakeStorage() OoOStorage {
+	s := OoOStorage{o.st.Win, o.st.ReadyQ, o.freeLoads}
+	o.st.Win, o.st.ReadyQ, o.freeLoads = nil, nil, nil
+	for lr := s.loads; lr != nil; lr = lr.next {
+		lr.o = nil
+	}
+	return s
+}
+
+// NewOoORecycling is NewOoO, except that the core takes spare's
+// window (with each slot's waiter array) when it has exactly
+// cfg.RUUSize slots, and spare's ready queue and free load nodes in
+// any case. Every slot is cleared, so the core starts exactly as a
+// fresh one; only slice capacities and pooled nodes carry over.
+func NewOoORecycling(eng *sim.Engine, cfg Config, h *hier.Hierarchy, stream trace.Stream, spare OoOStorage) *OoO {
 	cfg.Validate()
 	o := &OoO{
 		cfg:    cfg,
 		eng:    eng,
 		h:      h,
 		stream: stream,
-		st:     OoOState{Win: make([]ROBEntryState, cfg.RUUSize)},
 	}
+	win := spare.win
+	if len(win) == cfg.RUUSize {
+		for i := range win {
+			win[i] = ROBEntryState{Waiters: win[i].Waiters[:0]}
+		}
+	} else {
+		win = make([]ROBEntryState, cfg.RUUSize)
+	}
+	o.st = OoOState{Win: win, ReadyQ: spare.readyQ[:0]}
+	for lr := spare.loads; lr != nil; lr = lr.next {
+		lr.o = o
+	}
+	o.freeLoads = spare.loads
 	o.storeAcc.Write = true
 	return o
 }

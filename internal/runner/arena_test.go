@@ -1,11 +1,14 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"microlib/internal/core"
+	"microlib/internal/cpu"
 	"microlib/internal/hier"
 )
 
@@ -13,11 +16,17 @@ import (
 // adversarial sequence: every build recycles the previous, dirty
 // machine, which ran another mechanism, benchmark, host core or L1D
 // geometry. The sequence covers every mechanism and Base on both
-// cores and two L1D geometries, and rotates through the three ways a
+// cores and two L1D geometries, and rotates through the ways a
 // machine is built on a spare: a cold run (RunOn), a prefix capture
-// restored in place (RunPrefixOn), and a checkpoint machine
-// (NewCheckpointMachineOn). Every result must equal a fresh cold
-// RunContext: recycled storage carries nothing over.
+// restored in place (RunPrefixOn), a checkpoint machine
+// (NewCheckpointMachineOn), and a prefix capture left mid-flight. The
+// last leaves the next build an engine with pending ring events (plus
+// one injected far past the ring, in the overflow heap) and a window
+// whose entries have waiters. Every capture goes into the previous
+// step's checkpoint, which holds another machine's state. Every result
+// must equal a fresh cold RunContext, and every capture into a
+// recycled checkpoint a fresh capture (one of them taken before the
+// window wraps): recycled storage carries nothing over.
 func TestArenaRecyclingMatchesFresh(t *testing.T) {
 	small := hier.DefaultConfig()
 	small.L1D.Size = 1 << 10
@@ -39,6 +48,8 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 			spare.Close()
 		}
 	}()
+	var ck *Checkpoint // the previous step's, captured into by the next
+	dirty, waiters := 0, 0
 	step := 0
 	for _, mech := range mechs {
 		for _, inorder := range []bool{false, true} {
@@ -46,7 +57,16 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 				opts := DefaultOptions(benches[step%len(benches)], mech)
 				opts.Hier = geom
 				opts.InOrder = inorder
+				// Each mechanism's four steps are one kind of build
+				// each, the kinds shifted by one per mechanism, so every
+				// kind meets both cores and both geometries.
+				kind := (step + step/4) % 4
 				opts.Warmup = 1000
+				if kind == 3 {
+					// A capture before the window has wrapped: a slot
+					// the recycled core did not clear would show in it.
+					opts.Warmup = 8
+				}
 				opts.Insts = 4000
 				opts.Seed = uint64(step%4 + 1)
 				want, err := RunContext(ctx, opts)
@@ -61,12 +81,11 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 				check := mech != "TK" || geom.L1D.MSHRs > 1
 
 				var got Result
-				var ck *Checkpoint
-				switch step % 3 {
+				switch kind {
 				case 0:
 					got, spare, err = RunOn(ctx, opts, spare)
 				case 1:
-					ck, spare, err = RunPrefixOn(ctx, opts, spare)
+					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck)
 					if err == nil {
 						got, err = spare.RunFromCheckpoint(ctx, opts, ck)
 					}
@@ -78,6 +97,29 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 					if err == nil {
 						got, err = spare.RunFromCheckpoint(ctx, opts, ck)
 					}
+				case 3:
+					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck)
+					if err == nil {
+						got, err = RunFromCheckpointContext(ctx, opts, ck)
+					}
+					if err == nil {
+						if spare.eng.Pending() > 0 {
+							dirty++
+						}
+						spare.eng.AtFunc(spare.eng.Now()+1<<20, func(uint64, any, any, uint64, uint64) {
+							panic("an event of a recycled engine fired")
+						}, spare, nil, 0, 0)
+						if spare.ooo != nil {
+							var st cpu.OoOState
+							spare.ooo.StateInto(&st)
+							for _, e := range st.Win {
+								if len(e.Waiters) > 0 {
+									waiters++
+									break
+								}
+							}
+						}
+					}
 				}
 				if err != nil {
 					t.Fatalf("%s/%s inorder=%t L1D=%dB: %v", opts.Bench, mech, inorder, geom.L1D.Size, err)
@@ -86,7 +128,7 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 					t.Fatalf("%s/%s inorder=%t L1D=%dB (step %d): recycled machine differs from a fresh one:\ngot  %+v\nwant %+v",
 						opts.Bench, mech, inorder, geom.L1D.Size, step, got, want)
 				}
-				if step%3 == 1 && check {
+				if kind == 1 && check {
 					// The capture machine ran on past the capture: the
 					// checkpoint must not share its state.
 					again, err := RunFromCheckpointContext(ctx, opts, ck)
@@ -95,10 +137,43 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 							opts.Bench, mech, inorder, geom.L1D.Size, err)
 					}
 				}
+				if (kind == 1 || kind == 3) && check {
+					// A capture on recycled storage into a recycled
+					// checkpoint holds what a fresh capture holds.
+					fresh, err := RunPrefixContext(ctx, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameCheckpoint(t, ck, fresh) {
+						t.Fatalf("%s/%s inorder=%t L1D=%dB (step %d): recycled capture differs from a fresh one",
+							opts.Bench, mech, inorder, geom.L1D.Size, step)
+					}
+				}
 				step++
 			}
 		}
 	}
+	if dirty == 0 || waiters == 0 {
+		t.Fatalf("the sequence must recycle mid-flight machines: %d with pending events, %d with window waiters", dirty, waiters)
+	}
+}
+
+// sameCheckpoint compares two checkpoints as they would be stored:
+// through gob, which reads an empty slice as nil, as a restore does.
+func sameCheckpoint(t *testing.T, a, b *Checkpoint) bool {
+	t.Helper()
+	decoded := func(ck *Checkpoint) Checkpoint {
+		var buf bytes.Buffer
+		var out Checkpoint
+		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	return reflect.DeepEqual(decoded(a), decoded(b))
 }
 
 // sameResult compares two results in everything but the live

@@ -102,6 +102,12 @@ type MachineState struct {
 	Loads   []cpu.LoadState
 	Mech    any
 	Stream  StreamState
+
+	// mech names the mechanism whose snapshot Mech holds when this
+	// process captured it; "" for a decoded or empty state. Not
+	// serialized: it only lets a later capture into the same state
+	// keep Mech for that mechanism (see Machine.mechSnapshot).
+	mech string
 }
 
 // Checkpoint is a warm-state snapshot: the machine at the warm-up
@@ -121,6 +127,19 @@ type Checkpoint struct {
 	MinInsts uint64
 	Warm     WarmStats
 	Machine  MachineState
+}
+
+// Committed returns the number of instructions the captured machine
+// had committed: those a run restored from the checkpoint does not
+// simulate.
+func (ck *Checkpoint) Committed() uint64 {
+	switch {
+	case ck.Machine.OoO != nil:
+		return ck.Machine.OoO.Res.Insts
+	case ck.Machine.InOrder != nil:
+		return ck.Machine.InOrder.Res.Insts
+	}
+	return 0
 }
 
 // opRefCore and opRefMech are the runner-level operand domains: the
@@ -184,12 +203,13 @@ func (m *Machine) captureState(st *MachineState) error {
 		*st.InOrder = m.ino.State()
 		st.OoO, st.Loads = nil, nil
 	}
+	prev := m.mechSnapshot(st)
 	if m.mech != nil {
 		ms, ok := m.mech.(core.Snapshotter)
 		if !ok {
 			return fmt.Errorf("runner: mechanism %s has no snapshot support", m.opts.Mechanism)
 		}
-		st.Mech = ms.SnapState(st.Mech)
+		st.Mech = ms.SnapState(prev)
 	} else {
 		st.Mech = nil
 	}
@@ -205,6 +225,39 @@ func (m *Machine) captureState(st *MachineState) error {
 		st.Stream.TraceRec = m.tf.Count()
 	}
 	return nil
+}
+
+// mechSnapshot returns the earlier mechanism snapshot a capture into
+// st should be built in: st's own when it holds this machine's
+// mechanism's, else one that a capture into another state moved out
+// for this mechanism. A snapshot of another mechanism is moved out of
+// st and kept for that mechanism's next capture into any state, so a
+// worker whose warm-up checkpoint and rung alternate mechanisms grows
+// each mechanism's snapshots once, not once per group. st is left
+// marked as this machine's mechanism's.
+func (m *Machine) mechSnapshot(st *MachineState) any {
+	name := m.opts.Mechanism
+	if m.mech == nil {
+		name = ""
+	}
+	if st.mech == name {
+		return st.Mech
+	}
+	if st.mech != "" && st.Mech != nil {
+		if m.mechSnaps == nil {
+			m.mechSnaps = map[string][]any{}
+		}
+		m.mechSnaps[st.mech] = append(m.mechSnaps[st.mech], st.Mech)
+	}
+	st.Mech, st.mech = nil, name
+	kept := m.mechSnaps[name]
+	if len(kept) == 0 {
+		return nil
+	}
+	prev := kept[len(kept)-1]
+	kept[len(kept)-1] = nil
+	m.mechSnaps[name] = kept[:len(kept)-1]
+	return prev
 }
 
 // restoreState overwrites the machine's full mutable state from a
@@ -291,20 +344,25 @@ func (m *Machine) restoreState(st *MachineState) error {
 // checkpoint serves RunFromCheckpoint for any options sharing the
 // prefix fingerprint whose measured budget exceeds MinInsts.
 func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
-	ck, m, err := RunPrefixOn(ctx, opts, nil)
+	ck, m, err := RunPrefixOn(ctx, opts, nil, nil)
 	if m != nil {
 		m.Close()
 	}
 	return ck, err
 }
 
-// RunPrefixOn is RunPrefixContext on a machine built from spare's cache
+// RunPrefixOn is RunPrefixContext on a machine built from spare's
 // storage, with spare as for RunOn. On success it also returns that
 // machine, holding exactly the captured state and wired for checkpoint
 // restores of this prefix: restoring the checkpoint into it is a full
 // overwrite, so its first restore costs no build. The caller owns the
 // machine and must Close it. On failure the machine is closed and nil.
-func RunPrefixOn(ctx context.Context, opts Options, spare *Machine) (*Checkpoint, *Machine, error) {
+//
+// into, when non-nil, is a checkpoint the caller has finished with:
+// the capture overwrites it, reusing its tables where their capacity
+// suffices (as a rung capture reuses the previous rung's), and returns
+// it. On failure it may be left half-written.
+func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkpoint) (*Checkpoint, *Machine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -328,7 +386,11 @@ func RunPrefixOn(ctx context.Context, opts Options, spare *Machine) (*Checkpoint
 		}
 	}()
 
-	ck := &Checkpoint{Version: CheckpointVersion, Prefix: opts.PrefixCanonical()}
+	ck := into
+	if ck == nil {
+		ck = new(Checkpoint)
+	}
+	ck.Version, ck.Prefix, ck.MinInsts, ck.Warm = CheckpointVersion, opts.PrefixCanonical(), 0, WarmStats{}
 	m.host.SetWarmup(opts.Warmup, func(cycles uint64) { ck.Warm = m.warmStats(cycles) })
 	var cres cpu.Result
 	if m.ooo != nil {

@@ -5,7 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"microlib/internal/cache"
+	"microlib/internal/cpu"
+	"microlib/internal/hier"
 )
 
 // FingerprintVersion tags the canonical serialization format of
@@ -60,23 +65,131 @@ func (o Options) render() (string, marks) {
 
 	var m marks
 	m.bench, m.seed = o.identity()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "v%d|bench=%s|mech=%s|params={", FingerprintVersion, m.bench, mech)
+	// The Table 1 configuration renders to about 1,150 bytes.
+	var b strings.Builder
+	b.Grow(1536)
+	writeInt(&b, "v", FingerprintVersion)
+	b.WriteString("|bench=")
+	b.WriteString(m.bench)
+	b.WriteString("|mech=")
+	b.WriteString(mech)
+	b.WriteString("|params={")
 	for i, k := range keys {
 		if i > 0 {
-			sb.WriteByte(',')
+			b.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s:%d", k, o.Params[k])
+		b.WriteString(k)
+		writeInt(&b, ":", o.Params[k])
 	}
-	// Hier and CPU are plain value structs (no maps or pointers), so
-	// their %+v rendering is deterministic.
-	fmt.Fprintf(&sb, "}|hier=%+v|cpu=%+v", o.Hier, o.CPU)
-	m.insts = sb.Len()
-	fmt.Fprintf(&sb, "|insts=%d", insts)
-	m.warmup = sb.Len()
-	fmt.Fprintf(&sb, "|warmup=%d|skip=%d|seed=%d|inorder=%t|queue=%d|pfd=%t",
-		o.Warmup, o.Skip, m.seed, o.InOrder, o.QueueOverride, o.PrefetchAsDemand)
-	return sb.String(), m
+	// Hier and CPU render as fmt's %+v would render them (see
+	// writeHier), a form fingerprints have always used.
+	b.WriteString("}|hier=")
+	writeHier(&b, &o.Hier)
+	b.WriteString("|cpu=")
+	writeCPU(&b, &o.CPU)
+	m.insts = b.Len()
+	writeUint(&b, "|insts=", insts)
+	m.warmup = b.Len()
+	writeUint(&b, "|warmup=", o.Warmup)
+	writeUint(&b, "|skip=", o.Skip)
+	writeUint(&b, "|seed=", m.seed)
+	writeBool(&b, "|inorder=", o.InOrder)
+	writeInt(&b, "|queue=", o.QueueOverride)
+	writeBool(&b, "|pfd=", o.PrefetchAsDemand)
+	return b.String(), m
+}
+
+// writeHier writes c as fmt's %+v renders it — {Field:value ...},
+// nested structs alike, the memory kind by its String method — without
+// fmt's reflection. TestCanonicalRendersLikeFmt holds it to %+v field
+// by field; a field added to a configuration struct must be added
+// here too.
+func writeHier(b *strings.Builder, c *hier.Config) {
+	b.WriteString("{L1D:")
+	writeCache(b, &c.L1D)
+	b.WriteString(" L1I:")
+	writeCache(b, &c.L1I)
+	b.WriteString(" L2:")
+	writeCache(b, &c.L2)
+	b.WriteString(" Memory:")
+	b.WriteString(c.Memory.String())
+	writeUint(b, " ConstLatency:", c.ConstLatency)
+	d := &c.SDRAM
+	writeInt(b, " SDRAM:{Banks:", d.Banks)
+	writeInt(b, " Rows:", d.Rows)
+	writeInt(b, " Columns:", d.Columns)
+	writeUint(b, " RASToRAS:", d.RASToRAS)
+	writeUint(b, " RASActive:", d.RASActive)
+	writeUint(b, " RASToCAS:", d.RASToCAS)
+	writeUint(b, " CASLatency:", d.CASLatency)
+	writeUint(b, " RASPre:", d.RASPre)
+	writeUint(b, " RASCycle:", d.RASCycle)
+	writeInt(b, " QueueSize:", d.QueueSize)
+	writeUint(b, " BurstCycles:", d.BurstCycles)
+	writeInt(b, " Policy:", int(d.Policy))
+	writeInt(b, " Interleave:", int(d.Interleave))
+	writeUint(b, " LineSize:", d.LineSize)
+	b.WriteByte('}')
+	writeUint(b, " L1BusBytes:", c.L1BusBytes)
+	writeUint(b, " L1BusCPUCycles:", c.L1BusCPUCycles)
+	writeUint(b, " FSBBytes:", c.FSBBytes)
+	writeUint(b, " FSBCPUCycles:", c.FSBCPUCycles)
+	b.WriteByte('}')
+}
+
+// writeCache writes one cache level's %+v form (see writeHier).
+func writeCache(b *strings.Builder, c *cache.Config) {
+	b.WriteString("{Name:")
+	b.WriteString(c.Name)
+	writeInt(b, " Size:", c.Size)
+	writeInt(b, " LineSize:", c.LineSize)
+	writeInt(b, " Assoc:", c.Assoc)
+	writeUint(b, " HitLatency:", c.HitLatency)
+	writeInt(b, " Ports:", c.Ports)
+	writeInt(b, " MSHRs:", c.MSHRs)
+	writeInt(b, " ReadsPerMSHR:", c.ReadsPerMSHR)
+	writeBool(b, " WriteBack:", c.WriteBack)
+	writeBool(b, " AllocOnWrite:", c.AllocOnWrite)
+	writeBool(b, " InfiniteMSHR:", c.InfiniteMSHR)
+	writeBool(b, " FreeRefillPorts:", c.FreeRefillPorts)
+	writeBool(b, " NoPipelineStall:", c.NoPipelineStall)
+	writeInt(b, " PrefetchQueueCap:", c.PrefetchQueueCap)
+	b.WriteByte('}')
+}
+
+// writeCPU writes the core configuration's %+v form (see writeHier).
+func writeCPU(b *strings.Builder, c *cpu.Config) {
+	writeInt(b, "{RUUSize:", c.RUUSize)
+	writeInt(b, " LSQSize:", c.LSQSize)
+	writeInt(b, " FetchWidth:", c.FetchWidth)
+	writeInt(b, " IssueWidth:", c.IssueWidth)
+	writeInt(b, " CommitWidth:", c.CommitWidth)
+	writeInt(b, " IntALU:", c.IntALU)
+	writeInt(b, " IntMultDiv:", c.IntMultDiv)
+	writeInt(b, " FPALU:", c.FPALU)
+	writeInt(b, " FPMultDiv:", c.FPMultDiv)
+	writeInt(b, " LoadStore:", c.LoadStore)
+	writeUint(b, " MispredictPenalty:", c.MispredictPenalty)
+	b.WriteByte('}')
+}
+
+// writeInt, writeUint and writeBool write a label and a value, the
+// value formatted on the stack.
+func writeInt(b *strings.Builder, label string, v int) {
+	var num [20]byte
+	b.WriteString(label)
+	b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+}
+
+func writeUint(b *strings.Builder, label string, v uint64) {
+	var num [20]byte
+	b.WriteString(label)
+	b.Write(strconv.AppendUint(num[:0], v, 10))
+}
+
+func writeBool(b *strings.Builder, label string, v bool) {
+	b.WriteString(label)
+	b.WriteString(strconv.FormatBool(v))
 }
 
 // identity returns the workload identity and the seed as the canonical

@@ -2,11 +2,15 @@ package runner
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"microlib/internal/core"
+	"microlib/internal/hier"
 	"microlib/internal/workload"
 )
 
@@ -143,6 +147,86 @@ func TestCanonicalFormsMatchRenderings(t *testing.T) {
 		if c != o.Canonical() || p != o.PrefixCanonical() || s != o.StreamCanonical() {
 			t.Fatalf("forms of %s:\nprefix %s\nwant   %s\nstream %s\nwant   %s",
 				c, p, o.PrefixCanonical(), s, o.StreamCanonical())
+		}
+	}
+}
+
+// TestCanonicalRendersLikeFmt holds the hand-written canonical
+// renderer to the fmt form fingerprints have always used: Hier and CPU
+// as %+v renders them, the rest as the format verbs below. Every field
+// of both configurations, nested ones included, is set by reflection
+// to a value no default uses, so a field the renderer misses or
+// misorders fails here; each memory kind is rendered by name.
+func TestCanonicalRendersLikeFmt(t *testing.T) {
+	want := func(o Options) string {
+		mech := o.Mechanism
+		if mech == "" {
+			mech = BaseName
+		}
+		insts := o.Insts
+		if insts == 0 {
+			insts = defaultInsts
+		}
+		keys := make([]string, 0, len(o.Params))
+		for k := range o.Params {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		bench, seed := o.identity()
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "v%d|bench=%s|mech=%s|params={", FingerprintVersion, bench, mech)
+		for i, k := range keys {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "%s:%d", k, o.Params[k])
+		}
+		fmt.Fprintf(&sb, "}|hier=%+v|cpu=%+v", o.Hier, o.CPU)
+		fmt.Fprintf(&sb, "|insts=%d|warmup=%d|skip=%d|seed=%d|inorder=%t|queue=%d|pfd=%t",
+			insts, o.Warmup, o.Skip, seed, o.InOrder, o.QueueOverride, o.PrefetchAsDemand)
+		return sb.String()
+	}
+
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(int64(-1000 - n))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(uint64(1<<40 + n))
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", n))
+		default:
+			t.Fatalf("configuration field of kind %s: teach this test and the renderer", v.Kind())
+		}
+	}
+	odd := DefaultOptions("gzip", "GHB")
+	fill(reflect.ValueOf(&odd.Hier).Elem())
+	fill(reflect.ValueOf(&odd.CPU).Elem())
+	odd.Params = core.Params{"b": -3, "a": 7}
+	odd.Mechanism, odd.Insts, odd.Skip, odd.Seed = "", 0, 11, 1<<63
+	odd.InOrder, odd.QueueOverride, odd.PrefetchAsDemand = true, -2, true
+
+	cases := []Options{DefaultOptions("mcf", "TP"), odd}
+	for _, k := range []hier.MemoryKind{hier.MemSDRAM, hier.MemConst70, hier.MemSDRAM70} {
+		o := odd
+		o.Hier.Memory = k
+		cases = append(cases, o)
+	}
+	custom := DefaultOptions("x", "VC")
+	custom.Workload = &Workload{Profile: &workload.Profile{Name: "p"}}
+	cases = append(cases, custom)
+	for i, o := range cases {
+		if got, want := o.Canonical(), want(o); got != want {
+			t.Fatalf("case %d renders\n%s\nwant\n%s", i, got, want)
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 // can be captured once and the measurement phase forked per cell —
 // restoring into a reused Machine rather than reconstructing. The *On
 // entry points (RunOn, RunPrefixOn, NewCheckpointMachineOn) build
-// each machine from a spare one's cache storage, so a caller running
-// cells one after another allocates the cache arrays once.
+// each machine from a spare one's storage — cache line arrays, event
+// calendar, out-of-order window — so a caller running cells one after
+// another allocates them once.
 type Machine struct {
 	opts Options
 	eng  *sim.Engine
@@ -37,6 +38,14 @@ type Machine struct {
 	rung       *rungBuffer
 	fromRung   bool
 	restoredAt uint64
+
+	// mechSnaps keeps the mechanism snapshots captures displaced, by
+	// mechanism name, for later captures of that mechanism to be built
+	// in (see mechSnapshot); a new machine takes its spare's. A
+	// snapshot is kept only while no state holds it, so a name keeps
+	// at most as many as a worker has states to capture into: its
+	// warm-up checkpoint and its rung.
+	mechSnaps map[string][]any
 
 	gen    *workload.Generator
 	tf     *trace.File
@@ -61,22 +70,37 @@ type Machine struct {
 // under an uncancelable context, so a machine reused across cells can
 // swap in each cell's own (possibly deadlined) context later.
 //
-// spare, when non-nil, is a machine its owner has finished with: the
-// new caches take its line arrays where the geometry matches (see
-// hier.BuildRecycling), so spare must not run again, and its rung
-// buffer, to capture into. Everything else is built fresh. The arrays
-// are detached first, so nothing else of spare — its program image in
+// spare, when non-nil, is a machine its owner has finished with, so
+// it must not run again. The new machine takes its storage:
+//   - the caches' line arrays where the geometry matches (see
+//     hier.BuildRecycling);
+//   - the engine, reset to cycle 0 with its node freelist kept;
+//   - the out-of-order window, ready queue and free load nodes (see
+//     cpu.NewOoORecycling);
+//   - its rung buffer and kept mechanism snapshots, to capture into.
+//
+// Everything else is built fresh. The storage is detached and the
+// engine reset first, so nothing else of spare — its program image in
 // particular — is kept reachable while this machine opens its
 // workload.
 func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool, spare *Machine) (*Machine, error) {
-	var storage hier.Storage
+	var (
+		storage hier.Storage
+		window  cpu.OoOStorage
+	)
 	m := &Machine{opts: opts}
 	if spare != nil {
 		storage = spare.h.TakeStorage()
+		if spare.ooo != nil {
+			window = spare.ooo.TakeStorage()
+		}
+		m.eng, spare.eng = spare.eng, nil
+		m.eng.Reset()
 		m.rung, spare.rung = spare.rung, nil
 		if m.rung != nil {
 			m.rung.ok = false
 		}
+		m.mechSnaps, spare.mechSnaps = spare.mechSnaps, nil
 	}
 
 	// Resolve the instruction source: a built-in benchmark, an inline
@@ -108,7 +132,9 @@ func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool,
 		source, m.gen, m.oracle = gen, gen, gen.Oracle()
 	}
 
-	m.eng = sim.NewEngine()
+	if m.eng == nil {
+		m.eng = sim.NewEngine()
+	}
 	m.h = hier.BuildRecycling(m.eng, opts.Hier, storage)
 
 	env := &core.Env{Eng: m.eng, L1D: m.h.L1D, L2: m.h.L2}
@@ -154,7 +180,7 @@ func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool,
 		m.ino = cpu.NewInOrder(m.eng, m.h, stream)
 		m.host = m.ino
 	} else {
-		m.ooo = cpu.NewOoO(m.eng, opts.CPU, m.h, stream)
+		m.ooo = cpu.NewOoORecycling(m.eng, opts.CPU, m.h, stream, window)
 		m.host = m.ooo
 	}
 	return m, nil

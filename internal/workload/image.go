@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"microlib/internal/prng"
@@ -25,7 +26,9 @@ import (
 // collected, so sharing never extends an image's life: a campaign
 // whose cells reuse an image back to back shares it, and one whose
 // repeats are far apart rebuilds it rather than keeping every image it
-// ever built resident.
+// ever built resident. Lookups that miss while the same program is
+// being built wait for that build, so concurrent workers never build
+// one program twice at once.
 
 // program is the immutable image of one (profile, seed) pair.
 type program struct {
@@ -54,39 +57,94 @@ type imageKey struct {
 	seed uint64
 }
 
-// images is the process-wide table of live program images.
+// images is the process-wide table of live program images, and of the
+// builds in flight.
 var images = struct {
 	sync.Mutex
-	m map[imageKey][]weak.Pointer[program]
-}{m: map[imageKey][]weak.Pointer[program]{}}
+	m        map[imageKey][]weak.Pointer[program]
+	building map[imageKey][]*imageBuild
+}{m: map[imageKey][]weak.Pointer[program]{}, building: map[imageKey][]*imageBuild{}}
+
+// imageBuild is one program build in flight. Callers that want the
+// same program wait on done and take pr, nil when the build panicked.
+type imageBuild struct {
+	prof Profile
+	done chan struct{}
+	pr   *program
+}
+
+// imagesBuilt counts the images lookupProgram has built.
+var imagesBuilt atomic.Uint64
+
+// ImagesBuilt returns how many program images the process has built
+// for sharing: a campaign that reuses its programs well builds one per
+// distinct (profile, seed) it runs.
+func ImagesBuilt() uint64 { return imagesBuilt.Load() }
 
 // lookupProgram returns the live image of (prof, seed), building and
-// registering it on a miss. A profile Validate rejects is built
-// privately, so NewGenerator's panics and behavior on such profiles
-// are unchanged.
+// registering it on a miss. A caller that misses while another builds
+// the same program waits for that build instead of building it again.
+// A profile Validate rejects is built privately, so NewGenerator's
+// panics and behavior on such profiles are unchanged.
 func lookupProgram(prof Profile, seed uint64) *program {
 	k := imageKey{prof.Name, seed}
 	images.Lock()
-	pr := liveImage(k, &prof)
-	images.Unlock()
-	if pr != nil {
+	if pr := liveImage(k, &prof); pr != nil {
+		images.Unlock()
 		return pr
 	}
-	if prof.Validate() != nil {
+	b := buildOf(k, &prof)
+	if b == nil {
+		if prof.Validate() != nil {
+			images.Unlock()
+			return buildProgram(prof, seed)
+		}
+		b = &imageBuild{prof: prof, done: make(chan struct{})}
+		images.building[k] = append(images.building[k], b)
+		images.Unlock()
+		// Build outside the lock, so workers building different
+		// programs do not serialize.
+		defer finishBuild(k, b)
+		b.pr = buildProgram(prof, seed)
+		imagesBuilt.Add(1)
+		return b.pr
+	}
+	images.Unlock()
+	<-b.done
+	if b.pr == nil { // the build panicked: reproduce the panic here
 		return buildProgram(prof, seed)
 	}
-	// Build outside the lock so workers building different programs
-	// do not serialize; two concurrent builds of one program keep the
-	// first registered image and drop the other.
-	pr = buildProgram(prof, seed)
-	images.Lock()
-	defer images.Unlock()
-	if live := liveImage(k, &prof); live != nil {
-		return live
+	return b.pr
+}
+
+// buildOf returns the build in flight of the program (k, prof), or
+// nil. The caller holds the table's lock.
+func buildOf(k imageKey, prof *Profile) *imageBuild {
+	for _, b := range images.building[k] {
+		if b.prof.sameAs(prof) {
+			return b
+		}
 	}
-	images.m[k] = append(images.m[k], weak.Make(pr))
-	runtime.AddCleanup(pr, forgetImages, k)
-	return pr
+	return nil
+}
+
+// finishBuild files a finished build's image in the table, drops the
+// build and releases its waiters; after a panicked build it only
+// releases them.
+func finishBuild(k imageKey, b *imageBuild) {
+	images.Lock()
+	if b.pr != nil {
+		images.m[k] = append(images.m[k], weak.Make(b.pr))
+		runtime.AddCleanup(b.pr, forgetImages, k)
+	}
+	builds := slices.DeleteFunc(images.building[k], func(x *imageBuild) bool { return x == b })
+	if len(builds) == 0 {
+		delete(images.building, k)
+	} else {
+		images.building[k] = builds
+	}
+	images.Unlock()
+	close(b.done)
 }
 
 // liveImage returns the live image filed under k whose profile equals

@@ -226,3 +226,36 @@ func cursorOf(g *Generator) GeneratorState {
 	g.StateInto(&st)
 	return st
 }
+
+// TestConcurrentOpenBuildsOnce: goroutines that open one program at
+// once share one build. Those that miss while it is in flight wait for
+// it instead of building a duplicate, so exactly one image is built.
+func TestConcurrentOpenBuildsOnce(t *testing.T) {
+	prof, _ := ByName("gcc")
+	prof.Name = "concurrent-open"
+	const workers = 8
+	before := ImagesBuilt()
+	seed := 1000 + before // a program no earlier run left live
+	gens := make([]*Generator, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range gens {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			gens[w] = NewGenerator(prof, seed)
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if n := ImagesBuilt() - before; n != 1 {
+		t.Fatalf("%d goroutines opening one program built %d images, want 1", workers, n)
+	}
+	for _, g := range gens[1:] {
+		if g.prog != gens[0].prog {
+			t.Fatal("generators of one (profile, seed) hold different images")
+		}
+	}
+	sameStream(t, gens[workers-1], privateGenerator(prof, seed), 10_000)
+}
