@@ -17,9 +17,9 @@ import (
 //     instead of allocating it (runner.RunOn and its siblings): the
 //     cache line arrays, the event calendar and the out-of-order
 //     window.
-//   - While that machine holds a warm-up prefix, a cell of that prefix
-//     group restores its checkpoint into it without any build: a
-//     restore fully overwrites the mutable state.
+//   - While that machine holds a warm-up prefix (runner.Machine.Prefix),
+//     a cell of that prefix group restores its checkpoint into it
+//     without any build: a restore fully overwrites the mutable state.
 //   - The machine's rung buffer: the budget ladder's mid-run
 //     checkpoint of its group, captured in place cell after cell and
 //     handed to the next machine built.
@@ -36,10 +36,6 @@ import (
 // goroutines.
 type arena struct {
 	m *runner.Machine
-	// prefix is the fingerprint of the warm-up prefix m holds and can
-	// restore, or "" when m is only a spare: a cold run's machine, or
-	// one a failed restore may have left half-written.
-	prefix string
 	// ck is a finished group's checkpoint, free to capture into.
 	ck *runner.Checkpoint
 }
@@ -51,7 +47,7 @@ func (a *arena) spare() *runner.Machine {
 	if m != nil {
 		m.Close()
 	}
-	a.m, a.prefix = nil, ""
+	a.m = nil
 	return m
 }
 
@@ -65,11 +61,11 @@ func (a *arena) cold(ctx context.Context, opts runner.Options) (runner.Result, e
 	return res, err
 }
 
-// capture simulates prefix group key's warm-up on a machine built from
-// the arena's, into the arena's free checkpoint, and keeps that
-// machine, which then holds exactly the checkpoint's state: the
-// group's next restore on this worker needs no build.
-func (a *arena) capture(ctx context.Context, key string, opts runner.Options) (*runner.Checkpoint, error) {
+// capture simulates the cell's warm-up on a machine built from the
+// arena's, into the arena's free checkpoint, and keeps that machine,
+// which then holds exactly the checkpoint's state: the group's next
+// restore on this worker needs no build.
+func (a *arena) capture(ctx context.Context, opts runner.Options) (*runner.Checkpoint, error) {
 	into := a.ck
 	a.ck = nil
 	ck, m, err := runner.RunPrefixOn(ctx, opts, a.spare(), into)
@@ -77,7 +73,7 @@ func (a *arena) capture(ctx context.Context, key string, opts runner.Options) (*
 		a.ck = into // half-written, but still a buffer to capture into
 		return nil, err
 	}
-	a.m, a.prefix = m, key
+	a.m = m
 	return ck, nil
 }
 
@@ -94,25 +90,27 @@ func (a *arena) release(j *job) {
 // one only when the arena does not hold the cell's prefix — and runs
 // the cell's measurement phase. The machine keeps its rung between
 // cells of the group, and rung reports that this cell started from
-// it. Recover-protected: a panic on the warm path becomes an error,
-// the caller demotes the machine to a spare and the cell falls back
-// to the cold path, which reproduces and classifies any real fault.
+// it. Recover-protected: a panic on the warm path becomes an error and
+// the cell falls back to the cold path, which reproduces and
+// classifies any real fault. A restore that failed or panicked part-way
+// leaves the machine holding no prefix, so only a build restores into
+// it again.
 func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *runner.Checkpoint) (res runner.Result, rung bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, rung, err = runner.Result{}, false, &CellError{Kind: KindPanic, Msg: fmt.Sprint("warm restore panic: ", r)}
 		}
 	}()
-	if a.m == nil || a.prefix != c.prefix.key {
+	canon := c.prefix.canon
+	if canon == "" {
+		canon = opts.PrefixCanonical()
+	}
+	if a.m == nil || a.m.Prefix() != canon {
 		m, merr := runner.NewCheckpointMachineOn(ctx, opts, a.spare())
 		if merr != nil {
 			return runner.Result{}, false, merr
 		}
-		a.m, a.prefix = m, c.prefix.key
-	}
-	canon := c.prefix.canon
-	if canon == "" {
-		canon = opts.PrefixCanonical()
+		a.m = m
 	}
 	res, err = a.m.RunFromCheckpointPrefix(ctx, opts, canon, ck)
 	return res, err == nil && a.m.FromRung(), err

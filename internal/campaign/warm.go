@@ -83,7 +83,7 @@ func (s *Scheduler) buildCheckpoint(ctx context.Context, j *job, opts runner.Opt
 			ck, err = nil, &CellError{Kind: KindPanic, Msg: fmt.Sprint("prefix capture panic: ", r)}
 		}
 	}()
-	ck, err = a.capture(ctx, key, opts)
+	ck, err = a.capture(ctx, opts)
 	wall := time.Since(t0)
 	j.capture += wall
 	if err != nil {
@@ -120,9 +120,6 @@ func (s *Scheduler) warmAttempt(ctx context.Context, j *job, cell Cell, opts run
 	}
 	full, rung, err := a.restore(ctx, cell, opts, ck)
 	if err != nil {
-		// The machine may hold a half-restored state: keep it only as
-		// a spare, so the next cell gets a fresh one from its storage.
-		a.prefix = ""
 		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		if !errors.Is(err, runner.ErrCheckpointUnusable) && ctx.Err() == nil {
 			s.Degrade(Degradation{Op: "warm.restore", Key: cell.Key, Err: err})

@@ -100,7 +100,7 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 				case 3:
 					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck)
 					if err == nil {
-						got, err = RunFromCheckpointContext(ctx, opts, ck)
+						got, err = restoreFresh(ctx, opts, ck)
 					}
 					if err == nil {
 						if spare.eng.Pending() > 0 {
@@ -131,7 +131,7 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 				if kind == 1 && check {
 					// The capture machine ran on past the capture: the
 					// checkpoint must not share its state.
-					again, err := RunFromCheckpointContext(ctx, opts, ck)
+					again, err := restoreFresh(ctx, opts, ck)
 					if err != nil || !sameResult(again, want) {
 						t.Fatalf("%s/%s inorder=%t L1D=%dB: checkpoint changed after its capture machine ran on (%v)",
 							opts.Bench, mech, inorder, geom.L1D.Size, err)

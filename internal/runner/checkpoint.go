@@ -18,10 +18,10 @@ import (
 // each distinct warm-up prefix once, snapshots the whole simulated
 // machine at the warm-up boundary, and forks the measurement phase of
 // every cell that shares the prefix from the snapshot. A checkpoint
-// (RunPrefixContext / RunFromCheckpoint) captures the full machine —
-// calendar, caches, memory, core, mechanism, stream cursor — keyed by
-// PrefixFingerprint; cells sharing it differ only in the measured
-// budget.
+// (RunPrefixOn) captures the full machine — calendar, caches, memory,
+// core, mechanism, stream cursor — keyed by PrefixFingerprint; cells
+// sharing it differ only in the measured budget. There is one restore,
+// RunFromCheckpointPrefix, into a machine holding the prefix.
 //
 // A restore is bit-identical to a live run: the restored engine
 // preserves the (when, seq) event order and its own sequence counter,
@@ -32,25 +32,25 @@ import (
 // SDRAM queue, the hierarchy's pooled nodes) resolve the references
 // through the operand domains below.
 //
-// A campaign worker also climbs a budget ladder within each prefix
-// group (RunFromCheckpointPrefix). A live budget-N run and any longer
-// run are the same machine until fetch reaches warm-up + N, which is
-// the rule Checkpoint.MinInsts already encodes. So a restored cell
-// advances with fetch unbounded to a commit boundary short of its
-// budget (warm-up + N − FetchReach on the out-of-order core, one
-// instruction short on the scalar core), captures a rung there — a
-// Checkpoint with the group's warm-up statistics and its own fetch
-// horizon as MinInsts — and then finishes its budget. The next cell
-// of the group restores the rung when its budget exceeds the rung's
-// horizon, and the warm-up checkpoint otherwise, so cells run in
-// ascending budget simulate warm-up + max(N), not warm-up + ΣN. A
-// rung is captured in place into the previous rung's buffers (cache
-// line arrays, MSHR and queue slices, the event list, the window, the
-// generator cursor, the mechanism's tables through
-// core.Snapshotter.SnapState's prev), lives only in memory, on the
-// worker's machine, and is never written to a checkpoint store. An
-// advance cut short drops the rung, and a rung that fails to restore
-// falls back to the warm-up checkpoint.
+// Every restore also climbs a budget ladder. A live budget-N run and
+// any longer run are the same machine until fetch reaches warm-up +
+// N, which is the rule Checkpoint.MinInsts already encodes. So a
+// restored run advances with fetch unbounded to a commit boundary
+// short of its budget (warm-up + N − FetchReach on the out-of-order
+// core, one instruction short on the scalar core), captures a rung
+// there — a Checkpoint with the group's warm-up statistics and its own
+// fetch horizon as MinInsts — and then finishes its budget. The
+// warm-up capture and the rung share that advance and that capture
+// (advance, capture). The machine's next run restores the rung when
+// its budget exceeds the rung's horizon, and the warm-up checkpoint
+// otherwise, so cells run in ascending budget simulate warm-up +
+// max(N), not warm-up + ΣN. A rung is captured in place into the
+// previous rung's buffers (cache line arrays, MSHR and queue slices,
+// the event list, the window, the generator cursor, the mechanism's
+// tables through core.Snapshotter.SnapState's prev), lives only in
+// memory, on the machine, and is never written to a checkpoint store.
+// An advance cut short drops the rung, and a rung that fails to
+// restore falls back to the warm-up checkpoint.
 
 // CheckpointVersion tags the serialized state layout. Bump it whenever
 // any component's snapshot struct changes shape or meaning — a stale
@@ -351,31 +351,20 @@ func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
 	return ck, err
 }
 
-// RunPrefixOn is RunPrefixContext on a machine built from spare's
-// storage, with spare as for RunOn. On success it also returns that
-// machine, holding exactly the captured state and wired for checkpoint
-// restores of this prefix: restoring the checkpoint into it is a full
-// overwrite, so its first restore costs no build. The caller owns the
-// machine and must Close it. On failure the machine is closed and nil.
+// RunPrefixOn is RunPrefixContext on a checkpoint machine built from
+// spare's storage (NewCheckpointMachineOn), which it skips and runs to
+// the warm-up boundary. On success it also returns that machine,
+// holding exactly the captured state and the checkpoint's prefix:
+// restoring the checkpoint into it is a full overwrite, so its first
+// restore costs no build. The caller owns the machine and must Close
+// it. On failure the machine is closed and nil.
 //
 // into, when non-nil, is a checkpoint the caller has finished with:
 // the capture overwrites it, reusing its tables where their capacity
 // suffices (as a rung capture reuses the previous rung's), and returns
 // it. On failure it may be left half-written.
 func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkpoint) (*Checkpoint, *Machine, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if opts.Insts == 0 {
-		opts.Insts = defaultInsts
-	}
-	if opts.Warmup == 0 {
-		return nil, nil, fmt.Errorf("runner: a warm-state checkpoint needs Warmup > 0")
-	}
-	m, err := newMachine(ctx, opts, true, true, spare)
+	m, err := NewCheckpointMachineOn(ctx, opts, spare)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -385,26 +374,16 @@ func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkp
 			m.Close()
 		}
 	}()
-
+	if opts.Warmup == 0 {
+		return nil, nil, fmt.Errorf("runner: a warm-state checkpoint needs Warmup > 0")
+	}
+	m.skip()
 	ck := into
 	if ck == nil {
 		ck = new(Checkpoint)
 	}
-	ck.Version, ck.Prefix, ck.MinInsts, ck.Warm = CheckpointVersion, opts.PrefixCanonical(), 0, WarmStats{}
 	m.host.SetWarmup(opts.Warmup, func(cycles uint64) { ck.Warm = m.warmStats(cycles) })
-	var cres cpu.Result
-	if m.ooo != nil {
-		// Fetch runs unbounded and the core stops at the first loop
-		// boundary past the warm-up commit — the exact machine state a
-		// live measured run passes through, for any measured budget
-		// beyond the fetch horizon.
-		m.ooo.SetStop(opts.Warmup)
-		cres = m.ooo.Run(^uint64(0))
-		m.ooo.SetStop(0)
-	} else {
-		cres = m.ino.Run(opts.Warmup)
-	}
-	if cres.Insts < opts.Warmup {
+	if got := m.advance(opts.Warmup); got < opts.Warmup {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -414,38 +393,29 @@ func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkp
 			}
 		}
 		return nil, nil, fmt.Errorf("runner: stream ended after %d of %d warm-up instructions (skip=%d)",
-			cres.Insts, opts.Warmup, opts.Skip)
+			got, opts.Warmup, opts.Skip)
 	}
-	if err := m.captureState(&ck.Machine); err != nil {
+	if err := m.capture(ck, ck.Warm); err != nil { // the hook set ck.Warm at the boundary
 		return nil, nil, err
 	}
-	if m.ooo != nil {
-		ck.MinInsts = ck.Machine.OoO.Fetched - opts.Warmup
-	}
-	m.prefix = ck.Prefix
 	kept = true
 	return ck, m, nil
 }
 
-// NewCheckpointMachine builds a machine wired for checkpoint restores:
-// identical to a cold machine except the stream is left at its origin
-// (the snapshot positions it). A campaign worker keeps one per prefix
-// group and restores into it for every cell, so the arena — cache
-// arrays, calendar nodes, window slots — is paid for once.
+// NewCheckpointMachine builds a machine wired for checkpoint restores
+// of the options' prefix: identical to a cold machine except the
+// stream is left at its origin (the snapshot positions it). A campaign
+// worker keeps one per prefix group and restores into it for every
+// cell, so the arena — cache arrays, calendar nodes, window slots — is
+// paid for once.
 func NewCheckpointMachine(ctx context.Context, opts Options) (*Machine, error) {
 	return NewCheckpointMachineOn(ctx, opts, nil)
 }
 
 // NewCheckpointMachineOn is NewCheckpointMachine on a machine built
-// from spare's cache storage, with spare as for RunOn.
+// from spare's storage, with spare as for RunOn.
 func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine) (*Machine, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Insts == 0 {
-		opts.Insts = defaultInsts
-	}
-	m, err := newMachine(ctx, opts, false, true, spare)
+	m, err := newMachine(ctx, opts, spare)
 	if err != nil {
 		return nil, err
 	}
@@ -453,53 +423,38 @@ func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine) (
 	return m, nil
 }
 
-// RunFromCheckpoint restores the checkpoint into the machine and runs
-// the measurement phase. The options must share the machine's prefix
-// (only the measured budget may differ).
+// Prefix returns the PrefixCanonical form of the warm-up prefix the
+// machine restores, or "" when it restores none: a cold run's machine,
+// or one whose last restore failed or panicked part-way, until it is
+// rebuilt.
+func (m *Machine) Prefix() string { return m.prefix }
+
+// RunFromCheckpoint is RunFromCheckpointPrefix with the prefix
+// rendered from the options.
 func (m *Machine) RunFromCheckpoint(ctx context.Context, opts Options, ck *Checkpoint) (Result, error) {
-	return m.runFrom(ctx, opts, opts.PrefixCanonical(), ck, false)
+	return m.RunFromCheckpointPrefix(ctx, opts, opts.PrefixCanonical(), ck)
 }
 
-// RunFromCheckpointPrefix is RunFromCheckpoint for a caller that
-// already holds prefix, the options' PrefixCanonical form, and runs
-// its cells on this machine one after another: a campaign renders the
-// prefix once per cell at plan time, so a steady-state restore formats
-// nothing. The checkpoint and the machine must both carry exactly this
-// prefix.
+// RunFromCheckpointPrefix restores the checkpoint into the machine and
+// runs the measurement phase. prefix is the options' PrefixCanonical
+// form: a campaign renders it once per cell at plan time, so a
+// steady-state restore formats nothing. The checkpoint and the machine
+// must both carry exactly this prefix (only the measured budget may
+// differ); a restore that fails or panics leaves the machine holding
+// no prefix.
 //
 // It also climbs the budget ladder. Before its last stretch the run
 // captures a rung, a mid-run checkpoint of the prefix, into the
-// machine's rung buffer; a later cell whose budget lies beyond the
+// machine's rung buffer; a later run whose budget lies beyond the
 // rung's fetch horizon restores the rung instead of ck and simulates
 // only the instructions past it. Cells run in ascending budget thus
 // simulate their group's largest budget once, not every budget in
 // full. FromRung reports whether the last run started from a rung.
 func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, prefix string, ck *Checkpoint) (Result, error) {
-	return m.runFrom(ctx, opts, prefix, ck, true)
-}
-
-// FromRung reports whether the machine's last RunFromCheckpointPrefix
-// restored a rung rather than the warm-up checkpoint.
-func (m *Machine) FromRung() bool { return m.fromRung }
-
-// RestoredAt returns the commit count the machine's last restore left
-// it at: the warm-up boundary, or the rung's. The run simulated only
-// the instructions it committed past that count.
-func (m *Machine) RestoredAt() uint64 { return m.restoredAt }
-
-// runFrom restores ck (or, when ladder is set and the machine holds a
-// usable rung, the rung) and runs the measurement phase, capturing a
-// new rung on the way when ladder is set.
-func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *Checkpoint, ladder bool) (Result, error) {
 	m.fromRung, m.restoredAt = false, 0
-	if err := ctx.Err(); err != nil {
+	opts, err := ready(ctx, opts)
+	if err != nil {
 		return Result{}, err
-	}
-	if err := opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	if opts.Insts == 0 {
-		opts.Insts = defaultInsts
 	}
 	if opts.Interval > 0 && opts.IntervalSink != nil {
 		// Interval telemetry emits boundaries during warm-up; a
@@ -520,14 +475,17 @@ func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *
 		return Result{}, fmt.Errorf("runner: measured budget %d is inside the checkpoint fetch horizon %d: %w",
 			opts.Insts, ck.MinInsts, ErrCheckpointUnusable)
 	}
+	// Until a restore completes the machine may be half-written, so it
+	// holds no prefix: a restore that fails or panics leaves it so.
+	m.prefix = ""
 	src := ck
-	if r := m.rung; ladder && r != nil && r.ok && opts.Insts > r.ck.MinInsts {
-		src = &r.ck
-		if err := m.restoreState(&src.Machine); err != nil {
+	if r := m.rung; r != nil && r.ok && opts.Insts > r.ck.MinInsts {
+		if m.restoreState(&r.ck.Machine) == nil {
+			src = &r.ck
+		} else {
 			// A rung that will not restore is dropped; the warm-up
 			// checkpoint overwrites whatever it left.
 			r.ok = false
-			src = ck
 		}
 	}
 	if src == ck {
@@ -535,27 +493,66 @@ func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *
 			return Result{}, err
 		}
 	}
+	m.prefix = prefix
 	m.fromRung, m.restoredAt = src != ck, m.host.Committed()
-	if m.cancel != nil {
-		// Re-aim a reused machine's stream at this cell's context (the
-		// poll counter is observability only; resetting it keeps the
-		// cadence identical across reuses).
-		m.cancel.ctx = ctx
-		m.cancel.n = 0
-	}
+	// Re-aim the stream at this run's context (the poll counter is
+	// observability only; resetting it keeps the cadence identical
+	// across reuses).
+	m.cancel.ctx, m.cancel.n = ctx, 0
 	if m.ooo != nil {
 		m.ooo.SetStop(0)
 	}
 	m.host.SetWarmup(0, nil)
 	m.opts.Insts = opts.Insts
-	if ladder {
-		if err := m.climb(prefix, src.Warm); err != nil {
-			return Result{}, err
-		}
+	if err := m.climb(src.Warm); err != nil {
+		return Result{}, err
 	}
 	total := opts.Warmup + opts.Insts
 	cres := m.host.Run(total)
 	return m.finish(ctx, src.Warm, cres, total)
+}
+
+// FromRung reports whether the machine's last restore restored a rung
+// rather than the warm-up checkpoint.
+func (m *Machine) FromRung() bool { return m.fromRung }
+
+// RestoredAt returns the commit count the machine's last restore left
+// it at: the warm-up boundary, or the rung's. The run simulated only
+// the instructions it committed past that count.
+func (m *Machine) RestoredAt() uint64 { return m.restoredAt }
+
+// advance runs the machine with fetch unbounded until it has committed
+// stop instructions, and returns the count committed: short of stop
+// only when the stream ended or the context was canceled first. The
+// out-of-order core stops at the first loop boundary past stop — the
+// exact state a live run passes through for any budget whose fetch
+// cap lies beyond the fetch horizon there; the scalar core, which
+// fetches only what it commits, stops at stop exactly.
+func (m *Machine) advance(stop uint64) uint64 {
+	if m.ooo != nil {
+		m.ooo.SetStop(stop)
+		m.ooo.Run(^uint64(0))
+		m.ooo.SetStop(0)
+	} else {
+		m.ino.Run(stop)
+	}
+	return m.host.Committed()
+}
+
+// capture captures the machine into ck as a checkpoint of its prefix
+// with the given warm-up statistics. MinInsts is the fetch horizon
+// past the warm-up boundary: the instructions fetched on the
+// out-of-order core, those committed on the scalar core.
+func (m *Machine) capture(ck *Checkpoint, warm WarmStats) error {
+	if err := m.captureState(&ck.Machine); err != nil {
+		return err
+	}
+	horizon := m.host.Committed()
+	if ck.Machine.OoO != nil {
+		horizon = ck.Machine.OoO.Fetched
+	}
+	ck.Version, ck.Prefix, ck.MinInsts, ck.Warm = CheckpointVersion, m.prefix, horizon-m.opts.Warmup, warm
+	return nil
 }
 
 // climb advances a just-restored machine toward its budget and
@@ -571,7 +568,7 @@ func (m *Machine) runFrom(ctx context.Context, opts Options, prefix string, ck *
 // A machine already at or past the boundary keeps its rung as is. An
 // advance cut short (the context canceled or the stream ended) drops
 // the rung; the run that follows ends exactly as the live run would.
-func (m *Machine) climb(prefix string, warm WarmStats) error {
+func (m *Machine) climb(warm WarmStats) error {
 	w, n := m.opts.Warmup, m.opts.Insts
 	reach := uint64(1)
 	if m.ooo != nil {
@@ -580,34 +577,20 @@ func (m *Machine) climb(prefix string, warm WarmStats) error {
 	if n <= reach || w+n-reach <= m.host.Committed() {
 		return nil
 	}
-	stop := w + n - reach
-	if m.ooo != nil {
-		m.ooo.SetStop(stop)
-		m.ooo.Run(^uint64(0))
-		m.ooo.SetStop(0)
-	} else {
-		m.ino.Run(stop)
-	}
 	if m.rung == nil {
 		m.rung = new(rungBuffer)
 	}
 	r := m.rung
 	r.ok = false
-	if m.host.Committed() < stop {
+	if stop := w + n - reach; m.advance(stop) < stop {
 		return nil
 	}
-	if err := m.captureState(&r.ck.Machine); err != nil {
+	if err := m.capture(&r.ck, warm); err != nil {
 		return nil // capturing only reads the machine: it runs on unladdered
 	}
-	horizon := m.host.Committed()
-	if m.ooo != nil {
-		horizon = r.ck.Machine.OoO.Fetched
+	if r.ck.MinInsts >= n {
+		return fmt.Errorf("runner: rung fetch horizon %d reaches the budget %d: %w", r.ck.MinInsts, n, ErrCheckpointUnusable)
 	}
-	if horizon >= w+n {
-		return fmt.Errorf("runner: rung fetch horizon %d reaches the budget %d: %w", horizon-w, n, ErrCheckpointUnusable)
-	}
-	r.ck.Version, r.ck.Prefix = CheckpointVersion, prefix
-	r.ck.MinInsts, r.ck.Warm = horizon-w, warm
 	r.ok = true
 	return nil
 }
@@ -619,15 +602,4 @@ func (m *Machine) climb(prefix string, warm WarmStats) error {
 type rungBuffer struct {
 	ck Checkpoint
 	ok bool
-}
-
-// RunFromCheckpointContext restores a checkpoint into a fresh machine
-// and runs the measurement phase.
-func RunFromCheckpointContext(ctx context.Context, opts Options, ck *Checkpoint) (Result, error) {
-	m, err := NewCheckpointMachine(ctx, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	defer m.Close()
-	return m.RunFromCheckpoint(ctx, opts, ck)
 }

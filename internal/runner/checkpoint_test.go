@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"microlib/internal/cpu"
 	"microlib/internal/hier"
 	"microlib/internal/telemetry"
 	"microlib/internal/workload"
@@ -26,6 +27,17 @@ func requireIdentical(t *testing.T, label string, cold, warm Result) {
 	if !reflect.DeepEqual(normalize(cold), normalize(warm)) {
 		t.Fatalf("%s: restored run diverged from live run\ncold: %+v\nwarm: %+v", label, normalize(cold), normalize(warm))
 	}
+}
+
+// restoreFresh restores ck into a checkpoint machine built for opts
+// alone and runs the measurement phase.
+func restoreFresh(ctx context.Context, opts Options, ck *Checkpoint) (Result, error) {
+	m, err := NewCheckpointMachine(ctx, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	defer m.Close()
+	return m.RunFromCheckpoint(ctx, opts, ck)
 }
 
 // TestCheckpointRestoreBitIdentity is the golden matrix: both host
@@ -70,7 +82,7 @@ func TestCheckpointRestoreBitIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cold insts=%d: %v", insts, err)
 					}
-					warm, err := RunFromCheckpointContext(context.Background(), opts, ck)
+					warm, err := restoreFresh(context.Background(), opts, ck)
 					if err != nil {
 						t.Fatalf("warm insts=%d: %v", insts, err)
 					}
@@ -111,7 +123,7 @@ func TestCheckpointRestoreBitIdentityTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold: %v", err)
 			}
-			warm, err := RunFromCheckpointContext(context.Background(), opts, ck)
+			warm, err := restoreFresh(context.Background(), opts, ck)
 			if err != nil {
 				t.Fatalf("warm: %v", err)
 			}
@@ -156,8 +168,9 @@ func TestCheckpointMachineReuse(t *testing.T) {
 }
 
 // TestCheckpointUnusableGuards exercises every fall-back-to-cold
-// condition: version skew, prefix mismatch, a measured budget inside
-// the fetch horizon, and interval telemetry.
+// condition: version skew, a checkpoint or a machine of another
+// prefix, a measured budget inside the fetch horizon, interval
+// telemetry, and a machine whose last restore failed.
 func TestCheckpointUnusableGuards(t *testing.T) {
 	opts := DefaultOptions("mcf", "Base")
 	opts.Skip = 500
@@ -171,20 +184,20 @@ func TestCheckpointUnusableGuards(t *testing.T) {
 
 	stale := *ck
 	stale.Version++
-	if _, err := RunFromCheckpointContext(context.Background(), opts, &stale); !errors.Is(err, ErrCheckpointUnusable) {
+	if _, err := restoreFresh(context.Background(), opts, &stale); !errors.Is(err, ErrCheckpointUnusable) {
 		t.Fatalf("version skew: err = %v, want ErrCheckpointUnusable", err)
 	}
 
 	other := opts
 	other.Warmup++
-	if _, err := RunFromCheckpointContext(context.Background(), other, ck); !errors.Is(err, ErrCheckpointUnusable) {
+	if _, err := restoreFresh(context.Background(), other, ck); !errors.Is(err, ErrCheckpointUnusable) {
 		t.Fatalf("prefix mismatch: err = %v, want ErrCheckpointUnusable", err)
 	}
 
 	if ck.MinInsts > 0 {
 		small := opts
 		small.Insts = ck.MinInsts
-		if _, err := RunFromCheckpointContext(context.Background(), small, ck); !errors.Is(err, ErrCheckpointUnusable) {
+		if _, err := restoreFresh(context.Background(), small, ck); !errors.Is(err, ErrCheckpointUnusable) {
 			t.Fatalf("budget inside fetch horizon: err = %v, want ErrCheckpointUnusable", err)
 		}
 	}
@@ -192,9 +205,57 @@ func TestCheckpointUnusableGuards(t *testing.T) {
 	sampled := opts
 	sampled.Interval = 1_000
 	sampled.IntervalSink = func(telemetry.Interval) {}
-	if _, err := RunFromCheckpointContext(context.Background(), sampled, ck); !errors.Is(err, ErrCheckpointUnusable) {
+	if _, err := restoreFresh(context.Background(), sampled, ck); !errors.Is(err, ErrCheckpointUnusable) {
 		t.Fatalf("interval telemetry: err = %v, want ErrCheckpointUnusable", err)
 	}
+
+	// A machine of one prefix asked to restore another prefix's
+	// options and checkpoint.
+	otherCk, err := RunPrefixContext(context.Background(), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewCheckpointMachine(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.RunFromCheckpoint(context.Background(), other, otherCk); !errors.Is(err, ErrCheckpointUnusable) {
+		t.Fatalf("machine prefix mismatch: err = %v, want ErrCheckpointUnusable", err)
+	}
+	if m.Prefix() != opts.PrefixCanonical() {
+		t.Fatal("a refused restore must leave the machine its prefix")
+	}
+
+	// A restore that fails leaves the machine holding no prefix: no
+	// valid checkpoint restores into it until it is rebuilt.
+	both := *ck
+	both.Machine.InOrder = new(cpu.InOrderState)
+	if _, err := m.RunFromCheckpoint(context.Background(), opts, &both); err == nil || errors.Is(err, ErrCheckpointUnusable) {
+		t.Fatalf("checkpoint with both core states: err = %v, want a restore error", err)
+	}
+	if m.Prefix() != "" {
+		t.Fatalf("a failed restore left the machine holding prefix %q", m.Prefix())
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.RunFromCheckpoint(context.Background(), opts, ck); !errors.Is(err, ErrCheckpointUnusable) {
+			t.Fatalf("restore %d after a failed one: err = %v, want ErrCheckpointUnusable", i, err)
+		}
+	}
+	rebuilt, err := NewCheckpointMachineOn(context.Background(), opts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	cold, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := rebuilt.RunFromCheckpoint(context.Background(), opts, ck)
+	if err != nil {
+		t.Fatalf("restore into the rebuilt machine: %v", err)
+	}
+	requireIdentical(t, "rebuilt", cold, warm)
 }
 
 // TestPrefixFingerprintGroups verifies the grouping key: the measured

@@ -49,7 +49,7 @@ func TestCheckpointGobRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cold: %v", err)
 				}
-				warm, err := RunFromCheckpointContext(context.Background(), opts, &decoded)
+				warm, err := restoreFresh(context.Background(), opts, &decoded)
 				if err != nil {
 					t.Fatalf("warm: %v", err)
 				}

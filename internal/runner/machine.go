@@ -14,22 +14,30 @@ import (
 )
 
 // Machine is one fully-wired simulation: engine, hierarchy, mechanism,
-// instruction source and host core. RunContext builds one per call;
-// the warm-state checkpoint paths build them explicitly so a prefix
-// can be captured once and the measurement phase forked per cell —
-// restoring into a reused Machine rather than reconstructing. The *On
-// entry points (RunOn, RunPrefixOn, NewCheckpointMachineOn) build
-// each machine from a spare one's storage — cache line arrays, event
-// calendar, out-of-order window — so a caller running cells one after
-// another allocates them once.
+// instruction source and host core. Every entry point builds it the
+// same way and runs one path on it:
+//   - RunOn (RunContext, Run) skips, then runs warm-up and measurement;
+//   - NewCheckpointMachineOn (NewCheckpointMachine) builds a machine
+//     that restores one warm-up prefix;
+//   - RunPrefixOn (RunPrefixContext) builds that machine, skips, runs
+//     to the warm-up boundary and captures a checkpoint there;
+//   - RunFromCheckpointPrefix (RunFromCheckpoint) restores a checkpoint
+//     into a machine holding its prefix and runs the measurement,
+//     climbing the budget ladder.
+//
+// The machine is the one record of which prefix it can restore
+// (Prefix). The *On entry points build each machine from a spare one's
+// storage — cache line arrays, event calendar, out-of-order window —
+// so a caller running cells one after another allocates them once.
 type Machine struct {
 	opts Options
 	eng  *sim.Engine
 	h    *hier.Hierarchy
 	mech core.Mechanism
 
-	// prefix is opts.PrefixCanonical(), rendered once when a
-	// checkpoint machine is built; restores compare against it.
+	// prefix is the PrefixCanonical form of the warm-up prefix the
+	// machine restores, rendered once when a checkpoint machine is
+	// built; "" while it restores none (see Prefix).
 	prefix string
 
 	// rung is the budget ladder's buffer (see RunFromCheckpointPrefix);
@@ -63,12 +71,28 @@ type Machine struct {
 	closeFn   func() error
 }
 
-// newMachine wires a simulation for already-validated options with the
-// measured-budget default applied. When applySkip is false the stream
-// is left at its origin — checkpoint restores position it from the
-// snapshot instead. alwaysCancel forces the cancellation wrap even
-// under an uncancelable context, so a machine reused across cells can
-// swap in each cell's own (possibly deadlined) context later.
+// ready checks what every build and restore needs first, a live
+// context and valid options, and applies the measured-budget default.
+func ready(ctx context.Context, opts Options) (Options, error) {
+	if err := ctx.Err(); err != nil {
+		return opts, err
+	}
+	if err := opts.Validate(); err != nil {
+		return opts, err
+	}
+	if opts.Insts == 0 {
+		opts.Insts = defaultInsts
+	}
+	return opts, nil
+}
+
+// newMachine wires a simulation for opts, once they pass ready; the
+// machine keeps them with the budget default applied. Its stream is
+// left at its origin: a cold run or a prefix capture discards the
+// skipped instructions after the build (skip), a restore positions
+// the stream from the snapshot. The stream always carries the
+// cancellation wrap, so a machine reused across cells can swap in
+// each cell's own (possibly deadlined) context.
 //
 // spare, when non-nil, is a machine its owner has finished with, so
 // it must not run again. The new machine takes its storage:
@@ -83,7 +107,11 @@ type Machine struct {
 // engine reset first, so nothing else of spare — its program image in
 // particular — is kept reachable while this machine opens its
 // workload.
-func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool, spare *Machine) (*Machine, error) {
+func newMachine(ctx context.Context, opts Options, spare *Machine) (*Machine, error) {
+	opts, err := ready(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
 	var (
 		storage hier.Storage
 		window  cpu.OoOStorage
@@ -164,26 +192,23 @@ func newMachine(ctx context.Context, opts Options, applySkip, alwaysCancel bool,
 		m.h.L2.SetPrefetchAsDemand(true)
 	}
 
-	// The cancel wrap goes on before Skip: Skip consumes its discarded
-	// instructions eagerly, so on an uncancelable stream a large skip
-	// would stall cancellation until it finished.
-	stream := source
-	if ctx.Done() != nil || alwaysCancel {
-		m.cancel = &cancelStream{ctx: ctx, s: stream}
-		stream = m.cancel
-	}
-	if applySkip && opts.Skip > 0 {
-		stream = trace.Skip(stream, opts.Skip)
-	}
-
+	m.cancel = &cancelStream{ctx: ctx, s: source}
 	if opts.InOrder {
-		m.ino = cpu.NewInOrder(m.eng, m.h, stream)
+		m.ino = cpu.NewInOrder(m.eng, m.h, m.cancel)
 		m.host = m.ino
 	} else {
-		m.ooo = cpu.NewOoORecycling(m.eng, opts.CPU, m.h, stream, window)
+		m.ooo = cpu.NewOoORecycling(m.eng, opts.CPU, m.h, m.cancel, window)
 		m.host = m.ooo
 	}
 	return m, nil
+}
+
+// skip discards the options' skipped instructions (the trace
+// selection) from a just-built machine's stream, ahead of everything
+// the core fetches. It reads through the cancellation wrap, so a large
+// skip does not stall cancellation.
+func (m *Machine) skip() {
+	trace.Skip(m.cancel, m.opts.Skip)
 }
 
 // Close releases the machine's file-backed resources, if any.
@@ -212,7 +237,8 @@ func (m *Machine) warmStats(cycles uint64) WarmStats {
 
 // runMeasured executes warm-up plus measurement on a freshly-wired
 // machine and assembles the Result: the back half of a cold run.
-func (m *Machine) runMeasured(ctx context.Context, opts Options) (Result, error) {
+func (m *Machine) runMeasured(ctx context.Context) (Result, error) {
+	opts := m.opts
 	// The interval sampler rides the engine calendar and only reads
 	// counters the models already keep, so enabling it changes no
 	// simulated observable; leaving it off adds no per-cycle work.

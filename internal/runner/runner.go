@@ -136,21 +136,13 @@ func RunContext(ctx context.Context, opts Options) (Result, error) {
 // spare; it is nil when none was built. The Result's Mech belongs to
 // that machine, so it is only valid until the machine is recycled.
 func RunOn(ctx context.Context, opts Options, spare *Machine) (Result, *Machine, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	if opts.Insts == 0 {
-		opts.Insts = defaultInsts
-	}
-	m, err := newMachine(ctx, opts, true, false, spare)
+	m, err := newMachine(ctx, opts, spare)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	defer m.Close()
-	res, err := m.runMeasured(ctx, opts)
+	m.skip()
+	res, err := m.runMeasured(ctx)
 	return res, m, err
 }
 

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -131,6 +132,121 @@ func TestStoreStallPinnedCounts(t *testing.T) {
 					got.L1D, got.L1I, got.L2, got.L2WriteBack, got.HW)
 				if want, ok := storeStallPins[key]; !ok || got != want {
 					t.Errorf("%s:\n got %+v\nwant %+v", key, got, want)
+				}
+			}
+		}
+	}
+	if t.Failed() {
+		t.Logf("measured:\n%s", recorded.String())
+	}
+}
+
+// rankGridPinCounts is the host-independent work of one rank-grid
+// cell: engine events executed over the whole run (warm-up included)
+// against the instructions committed, and the measured L1D refusals
+// against the measured L1D accesses. events/inst and rejects/access
+// are the two ratios perfbench's traced rank-grid reports
+// (sim.events_per_inst, l1d.refused_frac); pinning the counts pins
+// both exactly.
+type rankGridPinCounts struct {
+	Events, Insts uint64
+	L1D           rejects
+	L1DAccesses   uint64
+}
+
+// rankGridPins holds counts recorded before the runner's entry points
+// were folded into one build, capture and restore path. The rank-grid
+// machine has no host-time shortcut of its own to excuse a change:
+// these move only with an intended model change, which must say so.
+var rankGridPins = map[string]rankGridPinCounts{
+	"gzip/Base/inorder/1": {12380, 40000, rejects{0, 92, 0}, 8891},
+	"gzip/Base/inorder/2": {10960, 40000, rejects{0, 61, 0}, 8125},
+	"gzip/Base/ooo/1":     {44771, 40000, rejects{15, 1423, 0}, 8891},
+	"gzip/Base/ooo/2":     {44132, 40000, rejects{6, 1024, 0}, 8125},
+	"gzip/SP/inorder/1":   {12463, 40000, rejects{0, 90, 0}, 8891},
+	"gzip/SP/inorder/2":   {11007, 40000, rejects{0, 61, 0}, 8125},
+	"gzip/SP/ooo/1":       {44877, 40000, rejects{15, 1349, 0}, 8891},
+	"gzip/SP/ooo/2":       {44191, 40000, rejects{6, 981, 0}, 8125},
+	"gzip/GHB/inorder/1":  {12431, 40000, rejects{0, 90, 0}, 8891},
+	"gzip/GHB/inorder/2":  {10994, 40000, rejects{0, 61, 0}, 8125},
+	"gzip/GHB/ooo/1":      {44821, 40000, rejects{15, 1376, 0}, 8891},
+	"gzip/GHB/ooo/2":      {44183, 40000, rejects{6, 1007, 0}, 8125},
+	"gzip/VC/inorder/1":   {12504, 40000, rejects{0, 84, 0}, 8891},
+	"gzip/VC/inorder/2":   {10982, 40000, rejects{0, 53, 0}, 8125},
+	"gzip/VC/ooo/1":       {44884, 40000, rejects{10, 1264, 0}, 8891},
+	"gzip/VC/ooo/2":       {44163, 40000, rejects{5, 936, 0}, 8125},
+	"mcf/Base/inorder/1":  {19576, 40000, rejects{0, 192, 0}, 10526},
+	"mcf/Base/inorder/2":  {19902, 40000, rejects{0, 185, 0}, 9520},
+	"mcf/Base/ooo/1":      {50025, 40000, rejects{134, 2436, 1186}, 10525},
+	"mcf/Base/ooo/2":      {51463, 40000, rejects{231, 3097, 6603}, 9509},
+	"mcf/SP/inorder/1":    {19576, 40000, rejects{0, 192, 0}, 10526},
+	"mcf/SP/inorder/2":    {19902, 40000, rejects{0, 185, 0}, 9520},
+	"mcf/SP/ooo/1":        {50025, 40000, rejects{134, 2436, 1186}, 10525},
+	"mcf/SP/ooo/2":        {51463, 40000, rejects{231, 3097, 6603}, 9509},
+	"mcf/GHB/inorder/1":   {19576, 40000, rejects{0, 192, 0}, 10526},
+	"mcf/GHB/inorder/2":   {19914, 40000, rejects{0, 185, 0}, 9520},
+	"mcf/GHB/ooo/1":       {50025, 40000, rejects{134, 2436, 1186}, 10525},
+	"mcf/GHB/ooo/2":       {51528, 40000, rejects{231, 3097, 6603}, 9509},
+	"mcf/VC/inorder/1":    {20281, 40000, rejects{0, 186, 0}, 10526},
+	"mcf/VC/inorder/2":    {20716, 40000, rejects{0, 180, 0}, 9520},
+	"mcf/VC/ooo/1":        {51054, 40000, rejects{135, 2384, 1186}, 10525},
+	"mcf/VC/ooo/2":        {52374, 40000, rejects{232, 2982, 6440}, 9509},
+	"swim/Base/inorder/1": {28958, 40000, rejects{0, 485, 0}, 13069},
+	"swim/Base/inorder/2": {28731, 40000, rejects{0, 628, 0}, 12812},
+	"swim/Base/ooo/1":     {58265, 40000, rejects{350, 8853, 1550}, 13067},
+	"swim/Base/ooo/2":     {57402, 40000, rejects{113, 7395, 972}, 12809},
+	"swim/SP/inorder/1":   {31909, 40000, rejects{0, 483, 0}, 13069},
+	"swim/SP/inorder/2":   {31598, 40000, rejects{0, 628, 0}, 12812},
+	"swim/SP/ooo/1":       {59015, 40000, rejects{412, 9085, 1337}, 13068},
+	"swim/SP/ooo/2":       {57917, 40000, rejects{135, 7316, 1049}, 12809},
+	"swim/GHB/inorder/1":  {32334, 40000, rejects{0, 481, 0}, 13069},
+	"swim/GHB/inorder/2":  {31830, 40000, rejects{0, 628, 0}, 12812},
+	"swim/GHB/ooo/1":      {73534, 40000, rejects{641, 8767, 1398}, 13068},
+	"swim/GHB/ooo/2":      {72273, 40000, rejects{95, 7829, 309}, 12807},
+	"swim/VC/inorder/1":   {30488, 40000, rejects{0, 478, 0}, 13069},
+	"swim/VC/inorder/2":   {30390, 40000, rejects{0, 619, 0}, 12812},
+	"swim/VC/ooo/1":       {60247, 40000, rejects{326, 8610, 1641}, 13065},
+	"swim/VC/ooo/2":       {59380, 40000, rejects{119, 7301, 950}, 12809},
+}
+
+// TestRankGridPinnedCounts runs the perfbench rank-grid machine — the
+// Table 1 hierarchy with SDRAM, 10k warm-up and 30k measured
+// instructions — on three benchmarks at two seeds for Base, SP, GHB and VC on both
+// host cores, and pins engine events, committed instructions and the
+// L1D's refusals and accesses exactly. TK and DBCP are left out:
+// their map-order state makes their counts a matter of luck.
+func TestRankGridPinnedCounts(t *testing.T) {
+	var recorded strings.Builder
+	for _, bench := range []string{"gzip", "mcf", "swim"} {
+		for _, mech := range []string{"Base", "SP", "GHB", "VC"} {
+			for _, inorder := range []bool{true, false} {
+				for _, seed := range []uint64{1, 2} {
+					core := "ooo"
+					if inorder {
+						core = "inorder"
+					}
+					key := fmt.Sprintf("%s/%s/%s/%d", bench, mech, core, seed)
+					opts := DefaultOptions(bench, mech)
+					opts.Warmup = 10_000
+					opts.Insts = 30_000
+					opts.Seed = seed
+					opts.InOrder = inorder
+					res, m, err := RunOn(context.Background(), opts, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					_, events := m.eng.Stats()
+					got := rankGridPinCounts{
+						Events:      events,
+						Insts:       res.CPU.Insts,
+						L1D:         rejectsOf(res.L1D),
+						L1DAccesses: res.L1D.Accesses,
+					}
+					fmt.Fprintf(&recorded, "\t%q: {%d, %d, %s, %d},\n",
+						key, got.Events, got.Insts, got.L1D, got.L1DAccesses)
+					if want, ok := rankGridPins[key]; !ok || got != want {
+						t.Errorf("%s:\n got %+v\nwant %+v", key, got, want)
+					}
 				}
 			}
 		}
