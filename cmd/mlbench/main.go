@@ -110,6 +110,18 @@ const minWarmSpeedup = 5.0
 // ladder step (runner/rung-capture) whose capture rebuilt its rung.
 const maxArenaCellBytes = 6872 * 13 / 10
 
+// maxArenaDBCPBytes and maxArenaMarkovBytes bound the same store-stall
+// cell with DBCP or Markov, run right after a Base cell on the warmed
+// arena (runner/cold-cell/dbcp and runner/cold-cell/markov): the
+// measured 81,242 and 13,264 B/op (linux/amd64, go1.24) plus 30%
+// headroom. A cell that built its table afresh (1.5 MB for DBCP,
+// 640 KiB for Markov) instead of taking the one the last cell of its
+// name gave up would fail them.
+const (
+	maxArenaDBCPBytes   = 81_242 * 13 / 10
+	maxArenaMarkovBytes = 13_264 * 13 / 10
+)
+
 // maxWarmGroupBytes bounds the bytes of one campaign/shared-prefix/warm
 // op: a one-worker campaign whose one prefix group of eight budgets
 // captures its warm-up and climbs seven rungs. Its fresh arena builds
@@ -315,31 +327,48 @@ func main() {
 	// finds the program image still live in the image table, so what
 	// is left per cell is the machine's own fresh state. The vc row is
 	// the same cell with a victim cache probed by every refused miss;
-	// its vc_over_base is the host-time price of the mechanism.
-	coldCell := func(name, mech string) Result {
+	// its vc_over_base is the host-time price of the mechanism. The
+	// dbcp and markov rows are the cells of the two mechanisms with the
+	// largest tables, each right after an untimed Base cell on the same
+	// arena, as rank-grid runs a program's mechanisms one after
+	// another: the cell builds its table in the one the last cell of
+	// its name gave up.
+	coldCell := func(name, mech string, afterBase bool) Result {
 		return bench(name, func(b *testing.B) {
-			opts := runner.DefaultOptions("stall-heavy", mech)
-			opts.Workload = &runner.Workload{Profile: &stallProfile}
-			opts.Hier = stallHier()
-			opts.Warmup, opts.Insts, opts.Seed = 1500, 6000, 1
+			cell := func(mech string) runner.Options {
+				opts := runner.DefaultOptions("stall-heavy", mech)
+				opts.Workload = &runner.Workload{Profile: &stallProfile}
+				opts.Hier = stallHier()
+				opts.Warmup, opts.Insts, opts.Seed = 1500, 6000, 1
+				return opts
+			}
+			opts, base := cell(mech), cell(runner.BaseName)
+			tables := new(runner.MechTables)
 			var m *runner.Machine
-			run := func() {
+			run := func(opts runner.Options) {
 				var err error
-				if _, m, err = runner.RunOn(context.Background(), opts, m); err != nil {
+				if _, m, err = runner.RunOn(context.Background(), opts, m, tables); err != nil {
 					fatal(err)
 				}
 			}
-			run() // warm the arena
+			run(opts) // warm the arena
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run()
+				if afterBase {
+					b.StopTimer()
+					run(base)
+					b.StartTimer()
+				}
+				run(opts)
 			}
 		})
 	}
-	arenaCell := coldCell("runner/cold-cell/arena", runner.BaseName)
-	vcCell := coldCell("runner/cold-cell/vc", "VC")
+	arenaCell := coldCell("runner/cold-cell/arena", runner.BaseName, false)
+	vcCell := coldCell("runner/cold-cell/vc", "VC", false)
 	vcCell.Extra = map[string]float64{"vc_over_base": vcCell.NsPerOp / arenaCell.NsPerOp}
-	rep.Results = append(rep.Results, arenaCell, vcCell)
+	dbcpCell := coldCell("runner/cold-cell/dbcp", "DBCP", true)
+	markovCell := coldCell("runner/cold-cell/markov", "Markov", true)
+	rep.Results = append(rep.Results, arenaCell, vcCell, dbcpCell, markovCell)
 
 	// One rung of the budget ladder on a DBCP machine, the mechanism
 	// with the largest state: each op is a cell whose budget is
@@ -546,17 +575,21 @@ func main() {
 	// allocates far less than a machine's cache arrays alone, with or
 	// without a victim cache. A rung capture reuses the previous rung's
 	// buffers, so a ladder step allocates as little as a cold cell. A
-	// warm group builds one machine and one set of capture tables.
+	// warm group builds one machine and one set of capture tables. A
+	// DBCP or Markov cell after another mechanism's builds no table.
 	arenaFailed := arenaCell.BytesPerOp > maxArenaCellBytes || vcCell.BytesPerOp > maxArenaCellBytes ||
-		rungCapture.BytesPerOp > maxArenaCellBytes || sweepWarm.BytesPerOp > maxWarmGroupBytes
+		rungCapture.BytesPerOp > maxArenaCellBytes || sweepWarm.BytesPerOp > maxWarmGroupBytes ||
+		dbcpCell.BytesPerOp > maxArenaDBCPBytes || markovCell.BytesPerOp > maxArenaMarkovBytes
 	arenaRows := fmt.Sprintf("cold-cell/arena %d B/op, %d allocs/op; cold-cell/vc %d B/op, %d allocs/op; rung-capture %d B/op, %d allocs/op",
 		arenaCell.BytesPerOp, arenaCell.AllocsPerOp, vcCell.BytesPerOp, vcCell.AllocsPerOp,
 		rungCapture.BytesPerOp, rungCapture.AllocsPerOp)
+	mechRows := fmt.Sprintf("cold-cell/dbcp %d B/op (<= %d); cold-cell/markov %d B/op (<= %d)",
+		dbcpCell.BytesPerOp, maxArenaDBCPBytes, markovCell.BytesPerOp, maxArenaMarkovBytes)
 	warmRow := fmt.Sprintf("shared-prefix/warm %d B/group", sweepWarm.BytesPerOp)
 	if arenaFailed {
-		rep.ArenaGate = fmt.Sprintf("FAIL: %s (want <= %d B/op); %s (want <= %d)", arenaRows, maxArenaCellBytes, warmRow, maxWarmGroupBytes)
+		rep.ArenaGate = fmt.Sprintf("FAIL: %s (want <= %d B/op); %s; %s (want <= %d)", arenaRows, maxArenaCellBytes, mechRows, warmRow, maxWarmGroupBytes)
 	} else {
-		rep.ArenaGate = fmt.Sprintf("PASS: %s (<= %d B/op); %s (<= %d)", arenaRows, maxArenaCellBytes, warmRow, maxWarmGroupBytes)
+		rep.ArenaGate = fmt.Sprintf("PASS: %s (<= %d B/op); %s; %s (<= %d)", arenaRows, maxArenaCellBytes, mechRows, warmRow, maxWarmGroupBytes)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

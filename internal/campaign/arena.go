@@ -17,6 +17,10 @@ import (
 //     instead of allocating it (runner.RunOn and its siblings): the
 //     cache line arrays, the event calendar and the out-of-order
 //     window.
+//   - The run's mechanism tables (runner.MechTables), shared with the
+//     run's other workers: the DBCP and Markov tables the last
+//     retired instance of each gave up, taken by the next build of
+//     that name on any worker.
 //   - While that machine holds a warm-up prefix (runner.Machine.Prefix),
 //     a cell of that prefix group restores its checkpoint into it
 //     without any build: a restore fully overwrites the mutable state.
@@ -32,10 +36,14 @@ import (
 //
 // Storage is owned per worker rather than pooled process-wide: a
 // worker runs one cell at a time, so its previous machine is always
-// idle when the next one is built, and nothing is shared between
-// goroutines.
+// idle when the next one is built. The mechanism tables are the one
+// exception, shared per run: a worker runs other mechanisms between
+// two cells of one, so kept per worker they would cost ~2.2 MB
+// resident per worker, which raised the 2-worker rank-grid's peak RSS
+// by about a quarter.
 type arena struct {
-	m *runner.Machine
+	m      *runner.Machine
+	tables *runner.MechTables
 	// ck is a finished group's checkpoint, free to capture into.
 	ck *runner.Checkpoint
 }
@@ -56,7 +64,7 @@ func (a *arena) close() { a.spare() }
 
 // cold runs a cell from scratch on a machine built from the arena's.
 func (a *arena) cold(ctx context.Context, opts runner.Options) (runner.Result, error) {
-	res, m, err := runner.RunOn(ctx, opts, a.spare())
+	res, m, err := runner.RunOn(ctx, opts, a.spare(), a.tables)
 	a.m = m
 	return res, err
 }
@@ -68,7 +76,7 @@ func (a *arena) cold(ctx context.Context, opts runner.Options) (runner.Result, e
 func (a *arena) capture(ctx context.Context, opts runner.Options) (*runner.Checkpoint, error) {
 	into := a.ck
 	a.ck = nil
-	ck, m, err := runner.RunPrefixOn(ctx, opts, a.spare(), into)
+	ck, m, err := runner.RunPrefixOn(ctx, opts, a.spare(), into, a.tables)
 	if err != nil {
 		a.ck = into // half-written, but still a buffer to capture into
 		return nil, err
@@ -106,7 +114,7 @@ func (a *arena) restore(ctx context.Context, c Cell, opts runner.Options, ck *ru
 		canon = opts.PrefixCanonical()
 	}
 	if a.m == nil || a.m.Prefix() != canon {
-		m, merr := runner.NewCheckpointMachineOn(ctx, opts, a.spare())
+		m, merr := runner.NewCheckpointMachineOn(ctx, opts, a.spare(), a.tables)
 		if merr != nil {
 			return runner.Result{}, false, merr
 		}

@@ -172,14 +172,16 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	cells, jobs := s.dispatch(cells)
 	ch := make(chan *job)
 	var wg sync.WaitGroup
+	tables := new(runner.MechTables)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// One machine arena per worker: every build recycles the
 			// previous machine's cache storage, and warm cells of a
-			// prefix group restore into the same machine.
-			a := &arena{}
+			// prefix group restore into the same machine. The run's
+			// mechanism tables are shared by all of them.
+			a := &arena{tables: tables}
 			defer a.close()
 			for j := range ch {
 				s.runJob(ctx, j, cells, a, results)

@@ -633,3 +633,31 @@ func TestWarmWorkerBuildsNothingTwice(t *testing.T) {
 		t.Fatalf("a further warm group allocates %d B, want < %d: a capture rebuilt its checkpoint tables", perGroup, maxPerGroup)
 	}
 }
+
+// A run's workers share one runner.MechTables, so a DBCP or Markov
+// cell builds in tables another worker's cell gave up, while that
+// worker runs on. Every cell must equal its fresh run; under -race the
+// hand-over between workers is checked too.
+func TestSharedMechTablesMatchFresh(t *testing.T) {
+	w := uint64(500)
+	spec := Spec{
+		Name:       "shared-tables",
+		Benchmarks: []string{"gzip", "mcf", "art"},
+		Mechanisms: []string{"Base", "DBCP", "Markov"},
+		Seeds:      []uint64{1, 2},
+		Insts:      []uint64{3000},
+		Warmup:     &w,
+	}
+	plan, err := NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := runPlan(t, &Scheduler{Workers: 3}, spec)
+	for _, c := range plan.Cells {
+		res, err := runner.RunContext(context.Background(), c.Opts)
+		if want := toCellResult(c, res, err); !reflect.DeepEqual(got[c.Key], want) {
+			t.Fatalf("%s/%s seed %d on shared tables differs from a fresh run:\ngot  %+v\nwant %+v",
+				c.Bench(), c.Mech(), c.Seed(), got[c.Key], want)
+		}
+	}
+}

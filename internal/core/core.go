@@ -45,6 +45,12 @@ type Env struct {
 	L1D    *cache.Cache
 	L2     *cache.Cache
 	Values ValueSource
+	// Spare is nil or the table storage an earlier instance of the
+	// same mechanism gave up (Recycler.TakeStorage). The factory builds
+	// in it when its geometry matches, cleared so the instance starts
+	// exactly as a fresh one, and otherwise allocates afresh and drops
+	// it.
+	Spare any
 }
 
 // Params carries per-mechanism integer options (table sizes, queue
@@ -99,6 +105,17 @@ type CostModeler interface {
 type Snapshotter interface {
 	SnapState(prev any) any
 	RestoreState(st any) error
+}
+
+// Recycler is implemented by mechanisms whose tables are large enough
+// to hand on: a host building many machines one after another passes
+// the storage to the next instance of the same name through Env.Spare,
+// instead of allocating it per machine.
+type Recycler interface {
+	// TakeStorage detaches the mechanism's table storage, which holds
+	// no reference to the caches, engine or anything else of the
+	// machine. The mechanism must not be used again.
+	TakeStorage() any
 }
 
 // Factory builds a mechanism inside an environment.

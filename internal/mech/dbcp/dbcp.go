@@ -61,6 +61,27 @@ type Config struct {
 
 // New builds a DBCP attached to l1.
 func New(l1 *cache.Cache, cfg Config) *DBCP {
+	return NewRecycling(l1, cfg, Storage{})
+}
+
+// Storage is a DBCP's correlation table, detached by TakeStorage so
+// that a later DBCP can reuse it (NewRecycling) while nothing else of
+// the old one stays reachable.
+type Storage struct{ table []corrEntry }
+
+// TakeStorage implements core.Recycler: it detaches the correlation
+// table. The DBCP must not be used again.
+func (d *DBCP) TakeStorage() any {
+	s := Storage{d.table}
+	d.table = nil
+	return s
+}
+
+// NewRecycling is New, except that the correlation table is spare's
+// when spare holds exactly as many entries as cfg needs (the zero
+// Storage never does). The table is cleared, so the DBCP starts
+// exactly as a fresh one. Every other field is built fresh.
+func NewRecycling(l1 *cache.Cache, cfg Config, spare Storage) *DBCP {
 	if cfg.TableBytes == 0 {
 		cfg.TableBytes = 2 << 20
 	}
@@ -80,11 +101,17 @@ func New(l1 *cache.Cache, cfg Config) *DBCP {
 	for sets*2*cfg.Ways <= entries {
 		sets <<= 1
 	}
+	table := spare.table
+	if len(table) == sets*cfg.Ways {
+		clear(table)
+	} else {
+		table = make([]corrEntry, sets*cfg.Ways)
+	}
 	return &DBCP{
 		l1:         l1,
 		live:       make(map[uint64]uint32, cfg.HistoryCap),
 		historyCap: cfg.HistoryCap,
-		table:      make([]corrEntry, sets*cfg.Ways),
+		table:      table,
 		ways:       cfg.Ways,
 		sets:       sets,
 		buggy:      cfg.Buggy,
@@ -97,12 +124,13 @@ func init() {
 		Summary: "Dead-Block Correlating Prefetcher: signature-indexed dead-block and successor prediction",
 		Params:  []string{"tableBytes", "ways", "history", "buggy", "queue"},
 	}, func(env *core.Env, p core.Params) (core.Mechanism, error) {
-		d := New(env.L1D, Config{
+		spare, _ := env.Spare.(Storage)
+		d := NewRecycling(env.L1D, Config{
 			TableBytes: p.Get("tableBytes", 2<<20),
 			Ways:       p.Get("ways", 8),
 			HistoryCap: p.Get("history", 2048),
 			Buggy:      p.Get("buggy", 0) != 0,
-		})
+		}, spare)
 		env.L1D.SetPrefetchQueueCap(p.Get("queue", 128))
 		env.L1D.Attach(d)
 		return d, nil

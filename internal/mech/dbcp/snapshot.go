@@ -49,14 +49,8 @@ func (d *DBCP) SnapState(prev any) any {
 		st.Live = append(st.Live, LiveEntry{Line: la, Sig: sig})
 	}
 	slices.SortFunc(st.Live, func(a, b LiveEntry) int { return cmp.Compare(a.Line, b.Line) })
-	used := 0
-	for _, e := range d.table {
-		if e != (corrEntry{}) {
-			used++
-		}
-	}
 	st.TableSize = len(d.table)
-	st.Table = slices.Grow(st.Table[:0], used)
+	st.Table = st.Table[:0]
 	for i, e := range d.table {
 		if e != (corrEntry{}) {
 			st.Table = append(st.Table, CorrEntryState{Key: e.key, Target: e.target, Index: uint32(i), Conf: e.conf})

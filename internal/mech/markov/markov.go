@@ -24,16 +24,43 @@ type Markov struct {
 // New builds the prefetcher: tableBytes of correlation storage and a
 // bufLines-entry prefetch buffer.
 func New(l1 *cache.Cache, tableBytes, bufLines int) *Markov {
+	return NewRecycling(l1, tableBytes, bufLines, Storage{})
+}
+
+// Storage is a Markov prefetcher's correlation table, detached by
+// TakeStorage so that a later one can reuse it (NewRecycling) while
+// nothing else of the old one stays reachable.
+type Storage struct{ table []EntryState }
+
+// TakeStorage implements core.Recycler: it detaches the correlation
+// table. The prefetcher must not be used again.
+func (m *Markov) TakeStorage() any {
+	s := Storage{m.st.Table}
+	m.st.Table = nil
+	return s
+}
+
+// NewRecycling is New, except that the correlation table is spare's
+// when spare holds exactly as many entries as the geometry needs (the
+// zero Storage never does). The table is cleared, so the prefetcher
+// starts exactly as a fresh one. Every other field is built fresh.
+func NewRecycling(l1 *cache.Cache, tableBytes, bufLines int, spare Storage) *Markov {
 	entrySize := 8 * (predsPerEntry + 1)
 	n := 1
 	for n*entrySize*2 <= tableBytes {
 		n <<= 1
 	}
+	table := spare.table
+	if len(table) == n {
+		clear(table)
+	} else {
+		table = make([]EntryState, n)
+	}
 	return &Markov{
 		l1:   l1,
 		mask: uint64(n - 1),
 		st: State{
-			Table: make([]EntryState, n),
+			Table: table,
 			Ring:  make([]uint64, bufLines),
 		},
 		buffer: make(map[uint64]int, bufLines),
@@ -46,7 +73,8 @@ func init() {
 		Summary: "Markov Prefetcher: per-address successor prediction into a prefetch buffer",
 		Params:  []string{"tableBytes", "bufLines", "queue"},
 	}, func(env *core.Env, p core.Params) (core.Mechanism, error) {
-		m := New(env.L1D, p.Get("tableBytes", 1<<20), p.Get("bufLines", 128))
+		spare, _ := env.Spare.(Storage)
+		m := NewRecycling(env.L1D, p.Get("tableBytes", 1<<20), p.Get("bufLines", 128), spare)
 		env.L1D.SetPrefetchQueueCap(p.Get("queue", 16))
 		env.L1D.Attach(m)
 		return m, nil

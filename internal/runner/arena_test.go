@@ -23,10 +23,13 @@ import (
 // last leaves the next build an engine with pending ring events (plus
 // one injected far past the ring, in the overflow heap) and a window
 // whose entries have waiters. Every capture goes into the previous
-// step's checkpoint, which holds another machine's state. Every result
-// must equal a fresh cold RunContext, and every capture into a
-// recycled checkpoint a fresh capture (one of them taken before the
-// window wraps): recycled storage carries nothing over.
+// step's checkpoint, which holds another machine's state, and every
+// build hands its mechanism tables on through one MechTables, so each
+// DBCP and Markov build after the first takes a dirty table of its
+// name. Every result must equal a fresh cold RunContext, and every
+// capture into a recycled checkpoint a fresh capture (one of them
+// taken before the window wraps): recycled storage carries nothing
+// over.
 func TestArenaRecyclingMatchesFresh(t *testing.T) {
 	small := hier.DefaultConfig()
 	small.L1D.Size = 1 << 10
@@ -42,6 +45,7 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 	}
 
 	ctx := context.Background()
+	tables := new(MechTables)
 	var spare *Machine
 	defer func() {
 		if spare != nil {
@@ -83,22 +87,22 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 				var got Result
 				switch kind {
 				case 0:
-					got, spare, err = RunOn(ctx, opts, spare)
+					got, spare, err = RunOn(ctx, opts, spare, tables)
 				case 1:
-					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck)
+					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck, tables)
 					if err == nil {
 						got, err = spare.RunFromCheckpoint(ctx, opts, ck)
 					}
 				case 2:
 					ck, err = RunPrefixContext(ctx, opts)
 					if err == nil {
-						spare, err = NewCheckpointMachineOn(ctx, opts, spare)
+						spare, err = NewCheckpointMachineOn(ctx, opts, spare, tables)
 					}
 					if err == nil {
 						got, err = spare.RunFromCheckpoint(ctx, opts, ck)
 					}
 				case 3:
-					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck)
+					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck, tables)
 					if err == nil {
 						got, err = restoreFresh(ctx, opts, ck)
 					}
@@ -181,4 +185,107 @@ func sameCheckpoint(t *testing.T, a, b *Checkpoint) bool {
 func sameResult(a, b Result) bool {
 	a.Mech, b.Mech = nil, nil
 	return reflect.DeepEqual(a, b)
+}
+
+// TestRecycledTablesLeaveCheckpointsIntact holds the mechanism tables
+// a MechTables keeps apart from every snapshot. It captures a warm-up
+// checkpoint on a DBCP machine and one on a Markov machine, then hands
+// their tables to later machines of the same names on other programs.
+// Those capture into one recycled checkpoint that alternates the two
+// mechanisms, so each name has a displaced snapshot kept on the
+// machine while its table storage is kept in the MechTables (Markov
+// snapshots are built in a kept snapshot's arrays by
+// statecopy.Recycle), and each runs on past its capture. Every capture
+// must still hold what a fresh one holds, and the first checkpoints
+// must encode to the bytes they did and restore bit-identically: no
+// table ever shares an array with a snapshot.
+func TestRecycledTablesLeaveCheckpointsIntact(t *testing.T) {
+	ctx := context.Background()
+	cell := func(bench, mech string) Options {
+		opts := DefaultOptions(bench, mech)
+		opts.Seed, opts.Warmup, opts.Insts = 3, 3000, 5000
+		return opts
+	}
+	encode := func(ck *Checkpoint) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	tables := new(MechTables)
+	var m *Machine
+	defer func() {
+		if m != nil {
+			m.Close()
+		}
+	}()
+
+	firsts := []Options{cell("gzip", "DBCP"), cell("gzip", "Markov")}
+	var cks []*Checkpoint
+	var encoded [][]byte
+	for _, opts := range firsts {
+		ck, next, err := RunPrefixOn(ctx, opts, m, nil, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = next
+		cks, encoded = append(cks, ck), append(encoded, encode(ck))
+	}
+
+	var x *Checkpoint
+	for _, bench := range []string{"mcf", "art"} {
+		for _, mech := range []string{"Markov", "DBCP"} {
+			opts := cell(bench, mech)
+			ck, next, err := RunPrefixOn(ctx, opts, m, x, tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, x = next, ck
+			got, err := m.RunFromCheckpoint(ctx, opts, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunContext(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("%s/%s on recycled tables differs from a fresh run", bench, mech)
+			}
+			fresh, err := RunPrefixContext(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCheckpoint(t, x, fresh) {
+				t.Fatalf("%s/%s: the capture changed while its machine ran on: a table shares a snapshot's array", bench, mech)
+			}
+		}
+	}
+
+	for i, opts := range firsts {
+		if !bytes.Equal(encode(cks[i]), encoded[i]) {
+			t.Fatalf("%s's first checkpoint changed after later machines took its tables", opts.Mechanism)
+		}
+		want, err := RunContext(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := restoreFresh(ctx, opts, cks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := NewCheckpointMachineOn(ctx, opts, m, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = next
+		recycled, err := m.RunFromCheckpoint(ctx, opts, cks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(fresh, want) || !sameResult(recycled, want) {
+			t.Fatalf("%s's first checkpoint no longer restores bit-identically", opts.Mechanism)
+		}
+	}
 }

@@ -344,7 +344,7 @@ func (m *Machine) restoreState(st *MachineState) error {
 // checkpoint serves RunFromCheckpoint for any options sharing the
 // prefix fingerprint whose measured budget exceeds MinInsts.
 func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
-	ck, m, err := RunPrefixOn(ctx, opts, nil, nil)
+	ck, m, err := RunPrefixOn(ctx, opts, nil, nil, nil)
 	if m != nil {
 		m.Close()
 	}
@@ -352,19 +352,19 @@ func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
 }
 
 // RunPrefixOn is RunPrefixContext on a checkpoint machine built from
-// spare's storage (NewCheckpointMachineOn), which it skips and runs to
-// the warm-up boundary. On success it also returns that machine,
-// holding exactly the captured state and the checkpoint's prefix:
-// restoring the checkpoint into it is a full overwrite, so its first
-// restore costs no build. The caller owns the machine and must Close
-// it. On failure the machine is closed and nil.
+// spare's storage and tables (NewCheckpointMachineOn), which it skips
+// and runs to the warm-up boundary. On success it also returns that
+// machine, holding exactly the captured state and the checkpoint's
+// prefix: restoring the checkpoint into it is a full overwrite, so its
+// first restore costs no build. The caller owns the machine and must
+// Close it. On failure the machine is closed and nil.
 //
 // into, when non-nil, is a checkpoint the caller has finished with:
 // the capture overwrites it, reusing its tables where their capacity
 // suffices (as a rung capture reuses the previous rung's), and returns
 // it. On failure it may be left half-written.
-func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkpoint) (*Checkpoint, *Machine, error) {
-	m, err := NewCheckpointMachineOn(ctx, opts, spare)
+func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkpoint, tables *MechTables) (*Checkpoint, *Machine, error) {
+	m, err := NewCheckpointMachineOn(ctx, opts, spare, tables)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -409,13 +409,13 @@ func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkp
 // cell, so the arena — cache arrays, calendar nodes, window slots — is
 // paid for once.
 func NewCheckpointMachine(ctx context.Context, opts Options) (*Machine, error) {
-	return NewCheckpointMachineOn(ctx, opts, nil)
+	return NewCheckpointMachineOn(ctx, opts, nil, nil)
 }
 
 // NewCheckpointMachineOn is NewCheckpointMachine on a machine built
-// from spare's storage, with spare as for RunOn.
-func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine) (*Machine, error) {
-	m, err := newMachine(ctx, opts, spare)
+// from spare's storage and tables, with spare and tables as for RunOn.
+func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine, tables *MechTables) (*Machine, error) {
+	m, err := newMachine(ctx, opts, spare, tables)
 	if err != nil {
 		return nil, err
 	}

@@ -242,7 +242,7 @@ func TestCheckpointUnusableGuards(t *testing.T) {
 			t.Fatalf("restore %d after a failed one: err = %v, want ErrCheckpointUnusable", i, err)
 		}
 	}
-	rebuilt, err := NewCheckpointMachineOn(context.Background(), opts, m)
+	rebuilt, err := NewCheckpointMachineOn(context.Background(), opts, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

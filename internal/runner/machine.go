@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"microlib/internal/core"
 	"microlib/internal/cpu"
@@ -28,7 +29,8 @@ import (
 // The machine is the one record of which prefix it can restore
 // (Prefix). The *On entry points build each machine from a spare one's
 // storage — cache line arrays, event calendar, out-of-order window —
-// so a caller running cells one after another allocates them once.
+// and take the largest mechanism tables from a MechTables, so a caller
+// running cells one after another allocates them once.
 type Machine struct {
 	opts Options
 	eng  *sim.Engine
@@ -71,6 +73,42 @@ type Machine struct {
 	closeFn   func() error
 }
 
+// MechTables keeps the table storage that retired mechanisms gave up
+// (core.Recycler), at most one per mechanism name, for a later build
+// of the same name to take instead of allocating its own. The machines
+// of several goroutines may share one, as a campaign run's workers do:
+// a worker runs another mechanism most of the time, so one set per
+// run holds about one copy of each table where one set per worker
+// would hold a copy per worker. It is safe for concurrent use; the
+// zero value is ready, and a nil *MechTables keeps nothing.
+type MechTables struct {
+	mu     sync.Mutex
+	byName map[string]any
+}
+
+// put keeps s for the named mechanism, dropping what it kept before.
+func (t *MechTables) put(name string, s any) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byName == nil {
+		t.byName = map[string]any{}
+	}
+	t.byName[name] = s
+}
+
+// take removes and returns what is kept for the named mechanism, or
+// nil.
+func (t *MechTables) take(name string) any {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.byName[name]
+	delete(t.byName, name)
+	return s
+}
+
 // ready checks what every build and restore needs first, a live
 // context and valid options, and applies the measured-budget default.
 func ready(ctx context.Context, opts Options) (Options, error) {
@@ -103,11 +141,14 @@ func ready(ctx context.Context, opts Options) (Options, error) {
 //     cpu.NewOoORecycling);
 //   - its rung buffer and kept mechanism snapshots, to capture into.
 //
+// spare's mechanism, when it is a core.Recycler, gives up its tables
+// to tables, and the new machine's mechanism is built in what tables
+// keeps for its name; tables may be nil, which keeps nothing.
 // Everything else is built fresh. The storage is detached and the
 // engine reset first, so nothing else of spare — its program image in
 // particular — is kept reachable while this machine opens its
 // workload.
-func newMachine(ctx context.Context, opts Options, spare *Machine) (*Machine, error) {
+func newMachine(ctx context.Context, opts Options, spare *Machine, tables *MechTables) (*Machine, error) {
 	opts, err := ready(ctx, opts)
 	if err != nil {
 		return nil, err
@@ -129,6 +170,9 @@ func newMachine(ctx context.Context, opts Options, spare *Machine) (*Machine, er
 			m.rung.ok = false
 		}
 		m.mechSnaps, spare.mechSnaps = spare.mechSnaps, nil
+		if r, ok := spare.mech.(core.Recycler); ok && tables != nil {
+			tables.put(spare.opts.Mechanism, r.TakeStorage())
+		}
 	}
 
 	// Resolve the instruction source: a built-in benchmark, an inline
@@ -176,6 +220,7 @@ func newMachine(ctx context.Context, opts Options, spare *Machine) (*Machine, er
 		name = BaseName
 	}
 	if name != BaseName {
+		env.Spare = tables.take(name)
 		mech, err := core.New(name, env, opts.Params)
 		if err != nil {
 			m.Close()

@@ -231,7 +231,7 @@ func TestRankGridPinnedCounts(t *testing.T) {
 					opts.Insts = 30_000
 					opts.Seed = seed
 					opts.InOrder = inorder
-					res, m, err := RunOn(context.Background(), opts, nil)
+					res, m, err := RunOn(context.Background(), opts, nil, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}

@@ -2,7 +2,10 @@ package runner
 
 import (
 	"context"
+	"runtime"
 	"testing"
+
+	"microlib/internal/core"
 )
 
 // TestWarmArenaReuseZeroMarginalAllocs pins the reset-don't-reallocate
@@ -61,5 +64,87 @@ func TestWarmArenaReuseZeroMarginalAllocs(t *testing.T) {
 	const maxFixed = 40
 	if small > maxFixed {
 		t.Fatalf("warm run fixed overhead is %.1f allocations, want <= %d", small, maxFixed)
+	}
+}
+
+// TestWorkerBuildsMechanismTablesOnce pins the hand-over of mechanism
+// tables. One worker's cells run one after another, each built on
+// the previous cell's machine and one MechTables as a campaign worker
+// builds them, rotating Base, DBCP, Markov and SP over two programs as
+// rank-grid does, with the collector run before every cell. From the
+// second program on, a DBCP or Markov cell builds its table in the one
+// the last cell of its name gave up, two cells of other mechanisms
+// earlier, so it allocates far less than either table (DBCP's is
+// 1.5 MB, Markov's 640 KiB). A buggy DBCP, whose table is half the
+// size, between two default ones reuses nothing: it allocates its own
+// table, and the default one after it allocates a full-size table
+// again. All three equal fresh runs.
+func TestWorkerBuildsMechanismTablesOnce(t *testing.T) {
+	ctx := context.Background()
+	tables := new(MechTables)
+	var spare *Machine
+	defer func() {
+		if spare != nil {
+			spare.Close()
+		}
+	}()
+	run := func(opts Options) (Result, int64) {
+		t.Helper()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, m, err := RunOn(ctx, opts, spare, tables)
+		runtime.ReadMemStats(&after)
+		if m != nil {
+			spare = m
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	cell := func(bench, mech string, params core.Params) Options {
+		opts := DefaultOptions(bench, mech)
+		opts.Seed, opts.Warmup, opts.Insts = 1, 2000, 8000
+		opts.Params = params
+		return opts
+	}
+
+	const maxCellBytes = 256 << 10
+	for i, bench := range []string{"gzip", "mcf"} {
+		for _, mech := range []string{BaseName, "DBCP", "Markov", "SP"} {
+			_, n := run(cell(bench, mech, nil))
+			t.Logf("%s/%s: %d B", bench, mech, n)
+			if i > 0 && (mech == "DBCP" || mech == "Markov") && n >= maxCellBytes {
+				t.Errorf("%s/%s allocates %d B on a warmed worker, want < %d: its table was built afresh", bench, mech, n, maxCellBytes)
+			}
+		}
+	}
+
+	const entryBytes = 24 // a DBCP correlation-table entry
+	for _, c := range []struct {
+		params core.Params
+		min    int64 // the table it must build afresh; 0 for none
+	}{
+		{nil, 0},
+		{core.Params{"buggy": 1}, 32768 * entryBytes},
+		{nil, 65536 * entryBytes},
+	} {
+		opts := cell("mcf", "DBCP", c.params)
+		want, err := RunContext(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n := run(opts)
+		t.Logf("mcf/DBCP %v: %d B", c.params, n)
+		if !sameResult(got, want) {
+			t.Fatalf("DBCP %v on recycled storage differs from a fresh run:\ngot  %+v\nwant %+v", c.params, got, want)
+		}
+		if c.min == 0 && n >= maxCellBytes {
+			t.Errorf("DBCP %v allocates %d B, want < %d: its table was built afresh", c.params, n, maxCellBytes)
+		}
+		if n < c.min {
+			t.Errorf("DBCP %v allocates %d B, want >= %d: it reused a table of another geometry", c.params, n, c.min)
+		}
 	}
 }
