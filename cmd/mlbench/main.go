@@ -343,11 +343,10 @@ func main() {
 				return opts
 			}
 			opts, base := cell(mech), cell(runner.BaseName)
-			tables := new(runner.MechTables)
-			var m *runner.Machine
+			a := runner.NewArenas(1)[0]
+			defer a.Close()
 			run := func(opts runner.Options) {
-				var err error
-				if _, m, err = runner.RunOn(context.Background(), opts, m, tables); err != nil {
+				if _, err := a.Run(context.Background(), opts); err != nil {
 					fatal(err)
 				}
 			}
@@ -385,26 +384,24 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		m, err := runner.NewCheckpointMachine(ctx, opts)
-		if err != nil {
-			fatal(err)
-		}
-		defer m.Close()
+		a := runner.NewArenas(1)[0]
+		defer a.Close()
 		prefix := opts.PrefixCanonical()
 		step := uint64(opts.CPU.RUUSize+opts.CPU.CommitWidth+opts.CPU.FetchWidth) + 8
 		opts.Insts = 2000
-		climb := func() {
+		climb := func() bool {
 			opts.Insts += step
-			if _, err := m.RunFromCheckpointPrefix(ctx, opts, prefix, ck); err != nil {
+			_, _, rung, err := a.Restore(ctx, opts, prefix, ck)
+			if err != nil {
 				fatal(err)
 			}
+			return rung
 		}
-		climb() // the first rung, and every buffer it needs
+		climb() // the machine, the first rung and every buffer it needs
 		climb()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			climb()
-			if !m.FromRung() {
+			if !climb() {
 				fatal(fmt.Errorf("rung-capture: budget %d did not climb from a rung", opts.Insts))
 			}
 		}

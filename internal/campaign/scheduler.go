@@ -172,17 +172,14 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) (map[string]CellResul
 	cells, jobs := s.dispatch(cells)
 	ch := make(chan *job)
 	var wg sync.WaitGroup
-	tables := new(runner.MechTables)
-	for w := 0; w < workers; w++ {
+	// One arena per worker: every build recycles the previous
+	// machine's storage, and warm cells of a prefix group restore into
+	// the same machine. The run's mechanism tables are shared by all.
+	for _, a := range runner.NewArenas(workers) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One machine arena per worker: every build recycles the
-			// previous machine's cache storage, and warm cells of a
-			// prefix group restore into the same machine. The run's
-			// mechanism tables are shared by all of them.
-			a := &arena{tables: tables}
-			defer a.close()
+			defer a.Close()
 			for j := range ch {
 				s.runJob(ctx, j, cells, a, results)
 			}
@@ -248,13 +245,11 @@ feed:
 	return results, s.stats, err
 }
 
-// runJob runs one job's cells back to back on a worker's arena, then
-// hands the job's checkpoint back to the arena. No cell starts once
-// the campaign is canceled.
+// runJob runs one job's cells back to back on a worker's arena. No
+// cell starts once the campaign is canceled.
 //
 //ml:worker
-func (s *Scheduler) runJob(ctx context.Context, j *job, cells []Cell, a *arena, results map[string]CellResult) {
-	defer a.release(j)
+func (s *Scheduler) runJob(ctx context.Context, j *job, cells []Cell, a *runner.Arena, results map[string]CellResult) {
 	for _, i := range j.idx {
 		if ctx.Err() != nil {
 			return
@@ -264,7 +259,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *job, cells []Cell, a *arena, 
 }
 
 // runCell executes one cell of job j end to end on a worker goroutine.
-func (s *Scheduler) runCell(ctx context.Context, j *job, cell Cell, a *arena, results map[string]CellResult) {
+func (s *Scheduler) runCell(ctx context.Context, j *job, cell Cell, a *runner.Arena, results map[string]CellResult) {
 	s.emit(Event{Ev: EvCellStart, Cell: cell})
 	if s.OnStart != nil {
 		s.OnStart(cell)
@@ -372,7 +367,7 @@ func (s *Scheduler) runCell(ctx context.Context, j *job, cell Cell, a *arena, re
 // failure with its stack — the cell fails, the campaign continues.
 // from is the commit count the attempt started at: 0 for a cold run,
 // the restore point for one served from a warm-state checkpoint.
-func (s *Scheduler) simulate(ctx context.Context, j *job, cell Cell, opts runner.Options, a *arena) (full runner.Result, from uint64, err error) {
+func (s *Scheduler) simulate(ctx context.Context, j *job, cell Cell, opts runner.Options, a *runner.Arena) (full runner.Result, from uint64, err error) {
 	cctx := ctx
 	if s.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -400,7 +395,7 @@ func (s *Scheduler) simulate(ctx context.Context, j *job, cell Cell, opts runner
 	if full, from, ok := s.warmAttempt(cctx, j, cell, opts, a); ok {
 		return full, from, nil
 	}
-	full, err = a.cold(cctx, opts)
+	full, err = a.Run(cctx, opts)
 	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
 		// The cell's own deadline cut it, not campaign cancellation.
 		err = &CellError{Kind: KindTimeout, Msg: fmt.Sprintf("cell exceeded deadline %v", s.CellTimeout)}

@@ -19,7 +19,7 @@ import (
 // worker's machine arena and runs only its measurement phase. Each
 // cell also leaves a rung on the machine: a mid-run checkpoint just
 // short of its budget, which the next, larger budget restores instead
-// of the warm-up snapshot (see runner.Machine.RunFromCheckpointPrefix).
+// of the warm-up snapshot (see runner.Arena.Restore).
 // A group thus simulates its warm-up plus its largest budget, not the
 // sum of its budgets. Restored cells are bit-identical to cold runs,
 // so warm execution changes no result, fingerprint or cache entry —
@@ -49,7 +49,7 @@ func NewWarm(store *CheckpointStore) *Warm {
 // later cells skip straight to their cold runs; a context-canceled
 // build is not, so a later cell (with a fresh per-cell deadline) can
 // try again.
-func (s *Scheduler) checkpoint(ctx context.Context, j *job, opts runner.Options, a *arena) (*runner.Checkpoint, error) {
+func (s *Scheduler) checkpoint(ctx context.Context, j *job, opts runner.Options, a *runner.Arena) (*runner.Checkpoint, error) {
 	if j.ck != nil || j.err != nil {
 		return j.ck, j.err
 	}
@@ -68,7 +68,7 @@ func (s *Scheduler) checkpoint(ctx context.Context, j *job, opts runner.Options,
 // prefix run is recover-protected — a capture panic degrades the group
 // to cold runs (where the cold path will reproduce and classify it per
 // cell) instead of killing the worker.
-func (s *Scheduler) buildCheckpoint(ctx context.Context, j *job, opts runner.Options, a *arena) (ck *runner.Checkpoint, err error) {
+func (s *Scheduler) buildCheckpoint(ctx context.Context, j *job, opts runner.Options, a *runner.Arena) (ck *runner.Checkpoint, err error) {
 	key := j.key
 	store := s.Warm.Store
 	if store != nil {
@@ -83,7 +83,7 @@ func (s *Scheduler) buildCheckpoint(ctx context.Context, j *job, opts runner.Opt
 			ck, err = nil, &CellError{Kind: KindPanic, Msg: fmt.Sprint("prefix capture panic: ", r)}
 		}
 	}()
-	ck, err = a.capture(ctx, opts)
+	ck, err = a.Capture(ctx, opts)
 	wall := time.Since(t0)
 	j.capture += wall
 	if err != nil {
@@ -104,12 +104,12 @@ func (s *Scheduler) buildCheckpoint(ctx context.Context, j *job, opts runner.Opt
 // ok means the cell ran warm: full is its (bit-identical) result and
 // from the commit count its run was restored at. !ok means the cell
 // must run cold — because its job is not a warm group, the checkpoint
-// could not be built, or the restore failed. Failures on this path are
-// never surfaced as cell failures: the cold run either succeeds or
-// reproduces the fault with its proper classification. (If the context
-// is already dead, the cold path's own entry check returns its error
-// immediately, so falling through costs nothing.)
-func (s *Scheduler) warmAttempt(ctx context.Context, j *job, cell Cell, opts runner.Options, a *arena) (full runner.Result, from uint64, ok bool) {
+// could not be built, or the restore failed or panicked. Failures on
+// this path are never surfaced as cell failures: the cold run either
+// succeeds or reproduces the fault with its proper classification. (If
+// the context is already dead, the cold path's own entry check returns
+// its error immediately, so falling through costs nothing.)
+func (s *Scheduler) warmAttempt(ctx context.Context, j *job, cell Cell, opts runner.Options, a *runner.Arena) (full runner.Result, from uint64, ok bool) {
 	if j.key == "" {
 		return runner.Result{}, 0, false
 	}
@@ -118,7 +118,7 @@ func (s *Scheduler) warmAttempt(ctx context.Context, j *job, cell Cell, opts run
 		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		return runner.Result{}, 0, false
 	}
-	full, rung, err := a.restore(ctx, cell, opts, ck)
+	full, from, rung, err := restore(ctx, a, cell, opts, ck)
 	if err != nil {
 		s.emit(Event{Ev: EvPrefix, Op: "miss", Key: cell.Key})
 		if !errors.Is(err, runner.ErrCheckpointUnusable) && ctx.Err() == nil {
@@ -129,5 +129,22 @@ func (s *Scheduler) warmAttempt(ctx context.Context, j *job, cell Cell, opts run
 	if rung {
 		s.emit(Event{Ev: EvPrefix, Op: "rung", Key: cell.Key})
 	}
-	return full, a.m.RestoredAt(), true
+	return full, from, true
+}
+
+// restore restores the cell's checkpoint on the worker's arena.
+// Recover-protected: a panic on the warm path becomes an error and the
+// cell falls back to the cold path, which reproduces and classifies
+// any real fault.
+func restore(ctx context.Context, a *runner.Arena, c Cell, opts runner.Options, ck *runner.Checkpoint) (res runner.Result, from uint64, rung bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, from, rung, err = runner.Result{}, 0, false, &CellError{Kind: KindPanic, Msg: fmt.Sprint("warm restore panic: ", r)}
+		}
+	}()
+	canon := c.prefix.canon
+	if canon == "" {
+		canon = opts.PrefixCanonical() // a lone cell, warm only with a store
+	}
+	return a.Restore(ctx, opts, canon, ck)
 }

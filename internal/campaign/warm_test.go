@@ -568,8 +568,8 @@ func TestWarmGroupJobStopsOnCancel(t *testing.T) {
 // remembered for the job's later cells, a canceled build is not.
 func TestWarmJobRemembersCheckpointFailure(t *testing.T) {
 	s := &Scheduler{Warm: NewWarm(nil)}
-	a := &arena{}
-	defer a.close()
+	a := new(runner.Arena)
+	defer a.Close()
 	j := &job{key: "k"}
 	opts := runner.Options{Bench: "gzip", Insts: 2000} // no warm-up: capture fails
 	canceled, cancel := context.WithCancel(context.Background())
@@ -634,7 +634,7 @@ func TestWarmWorkerBuildsNothingTwice(t *testing.T) {
 	}
 }
 
-// A run's workers share one runner.MechTables, so a DBCP or Markov
+// A run's arenas share one set of mechanism tables, so a DBCP or Markov
 // cell builds in tables another worker's cell gave up, while that
 // worker runs on. Every cell must equal its fresh run; under -race the
 // hand-over between workers is checked too.

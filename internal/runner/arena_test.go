@@ -16,17 +16,17 @@ import (
 // adversarial sequence: every build recycles the previous, dirty
 // machine, which ran another mechanism, benchmark, host core or L1D
 // geometry. The sequence covers every mechanism and Base on both
-// cores and two L1D geometries, and rotates through the ways a
-// machine is built on a spare: a cold run (RunOn), a prefix capture
-// restored in place (RunPrefixOn), a checkpoint machine
-// (NewCheckpointMachineOn), and a prefix capture left mid-flight. The
+// cores and two L1D geometries, and rotates through the ways an arena
+// builds a machine: a cold run (Run), a prefix capture restored in
+// place (Capture, Restore), a checkpoint machine for a foreign
+// checkpoint (Restore), and a prefix capture left mid-flight. The
 // last leaves the next build an engine with pending ring events (plus
 // one injected far past the ring, in the overflow heap) and a window
-// whose entries have waiters. Every capture goes into the previous
-// step's checkpoint, which holds another machine's state, and every
-// build hands its mechanism tables on through one MechTables, so each
-// DBCP and Markov build after the first takes a dirty table of its
-// name. Every result must equal a fresh cold RunContext, and every
+// whose entries have waiters. Every capture goes into the arena's
+// checkpoint buffer, which holds another machine's state, and every
+// build hands its mechanism tables on through the arena's tables, so
+// each DBCP and Markov build after the first takes a dirty table of
+// its name. Every result must equal a fresh cold RunContext, and every
 // capture into a recycled checkpoint a fresh capture (one of them
 // taken before the window wraps): recycled storage carries nothing
 // over.
@@ -45,14 +45,9 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	tables := new(MechTables)
-	var spare *Machine
-	defer func() {
-		if spare != nil {
-			spare.Close()
-		}
-	}()
-	var ck *Checkpoint // the previous step's, captured into by the next
+	a := NewArenas(1)[0]
+	defer a.Close()
+	var ck *Checkpoint
 	dirty, waiters := 0, 0
 	step := 0
 	for _, mech := range mechs {
@@ -87,35 +82,33 @@ func TestArenaRecyclingMatchesFresh(t *testing.T) {
 				var got Result
 				switch kind {
 				case 0:
-					got, spare, err = RunOn(ctx, opts, spare, tables)
+					got, err = a.Run(ctx, opts)
 				case 1:
-					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck, tables)
+					ck, err = a.Capture(ctx, opts)
 					if err == nil {
-						got, err = spare.RunFromCheckpoint(ctx, opts, ck)
+						got, _, _, err = a.Restore(ctx, opts, opts.PrefixCanonical(), ck)
 					}
 				case 2:
 					ck, err = RunPrefixContext(ctx, opts)
 					if err == nil {
-						spare, err = NewCheckpointMachineOn(ctx, opts, spare, tables)
-					}
-					if err == nil {
-						got, err = spare.RunFromCheckpoint(ctx, opts, ck)
+						got, _, _, err = a.Restore(ctx, opts, opts.PrefixCanonical(), ck)
 					}
 				case 3:
-					ck, spare, err = RunPrefixOn(ctx, opts, spare, ck, tables)
+					ck, err = a.Capture(ctx, opts)
 					if err == nil {
 						got, err = restoreFresh(ctx, opts, ck)
 					}
 					if err == nil {
-						if spare.eng.Pending() > 0 {
+						m := a.m
+						if m.eng.Pending() > 0 {
 							dirty++
 						}
-						spare.eng.AtFunc(spare.eng.Now()+1<<20, func(uint64, any, any, uint64, uint64) {
+						m.eng.AtFunc(m.eng.Now()+1<<20, func(uint64, any, any, uint64, uint64) {
 							panic("an event of a recycled engine fired")
-						}, spare, nil, 0, 0)
-						if spare.ooo != nil {
+						}, m, nil, 0, 0)
+						if m.ooo != nil {
 							var st cpu.OoOState
-							spare.ooo.StateInto(&st)
+							m.ooo.StateInto(&st)
 							for _, e := range st.Win {
 								if len(e.Waiters) > 0 {
 									waiters++
@@ -188,17 +181,18 @@ func sameResult(a, b Result) bool {
 }
 
 // TestRecycledTablesLeaveCheckpointsIntact holds the mechanism tables
-// a MechTables keeps apart from every snapshot. It captures a warm-up
-// checkpoint on a DBCP machine and one on a Markov machine, then hands
-// their tables to later machines of the same names on other programs.
-// Those capture into one recycled checkpoint that alternates the two
-// mechanisms, so each name has a displaced snapshot kept on the
-// machine while its table storage is kept in the MechTables (Markov
-// snapshots are built in a kept snapshot's arrays by
-// statecopy.Recycle), and each runs on past its capture. Every capture
-// must still hold what a fresh one holds, and the first checkpoints
-// must encode to the bytes they did and restore bit-identically: no
-// table ever shares an array with a snapshot.
+// a run's arenas keep apart from every snapshot. It captures a warm-up
+// checkpoint on a DBCP machine and one on a Markov machine, each on an
+// arena of its own, whose next build hands their tables on to later
+// machines of the same names on other programs, on a third arena over
+// the same tables. Those capture into the third arena's one checkpoint
+// buffer, alternating the two mechanisms, so each name has a displaced
+// snapshot kept on that arena while its table storage is kept in the
+// shared tables (Markov snapshots are built in a kept snapshot's
+// arrays by statecopy.Recycle), and each runs on past its capture.
+// Every capture must still hold what a fresh one holds, and the first
+// checkpoints must encode to the bytes they did and restore
+// bit-identically: no table ever shares an array with a snapshot.
 func TestRecycledTablesLeaveCheckpointsIntact(t *testing.T) {
 	ctx := context.Background()
 	cell := func(bench, mech string) Options {
@@ -213,36 +207,35 @@ func TestRecycledTablesLeaveCheckpointsIntact(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	tables := new(MechTables)
-	var m *Machine
-	defer func() {
-		if m != nil {
-			m.Close()
-		}
-	}()
+	arenas := NewArenas(3)
+	for _, a := range arenas {
+		defer a.Close()
+	}
 
 	firsts := []Options{cell("gzip", "DBCP"), cell("gzip", "Markov")}
 	var cks []*Checkpoint
 	var encoded [][]byte
-	for _, opts := range firsts {
-		ck, next, err := RunPrefixOn(ctx, opts, m, nil, tables)
+	for i, opts := range firsts {
+		ck, err := arenas[i].Capture(ctx, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m = next
 		cks, encoded = append(cks, ck), append(encoded, encode(ck))
+		// The arena's next build gives the capture machine's tables up.
+		if _, err := arenas[i].Run(ctx, cell("gzip", BaseName)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	var x *Checkpoint
+	a := arenas[2]
 	for _, bench := range []string{"mcf", "art"} {
 		for _, mech := range []string{"Markov", "DBCP"} {
 			opts := cell(bench, mech)
-			ck, next, err := RunPrefixOn(ctx, opts, m, x, tables)
+			x, err := a.Capture(ctx, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, x = next, ck
-			got, err := m.RunFromCheckpoint(ctx, opts, x)
+			got, _, _, err := a.Restore(ctx, opts, opts.PrefixCanonical(), x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,12 +268,7 @@ func TestRecycledTablesLeaveCheckpointsIntact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := NewCheckpointMachineOn(ctx, opts, m, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m = next
-		recycled, err := m.RunFromCheckpoint(ctx, opts, cks[i])
+		recycled, _, _, err := a.Restore(ctx, opts, opts.PrefixCanonical(), cks[i])
 		if err != nil {
 			t.Fatal(err)
 		}

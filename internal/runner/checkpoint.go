@@ -18,10 +18,11 @@ import (
 // each distinct warm-up prefix once, snapshots the whole simulated
 // machine at the warm-up boundary, and forks the measurement phase of
 // every cell that shares the prefix from the snapshot. A checkpoint
-// (RunPrefixOn) captures the full machine — calendar, caches, memory,
-// core, mechanism, stream cursor — keyed by PrefixFingerprint; cells
-// sharing it differ only in the measured budget. There is one restore,
-// RunFromCheckpointPrefix, into a machine holding the prefix.
+// (Arena.Capture) captures the full machine — calendar, caches,
+// memory, core, mechanism, stream cursor — keyed by PrefixFingerprint;
+// cells sharing it differ only in the measured budget. There is one
+// restore, Machine.restore, into a machine holding the prefix; an
+// arena (Arena.Restore) builds one only when its machine holds another.
 //
 // A restore is bit-identical to a live run: the restored engine
 // preserves the (when, seq) event order and its own sequence counter,
@@ -48,7 +49,7 @@ import (
 // previous rung's buffers (cache line arrays, MSHR and queue slices,
 // the event list, the window, the generator cursor, the mechanism's
 // tables through core.Snapshotter.SnapState's prev), lives only in
-// memory, on the machine, and is never written to a checkpoint store.
+// memory, on the arena, and is never written to a checkpoint store.
 // An advance cut short drops the rung, and a rung that fails to
 // restore falls back to the warm-up checkpoint.
 
@@ -243,20 +244,21 @@ func (m *Machine) mechSnapshot(st *MachineState) any {
 	if st.mech == name {
 		return st.Mech
 	}
+	a := m.arena
 	if st.mech != "" && st.Mech != nil {
-		if m.mechSnaps == nil {
-			m.mechSnaps = map[string][]any{}
+		if a.snaps == nil {
+			a.snaps = map[string][]any{}
 		}
-		m.mechSnaps[st.mech] = append(m.mechSnaps[st.mech], st.Mech)
+		a.snaps[st.mech] = append(a.snaps[st.mech], st.Mech)
 	}
 	st.Mech, st.mech = nil, name
-	kept := m.mechSnaps[name]
+	kept := a.snaps[name]
 	if len(kept) == 0 {
 		return nil
 	}
 	prev := kept[len(kept)-1]
 	kept[len(kept)-1] = nil
-	m.mechSnaps[name] = kept[:len(kept)-1]
+	a.snaps[name] = kept[:len(kept)-1]
 	return prev
 }
 
@@ -340,82 +342,22 @@ func (m *Machine) restoreState(st *MachineState) error {
 }
 
 // RunPrefixContext simulates one warm-up prefix (skip + warm-up) and
-// captures the machine at the warm-up boundary. The returned
-// checkpoint serves RunFromCheckpoint for any options sharing the
-// prefix fingerprint whose measured budget exceeds MinInsts.
+// captures the machine at the warm-up boundary, on a fresh arena (see
+// Arena.Capture). The returned checkpoint serves RunFromCheckpoint for
+// any options sharing the prefix fingerprint whose measured budget
+// exceeds MinInsts.
 func RunPrefixContext(ctx context.Context, opts Options) (*Checkpoint, error) {
-	ck, m, err := RunPrefixOn(ctx, opts, nil, nil, nil)
-	if m != nil {
-		m.Close()
-	}
-	return ck, err
-}
-
-// RunPrefixOn is RunPrefixContext on a checkpoint machine built from
-// spare's storage and tables (NewCheckpointMachineOn), which it skips
-// and runs to the warm-up boundary. On success it also returns that
-// machine, holding exactly the captured state and the checkpoint's
-// prefix: restoring the checkpoint into it is a full overwrite, so its
-// first restore costs no build. The caller owns the machine and must
-// Close it. On failure the machine is closed and nil.
-//
-// into, when non-nil, is a checkpoint the caller has finished with:
-// the capture overwrites it, reusing its tables where their capacity
-// suffices (as a rung capture reuses the previous rung's), and returns
-// it. On failure it may be left half-written.
-func RunPrefixOn(ctx context.Context, opts Options, spare *Machine, into *Checkpoint, tables *MechTables) (*Checkpoint, *Machine, error) {
-	m, err := NewCheckpointMachineOn(ctx, opts, spare, tables)
-	if err != nil {
-		return nil, nil, err
-	}
-	kept := false
-	defer func() {
-		if !kept { // also on a panic
-			m.Close()
-		}
-	}()
-	if opts.Warmup == 0 {
-		return nil, nil, fmt.Errorf("runner: a warm-state checkpoint needs Warmup > 0")
-	}
-	m.skip()
-	ck := into
-	if ck == nil {
-		ck = new(Checkpoint)
-	}
-	m.host.SetWarmup(opts.Warmup, func(cycles uint64) { ck.Warm = m.warmStats(cycles) })
-	if got := m.advance(opts.Warmup); got < opts.Warmup {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if m.traceDone != nil {
-			if err := m.traceDone(); err != nil {
-				return nil, nil, fmt.Errorf("runner: %s: %w", opts.Workload.TracePath, err)
-			}
-		}
-		return nil, nil, fmt.Errorf("runner: stream ended after %d of %d warm-up instructions (skip=%d)",
-			got, opts.Warmup, opts.Skip)
-	}
-	if err := m.capture(ck, ck.Warm); err != nil { // the hook set ck.Warm at the boundary
-		return nil, nil, err
-	}
-	kept = true
-	return ck, m, nil
+	a := new(Arena)
+	defer a.Close()
+	return a.Capture(ctx, opts)
 }
 
 // NewCheckpointMachine builds a machine wired for checkpoint restores
-// of the options' prefix: identical to a cold machine except the
-// stream is left at its origin (the snapshot positions it). A campaign
-// worker keeps one per prefix group and restores into it for every
-// cell, so the arena — cache arrays, calendar nodes, window slots — is
-// paid for once.
+// of the options' prefix, on a fresh arena: identical to a cold
+// machine except the stream is left at its origin (the snapshot
+// positions it). The caller owns the machine and must Close it.
 func NewCheckpointMachine(ctx context.Context, opts Options) (*Machine, error) {
-	return NewCheckpointMachineOn(ctx, opts, nil, nil)
-}
-
-// NewCheckpointMachineOn is NewCheckpointMachine on a machine built
-// from spare's storage and tables, with spare and tables as for RunOn.
-func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine, tables *MechTables) (*Machine, error) {
-	m, err := newMachine(ctx, opts, spare, tables)
+	m, err := new(Arena).build(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -423,63 +365,60 @@ func NewCheckpointMachineOn(ctx context.Context, opts Options, spare *Machine, t
 	return m, nil
 }
 
-// Prefix returns the PrefixCanonical form of the warm-up prefix the
-// machine restores, or "" when it restores none: a cold run's machine,
-// or one whose last restore failed or panicked part-way, until it is
-// rebuilt.
-func (m *Machine) Prefix() string { return m.prefix }
-
-// RunFromCheckpoint is RunFromCheckpointPrefix with the prefix
-// rendered from the options.
+// RunFromCheckpoint restores the checkpoint into the machine and runs
+// the measurement phase, climbing the budget ladder (see restore). The
+// checkpoint and the machine must both hold the options' prefix.
 func (m *Machine) RunFromCheckpoint(ctx context.Context, opts Options, ck *Checkpoint) (Result, error) {
-	return m.RunFromCheckpointPrefix(ctx, opts, opts.PrefixCanonical(), ck)
+	prefix := opts.PrefixCanonical()
+	if m.prefix != prefix {
+		return Result{}, fmt.Errorf("runner: machine prefix does not match the requested options: %w", ErrCheckpointUnusable)
+	}
+	res, _, _, err := m.restore(ctx, opts, prefix, ck)
+	return res, err
 }
 
-// RunFromCheckpointPrefix restores the checkpoint into the machine and
-// runs the measurement phase. prefix is the options' PrefixCanonical
-// form: a campaign renders it once per cell at plan time, so a
-// steady-state restore formats nothing. The checkpoint and the machine
-// must both carry exactly this prefix (only the measured budget may
-// differ); a restore that fails or panics leaves the machine holding
-// no prefix.
+// restore is the one restore: it restores the checkpoint into a
+// machine holding prefix and runs the measurement phase. prefix is the
+// options' PrefixCanonical form: a campaign renders it once per cell
+// at plan time, so a steady-state restore formats nothing. The
+// checkpoint must carry exactly this prefix (only the measured budget
+// may differ); a restore that fails or panics leaves the machine
+// holding no prefix.
 //
 // It also climbs the budget ladder. Before its last stretch the run
 // captures a rung, a mid-run checkpoint of the prefix, into the
-// machine's rung buffer; a later run whose budget lies beyond the
-// rung's fetch horizon restores the rung instead of ck and simulates
-// only the instructions past it. Cells run in ascending budget thus
-// simulate their group's largest budget once, not every budget in
-// full. FromRung reports whether the last run started from a rung.
-func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, prefix string, ck *Checkpoint) (Result, error) {
-	m.fromRung, m.restoredAt = false, 0
-	opts, err := ready(ctx, opts)
+// arena's rung buffer; a later run whose budget lies beyond the rung's
+// fetch horizon restores the rung instead of ck and simulates only the
+// instructions past it. Cells run in ascending budget thus simulate
+// their group's largest budget once, not every budget in full. at is
+// the commit count the run was restored at, and rung reports whether
+// that was a rung's.
+func (m *Machine) restore(ctx context.Context, opts Options, prefix string, ck *Checkpoint) (res Result, at uint64, rung bool, err error) {
+	opts, err = ready(ctx, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, false, err
 	}
 	if opts.Interval > 0 && opts.IntervalSink != nil {
 		// Interval telemetry emits boundaries during warm-up; a
 		// restored run skips the warm-up, so the series cannot be
 		// reproduced. Sampled cells run cold.
-		return Result{}, fmt.Errorf("runner: interval telemetry needs a cold run: %w", ErrCheckpointUnusable)
+		return Result{}, 0, false, fmt.Errorf("runner: interval telemetry needs a cold run: %w", ErrCheckpointUnusable)
 	}
 	if ck.Version != CheckpointVersion {
-		return Result{}, fmt.Errorf("runner: checkpoint version %d, want %d: %w", ck.Version, CheckpointVersion, ErrCheckpointUnusable)
+		return Result{}, 0, false, fmt.Errorf("runner: checkpoint version %d, want %d: %w", ck.Version, CheckpointVersion, ErrCheckpointUnusable)
 	}
 	if ck.Prefix != prefix {
-		return Result{}, fmt.Errorf("runner: checkpoint prefix mismatch: %w", ErrCheckpointUnusable)
-	}
-	if m.prefix != prefix {
-		return Result{}, fmt.Errorf("runner: machine prefix does not match the requested options: %w", ErrCheckpointUnusable)
+		return Result{}, 0, false, fmt.Errorf("runner: checkpoint prefix mismatch: %w", ErrCheckpointUnusable)
 	}
 	if opts.Insts <= ck.MinInsts {
-		return Result{}, fmt.Errorf("runner: measured budget %d is inside the checkpoint fetch horizon %d: %w",
+		return Result{}, 0, false, fmt.Errorf("runner: measured budget %d is inside the checkpoint fetch horizon %d: %w",
 			opts.Insts, ck.MinInsts, ErrCheckpointUnusable)
 	}
 	// Until a restore completes the machine may be half-written, so it
 	// holds no prefix: a restore that fails or panics leaves it so.
 	m.prefix = ""
 	src := ck
-	if r := m.rung; r != nil && r.ok && opts.Insts > r.ck.MinInsts {
+	if r := m.arena.rung; r != nil && r.ok && opts.Insts > r.ck.MinInsts {
 		if m.restoreState(&r.ck.Machine) == nil {
 			src = &r.ck
 		} else {
@@ -490,11 +429,11 @@ func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, pre
 	}
 	if src == ck {
 		if err := m.restoreState(&ck.Machine); err != nil {
-			return Result{}, err
+			return Result{}, 0, false, err
 		}
 	}
 	m.prefix = prefix
-	m.fromRung, m.restoredAt = src != ck, m.host.Committed()
+	at, rung = m.host.Committed(), src != ck
 	// Re-aim the stream at this run's context (the poll counter is
 	// observability only; resetting it keeps the cadence identical
 	// across reuses).
@@ -505,21 +444,13 @@ func (m *Machine) RunFromCheckpointPrefix(ctx context.Context, opts Options, pre
 	m.host.SetWarmup(0, nil)
 	m.opts.Insts = opts.Insts
 	if err := m.climb(src.Warm); err != nil {
-		return Result{}, err
+		return Result{}, 0, false, err
 	}
 	total := opts.Warmup + opts.Insts
 	cres := m.host.Run(total)
-	return m.finish(ctx, src.Warm, cres, total)
+	res, err = m.finish(ctx, src.Warm, cres, total)
+	return res, at, rung, err
 }
-
-// FromRung reports whether the machine's last restore restored a rung
-// rather than the warm-up checkpoint.
-func (m *Machine) FromRung() bool { return m.fromRung }
-
-// RestoredAt returns the commit count the machine's last restore left
-// it at: the warm-up boundary, or the rung's. The run simulated only
-// the instructions it committed past that count.
-func (m *Machine) RestoredAt() uint64 { return m.restoredAt }
 
 // advance runs the machine with fetch unbounded until it has committed
 // stop instructions, and returns the count committed: short of stop
@@ -577,10 +508,11 @@ func (m *Machine) climb(warm WarmStats) error {
 	if n <= reach || w+n-reach <= m.host.Committed() {
 		return nil
 	}
-	if m.rung == nil {
-		m.rung = new(rungBuffer)
+	a := m.arena
+	if a.rung == nil {
+		a.rung = new(rungBuffer)
 	}
-	r := m.rung
+	r := a.rung
 	r.ok = false
 	if stop := w + n - reach; m.advance(stop) < stop {
 		return nil
@@ -595,10 +527,10 @@ func (m *Machine) climb(warm WarmStats) error {
 	return nil
 }
 
-// rungBuffer is a machine's budget ladder: the rung, a mid-run
-// checkpoint of the machine's prefix, valid while ok. It passes from
-// each machine to the next one built from it, so a campaign worker
-// captures every rung into one set of buffers.
+// rungBuffer is an arena's budget ladder: the rung, a mid-run
+// checkpoint of its machine's prefix, valid while ok. Every machine
+// the arena builds captures into it, so a campaign worker captures
+// every rung into one set of buffers.
 type rungBuffer struct {
 	ck Checkpoint
 	ok bool

@@ -223,7 +223,7 @@ func TestCheckpointUnusableGuards(t *testing.T) {
 	if _, err := m.RunFromCheckpoint(context.Background(), other, otherCk); !errors.Is(err, ErrCheckpointUnusable) {
 		t.Fatalf("machine prefix mismatch: err = %v, want ErrCheckpointUnusable", err)
 	}
-	if m.Prefix() != opts.PrefixCanonical() {
+	if m.prefix != opts.PrefixCanonical() {
 		t.Fatal("a refused restore must leave the machine its prefix")
 	}
 
@@ -234,26 +234,27 @@ func TestCheckpointUnusableGuards(t *testing.T) {
 	if _, err := m.RunFromCheckpoint(context.Background(), opts, &both); err == nil || errors.Is(err, ErrCheckpointUnusable) {
 		t.Fatalf("checkpoint with both core states: err = %v, want a restore error", err)
 	}
-	if m.Prefix() != "" {
-		t.Fatalf("a failed restore left the machine holding prefix %q", m.Prefix())
+	if m.prefix != "" {
+		t.Fatalf("a failed restore left the machine holding prefix %q", m.prefix)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := m.RunFromCheckpoint(context.Background(), opts, ck); !errors.Is(err, ErrCheckpointUnusable) {
 			t.Fatalf("restore %d after a failed one: err = %v, want ErrCheckpointUnusable", i, err)
 		}
 	}
-	rebuilt, err := NewCheckpointMachineOn(context.Background(), opts, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rebuilt.Close()
+	// Its arena rebuilds it for the next restore.
 	cold, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := rebuilt.RunFromCheckpoint(context.Background(), opts, ck)
+	a := m.arena
+	defer a.Close()
+	warm, _, _, err := a.Restore(context.Background(), opts, opts.PrefixCanonical(), ck)
 	if err != nil {
 		t.Fatalf("restore into the rebuilt machine: %v", err)
+	}
+	if a.m == m {
+		t.Fatal("the arena restored into the machine whose restore failed, not a rebuilt one")
 	}
 	requireIdentical(t, "rebuilt", cold, warm)
 }

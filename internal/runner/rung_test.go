@@ -22,14 +22,14 @@ func ladderOptions(mem hier.MemoryKind, mech string, inOrder bool) Options {
 	return opts
 }
 
-// ladder is one prefix group's checkpoint and the machine its cells
+// ladder is one prefix group's checkpoint and the arena its cells
 // run on, one after another, as a campaign worker runs them.
 type ladder struct {
 	t      *testing.T
 	opts   Options
 	prefix string
 	ck     *Checkpoint
-	m      *Machine
+	a      *Arena
 }
 
 func newLadder(t *testing.T, opts Options) *ladder {
@@ -38,12 +38,9 @@ func newLadder(t *testing.T, opts Options) *ladder {
 	if err != nil {
 		t.Fatalf("prefix: %v", err)
 	}
-	m, err := NewCheckpointMachine(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return &ladder{t: t, opts: opts, prefix: opts.PrefixCanonical(), ck: ck, m: m}
+	a := NewArenas(1)[0]
+	t.Cleanup(a.Close)
+	return &ladder{t: t, opts: opts, prefix: opts.PrefixCanonical(), ck: ck, a: a}
 }
 
 // run runs budget n on the ladder's machine and checks it against a
@@ -52,7 +49,7 @@ func (l *ladder) run(ctx context.Context, n uint64) bool {
 	l.t.Helper()
 	o := l.opts
 	o.Insts = n
-	warm, err := l.m.RunFromCheckpointPrefix(ctx, o, l.prefix, l.ck)
+	warm, _, rung, err := l.a.Restore(ctx, o, l.prefix, l.ck)
 	if err != nil {
 		l.t.Fatalf("ladder insts=%d: %v", n, err)
 	}
@@ -61,7 +58,7 @@ func (l *ladder) run(ctx context.Context, n uint64) bool {
 		l.t.Fatalf("cold insts=%d: %v", n, err)
 	}
 	requireIdentical(l.t, fmt.Sprintf("insts=%d", n), cold, warm)
-	return l.m.FromRung()
+	return rung
 }
 
 // TestRungLadderMatchesCold climbs the budget ladder on both cores,
@@ -122,7 +119,7 @@ func TestRungCanceledAdvanceLeavesNoRung(t *testing.T) {
 
 			o := l.opts
 			o.Insts = 9_000
-			_, err := l.m.RunFromCheckpointPrefix(&flakyCtx{Context: context.Background(), n: 3}, o, l.prefix, l.ck)
+			_, _, _, err := l.a.Restore(&flakyCtx{Context: context.Background(), n: 3}, o, l.prefix, l.ck)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled ladder run: err = %v, want context.Canceled", err)
 			}
@@ -144,14 +141,16 @@ func TestRungCaptureReusesBuffers(t *testing.T) {
 	l := newLadder(t, ladderOptions(hier.MemSDRAM, "DBCP", false))
 	ctx := context.Background()
 	pair := func() {
+		var rung bool
 		for _, n := range []uint64{3_000, 12_000} {
 			o := l.opts
 			o.Insts = n
-			if _, err := l.m.RunFromCheckpointPrefix(ctx, o, l.prefix, l.ck); err != nil {
+			var err error
+			if _, _, rung, err = l.a.Restore(ctx, o, l.prefix, l.ck); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !l.m.FromRung() {
+		if !rung {
 			t.Fatal("the larger budget must climb from the smaller one's rung")
 		}
 	}

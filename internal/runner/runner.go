@@ -124,28 +124,7 @@ func Run(opts Options) (Result, error) {
 // within a few thousand simulated instructions of ctx being canceled
 // and RunContext returns ctx's error instead of a partial Result.
 func RunContext(ctx context.Context, opts Options) (Result, error) {
-	res, _, err := RunOn(ctx, opts, nil, nil)
-	return res, err
-}
-
-// RunOn is RunContext on a machine built from spare's cache storage.
-// spare may be nil; otherwise it is a machine the caller has finished
-// with, whose cache line arrays the new machine takes, so it must not
-// run again. tables may be nil; otherwise spare's mechanism leaves its
-// tables there and the new mechanism takes its own name's from there
-// (see MechTables). RunOn also returns the machine it ran on, closed,
-// even when the run failed, for the caller to pass as the next call's
-// spare; it is nil when none was built. The Result's Mech belongs to
-// that machine, so it is only valid until the machine is recycled.
-func RunOn(ctx context.Context, opts Options, spare *Machine, tables *MechTables) (Result, *Machine, error) {
-	m, err := newMachine(ctx, opts, spare, tables)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	defer m.Close()
-	m.skip()
-	res, err := m.runMeasured(ctx)
-	return res, m, err
+	return new(Arena).Run(ctx, opts)
 }
 
 // cancelStream ends the instruction stream shortly after its context

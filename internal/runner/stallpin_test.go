@@ -231,11 +231,12 @@ func TestRankGridPinnedCounts(t *testing.T) {
 					opts.Insts = 30_000
 					opts.Seed = seed
 					opts.InOrder = inorder
-					res, m, err := RunOn(context.Background(), opts, nil, nil)
+					a := new(Arena)
+					res, err := a.Run(context.Background(), opts)
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					_, events := m.eng.Stats()
+					_, events := a.m.eng.Stats()
 					got := rankGridPinCounts{
 						Events:      events,
 						Insts:       res.CPU.Insts,

@@ -27,11 +27,8 @@ func TestWarmArenaReuseZeroMarginalAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewCheckpointMachine(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	a := NewArenas(1)[0]
+	defer a.Close()
 
 	// The prefix is rendered once, as a campaign renders it at plan
 	// time: the restore path itself formats nothing.
@@ -40,7 +37,7 @@ func TestWarmArenaReuseZeroMarginalAllocs(t *testing.T) {
 	runWith := func(insts uint64) {
 		o := opts
 		o.Insts = insts
-		if _, err := m.RunFromCheckpointPrefix(ctx, o, prefix, ck); err != nil {
+		if _, _, _, err := a.Restore(ctx, o, prefix, ck); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +66,7 @@ func TestWarmArenaReuseZeroMarginalAllocs(t *testing.T) {
 
 // TestWorkerBuildsMechanismTablesOnce pins the hand-over of mechanism
 // tables. One worker's cells run one after another, each built on
-// the previous cell's machine and one MechTables as a campaign worker
+// the previous cell's machine on one arena, as a campaign worker
 // builds them, rotating Base, DBCP, Markov and SP over two programs as
 // rank-grid does, with the collector run before every cell. From the
 // second program on, a DBCP or Markov cell builds its table in the one
@@ -81,23 +78,15 @@ func TestWarmArenaReuseZeroMarginalAllocs(t *testing.T) {
 // again. All three equal fresh runs.
 func TestWorkerBuildsMechanismTablesOnce(t *testing.T) {
 	ctx := context.Background()
-	tables := new(MechTables)
-	var spare *Machine
-	defer func() {
-		if spare != nil {
-			spare.Close()
-		}
-	}()
+	a := NewArenas(1)[0]
+	defer a.Close()
 	run := func(opts Options) (Result, int64) {
 		t.Helper()
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, m, err := RunOn(ctx, opts, spare, tables)
+		res, err := a.Run(ctx, opts)
 		runtime.ReadMemStats(&after)
-		if m != nil {
-			spare = m
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
